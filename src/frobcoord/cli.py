@@ -170,18 +170,34 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    results = run_selftest(dims=dims, trials=args.trials, seed=args.seed,
+    print(f"selftest: seed={args.seed}")
+    results = run_selftest(dims=args.dims, trials=args.trials, seed=args.seed,
                            inject_fault=args.inject_fault)
     ok = True
     for res in results:
-        print(f"{res.name}: {res.passed}/{res.total} pass")
+        print(f"{res.name}: {res.passed}/{res.total} pass "
+              f"({res.seconds:.3f} s)")
         if not res.ok:
             ok = False
             print(f"counterexample[{res.name}]: seed={args.seed} "
                   f"{res.counterexample}")
     print("selftest: OK" if ok else "selftest: FAILED")
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _dims(text: str) -> tuple:
+    return tuple(_positive_int(d) for d in text.split(","))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -199,7 +215,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="target type (default: s)")
         p.add_argument("--all", action="store_true",
                        help="list every derivation, not just the canonical")
-        p.add_argument("--cap", type=int, default=1000,
+        p.add_argument("--cap", type=_positive_int, default=1000,
                        help="derivation cap for --all")
         p.set_defaults(func=func)
         return p
@@ -224,8 +240,8 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
-    p_self.add_argument("--dims", default="1,2,3,4",
-                        help="comma-separated dimensions to sample")
+    p_self.add_argument("--dims", type=_dims, default="1,2,3,4",
+                        help="comma-separated positive dimensions to sample")
     p_self.add_argument("--trials", type=int, default=100)
     # A string default goes through ``type=int`` only when selftest runs
     # without --seed, so a malformed FROBCOORD_SEED is a usage error (exit

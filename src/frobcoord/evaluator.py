@@ -112,9 +112,11 @@ def build_network(derivation: Derivation, tensors,
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract all edges and return the tensor on the open wires.
 
-    Components are merged pairwise with a semiring matrix product over all
-    edges joining them at once, so no intermediate ever materialises the
-    full outer product.  Scalar results come back as 0-wire tensors.
+    Contraction runs in cost order: each step takes the pair of components
+    joined by edges whose merged tensor has the fewest cells (ties go to
+    the earliest edge) and contracts every edge between them in one
+    semiring matrix product, so vectors are absorbed before large tensors
+    meet.  Scalar results come back as 0-wire tensors.
     """
     sr = network.semiring
     comp_of = list(range(len(network.nodes)))
@@ -122,26 +124,37 @@ def evaluate(network: TensorNetwork) -> Tensor:
     wire_ids = {c: [(c, w) for w in range(t.order)]
                 for c, t in enumerate(network.nodes)}
     pending = list(network.edges)
-    done = [False] * len(pending)
+    joined_cells = {e: network.nodes[e[0][0]].array.shape[e[0][1]]
+                    * network.nodes[e[1][0]].array.shape[e[1][1]]
+                    for e in pending}
 
-    for idx in range(len(pending)):
-        if done[idx]:
-            continue
-        (na, wa), (nb, wb) = pending[idx]
+    def merged_cells(batch):
+        (na, _), (nb, _) = pending[batch[0]]
+        cells = math.prod(arrays[c].size for c in {comp_of[na], comp_of[nb]})
+        for k in batch:
+            cells //= joined_cells[pending[k]]
+        return cells
+
+    while pending:
+        batches = {}
+        for k, ((na, _), (nb, _)) in enumerate(pending):
+            batches.setdefault(frozenset((comp_of[na], comp_of[nb])),
+                               []).append(k)
+        # Batches are keyed in order of first edge and min keeps the first
+        # of equals, so ties go to the earliest edge.
+        batch = min(batches.values(), key=merged_cells)
+        edge = (na, wa), (nb, wb) = pending[batch[0]]
         ca, cb = comp_of[na], comp_of[nb]
         if ca == cb:
             ids = wire_ids[ca]
             ia, ib = ids.index((na, wa)), ids.index((nb, wb))
             arr = arrays[ca]
             if arr.shape[ia] != arr.shape[ib]:
-                raise DimMismatch(f"edge {pending[idx]} joins unequal dims")
+                raise DimMismatch(f"edge {edge} joins unequal dims")
             arrays[ca] = sr.sum(np.diagonal(arr, axis1=ia, axis2=ib), axis=-1)
             wire_ids[ca] = [x for k, x in enumerate(ids) if k not in (ia, ib)]
-            done[idx] = True
+            del pending[batch[0]]
             continue
-        batch = [k for k in range(idx, len(pending)) if not done[k]
-                 and {comp_of[pending[k][0][0]],
-                      comp_of[pending[k][1][0]]} == {ca, cb}]
         ids_a, ids_b = wire_ids[ca], wire_ids[cb]
         axes_a, axes_b = [], []
         for k in batch:
@@ -150,7 +163,7 @@ def evaluate(network: TensorNetwork) -> Tensor:
                 (xa, ya), (xb, yb) = (xb, yb), (xa, ya)
             axes_a.append(ids_a.index((xa, ya)))
             axes_b.append(ids_b.index((xb, yb)))
-            done[k] = True
+        pending = [e for k, e in enumerate(pending) if k not in batch]
         arr_a, arr_b = arrays[ca], arrays[cb]
         for pa, pb in zip(axes_a, axes_b):
             if arr_a.shape[pa] != arr_b.shape[pb]:

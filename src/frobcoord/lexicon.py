@@ -13,7 +13,8 @@ are directives, blank lines are ignored, everything else is an entry
     is : n.r n = @identity
 
 Tensor specs are a bracketed literal (row-major, length must equal the
-product of the wire dimensions), ``@conj`` (builds the coordinator tensor
+product of the wire dimensions, finite numbers only, and only 0 or 1 for
+the boolean semiring), ``@conj`` (builds the coordinator tensor
 for a type shaped ``x.r x x.l``), ``@random(seed)`` (deterministic
 splitmix64 stream mapped to [0, 1), thresholded at 0.5 for the boolean
 semiring) or ``@identity`` (square order-2 types only).  Real entries are
@@ -111,6 +112,13 @@ def _conj_shape(ptype: PregroupType) -> PregroupType | None:
     return None
 
 
+def _literal_value_ok(value, semiring: Semiring) -> bool:
+    """Real literals take finite numbers; boolean literals take 0 and 1."""
+    if semiring is REAL:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return value in (0, 1)
+
+
 def _realize(word, ptype, spec, spaces, semiring, line):
     wires = spaces.wires(ptype)
     size = math.prod(w.dim for w in wires)
@@ -124,6 +132,12 @@ def _realize(word, ptype, spec, spaces, semiring, line):
                 f"entry {word!r}: literal of length "
                 f"{len(data) if isinstance(data, list) else '?'} "
                 f"does not fill {size} cells")
+        for value in data:
+            if not _literal_value_ok(value, semiring):
+                raise ParseError(
+                    f"entry {word!r}: literal value {value!r} is not "
+                    f"{'a finite number' if semiring is REAL else '0 or 1'}",
+                    line)
         return Tensor(wires, data, semiring), None
     if spec == "@conj":
         x = _conj_shape(ptype)

@@ -9,6 +9,7 @@ make the run fail with a counterexample.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ class SuiteResult:
     passed: int
     total: int
     counterexample: str | None = None
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -323,7 +325,7 @@ def suite_rel_intersection(rng, dims, trials):
 
 def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
                  inject_fault=False) -> list[SuiteResult]:
-    """Run every suite; results report per-suite pass counts."""
+    """Run every suite; results report per-suite pass counts and times."""
     dims = tuple(int(d) for d in dims)
     mu = _faulty_mu if inject_fault else frobenius_mu
     suites = [
@@ -337,5 +339,10 @@ def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
         lambda rng: suite_stripping(rng, dims, trials),
         lambda rng: suite_rel_intersection(rng, dims, trials),
     ]
-    return [suite(np.random.default_rng([seed, k]))
-            for k, suite in enumerate(suites)]
+    results = []
+    for k, suite in enumerate(suites):
+        start = time.perf_counter()
+        result = suite(np.random.default_rng([seed, k]))
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

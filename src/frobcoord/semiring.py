@@ -102,8 +102,13 @@ class _Boolean(Semiring):
         return np.any(arr, axis=axis)
 
     def matmul(self, a, b):
-        # Or-of-ands via an integer product; counts fit easily in int64.
-        return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+        """Or-of-ands as a float64 BLAS product of 0/1 copies, then ``> 0``.
+
+        Exact: an output entry counts at most ``shared`` (= ``a.shape[1]``)
+        unit products, and ``shared`` is no larger than ``a.size``, an array
+        already in memory, so every count is an integer below 2**53.
+        """
+        return (a.astype(np.float64) @ b.astype(np.float64)) > 0
 
     def allclose(self, a, b) -> bool:
         a = np.asarray(a, dtype=self.dtype)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -173,11 +174,18 @@ def test_selftest_degenerate_dims():
     assert "selftest: OK" in proc.stdout
 
 
+def _untimed(stdout):
+    return re.sub(r" \(\d+\.\d+ s\)", "", stdout)
+
+
 def test_selftest_seed_env_override():
     plain = run("selftest", "--trials", "2", "--dims", "2",
                 FROBCOORD_SEED="123")
     assert plain.returncode == 0
     assert "selftest: OK" in plain.stdout
+    assert plain.stdout.splitlines()[0] == "selftest: seed=123"
+    assert re.search(r"^frobenius-axioms: \d+/\d+ pass \(\d+\.\d+ s\)$",
+                     plain.stdout, re.MULTILINE)
 
     # Under --inject-fault the counterexamples print the seed and random
     # tensor entries drawn from it, so the output shows which seed was used.
@@ -187,9 +195,9 @@ def test_selftest_seed_env_override():
     default = run(*faulty)
     assert from_env.returncode == from_flag.returncode == 1
     assert "seed=123" in from_env.stdout
-    assert from_env.stdout == from_flag.stdout
+    assert _untimed(from_env.stdout) == _untimed(from_flag.stdout)
     assert "seed=0" in default.stdout
-    assert from_env.stdout != default.stdout
+    assert _untimed(from_env.stdout) != _untimed(default.stdout)
 
 
 def test_malformed_seed_env_only_affects_selftest(lex_path):
@@ -203,3 +211,27 @@ def test_malformed_seed_env_only_affects_selftest(lex_path):
     bad, clean = run(*words, FROBCOORD_SEED="abc"), run(*words)
     assert bad.returncode == clean.returncode == 0
     assert (bad.stdout, bad.stderr) == (clean.stdout, clean.stderr)
+
+
+@pytest.mark.parametrize("args", [
+    ("selftest", "--dims", "x"),
+    ("selftest", "--dims", "2,,3"),
+    ("check", "LEX", "john", "sleeps", "--all", "--cap", "0"),
+    ("derive", "LEX", "john", "sleeps", "--all", "--cap", "0"),
+], ids=["dims-x", "dims-empty-item", "check-cap-0", "derive-cap-0"])
+def test_malformed_counts_are_usage_errors(lex_path, args):
+    proc = run(*(lex_path if a == "LEX" else a for a in args))
+    assert proc.returncode == 2
+    assert "expected a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_rejects_non_finite_literal(tmp_path):
+    path = tmp_path / "nan.lex"
+    path.write_text("#type s 2\nbad : s = [NaN, Infinity]\n",
+                    encoding="utf-8")
+    proc = run("eval", str(path), "bad")
+    assert proc.returncode == 2
+    assert "line 2" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -79,6 +79,24 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("#type s 2\nand : s.r s s.r = @conj\n")
 
 
+@pytest.mark.parametrize("literal", ["[NaN, 1]", "[1, Infinity]",
+                                     "[-Infinity, 1]", "[1e400, 1]"])
+def test_non_finite_real_literal_rejected(literal):
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon(f"#type n 2\n\nbad : n = {literal}\n")
+    assert exc.value.line == 3
+    assert "finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("literal", ["[0.3, 1]", "[2, 0]", "[1, -1]",
+                                     "[NaN, 0]"])
+def test_boolean_literal_must_be_zero_or_one(literal):
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon(f"#semiring bool\n#type n 2\nbad : n = {literal}\n")
+    assert exc.value.line == 3
+    assert "0 or 1" in str(exc.value)
+
+
 def test_undeclared_symbol():
     with pytest.raises(errors.UndeclaredSymbol) as exc:
         parse_lexicon("#type n 2\njohn : n q.l = [1]\n")
