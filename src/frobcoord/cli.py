@@ -242,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the verification suites")
     p_self.add_argument("--dims", type=_dims, default="1,2,3,4",
                         help="comma-separated positive dimensions to sample")
-    p_self.add_argument("--trials", type=int, default=100)
+    p_self.add_argument("--trials", type=_positive_int, default=100)
     # A string default goes through ``type=int`` only when selftest runs
     # without --seed, so a malformed FROBCOORD_SEED is a usage error (exit
     # 2) for selftest alone.

@@ -18,12 +18,11 @@ from functools import reduce as fold
 import numpy as np
 
 from .errors import EmptyType, ShapeMismatch
-from .evaluator import SpaceAssignment, build_network, evaluate
+from .evaluator import SpaceAssignment, _contract
 from .pregroup import PregroupType, SimpleType, coordinator_type, parse_type
 from .pregroup import reduce as pregroup_reduce
 from .semiring import REAL, Semiring
-from .tensor import (Tensor, Wire, contract, frobenius_mu, permute_wires,
-                     tensor_product)
+from .tensor import Tensor, Wire, frobenius_mu, permute_wires, tensor_product
 
 
 def _spider3(base: str, z: int, dim: int, semiring: Semiring) -> Tensor:
@@ -85,14 +84,25 @@ def _type_of(tensor: Tensor) -> PregroupType:
     return PregroupType(tuple(SimpleType(w.base, w.z) for w in tensor.wires))
 
 
-def _pipeline(types, tensors, target: PregroupType,
-              spaces: SpaceAssignment) -> Tensor:
-    derivation = pregroup_reduce(types, target)
+def _coordinated(tensors, x: PregroupType, mode: str,
+                 spaces: SpaceAssignment = None) -> Tensor:
+    """The sentence meaning of a token row around one coordinator for ``x``.
+
+    The coordinator's place in ``tensors`` holds None; explicit mode fills
+    it with :func:`coordinator_tensor`, closed form never builds it.
+    """
+    is_conj = [t is None for t in tensors]
+    spaces = spaces or _spaces_for([t for t in tensors if t is not None])
+    types = [coordinator_type(x) if c else _type_of(t)
+             for t, c in zip(tensors, is_conj)]
+    derivation = pregroup_reduce(types, parse_type("s"))
     if derivation is None:
         raise ShapeMismatch(
-            f"token types {' | '.join(map(str, types))} do not reduce "
-            f"to {target}")
-    return evaluate(build_network(derivation, tensors, spaces))
+            f"token types {' | '.join(map(str, types))} do not reduce to s")
+    if mode == "explicit":
+        conj = coordinator_tensor(x, spaces, tensors[0].semiring)
+        tensors = [conj if c else t for t, c in zip(tensors, is_conj)]
+    return _contract(derivation, tensors, is_conj, spaces, mode)
 
 
 def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
@@ -111,45 +121,14 @@ def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
     """
     if (obj1 is None) != (obj2 is None):
         raise ShapeMismatch("provide both per-conjunct objects or neither")
-    semiring = subject.semiring
     if obj1 is not None:
-        nouns = [subject, obj1, obj2, shared_object]
-        shared = [shared_object]
+        x = _type_of(verb1)[:-1]
+        tensors = [subject, verb1, obj1, None, verb2, obj2, shared_object]
     else:
         near, far = shared_object
-        nouns = [subject, near, far]
-        shared = [near, far]
-    spaces = _spaces_for(nouns + [verb1, verb2])
-
-    if mode == "closed-form":
-        conjuncts = []
-        for verb, obj in ((verb1, obj1), (verb2, obj2)):
-            if obj is not None:
-                verb = contract(tensor_product(verb, obj), 3, 4)
-            conjuncts.append(verb)
-        merged = coordinate_closed_form(*conjuncts)
-        out = contract(tensor_product(subject, merged), 0, 1)
-        # The last verb wire takes the nearer object, so consume in order.
-        for obj in shared:
-            out = contract(tensor_product(out, obj), out.order - 1, out.order)
-        return out
-    if mode != "explicit":
-        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
-
-    x = _type_of(verb1) if obj1 is None \
-        else _type_of(contract(tensor_product(verb1, obj1), 3, 4))
-    conj = coordinator_tensor(x, spaces, semiring)
-    if obj1 is not None:
-        types = [_type_of(subject), _type_of(verb1), _type_of(obj1),
-                 coordinator_type(x), _type_of(verb2), _type_of(obj2),
-                 _type_of(shared_object)]
-        tensors = [subject, verb1, obj1, conj, verb2, obj2, shared_object]
-    else:
-        near, far = shared_object
-        types = [_type_of(subject), _type_of(verb1), coordinator_type(x),
-                 _type_of(verb2), _type_of(near), _type_of(far)]
-        tensors = [subject, verb1, conj, verb2, near, far]
-    return _pipeline(types, tensors, parse_type("s"), spaces)
+        x = _type_of(verb1)
+        tensors = [subject, verb1, None, verb2, near, far]
+    return _coordinated(tensors, x, mode)
 
 
 def stripping_sentence(subject: Tensor, verb: Tensor, obj1: Tensor,
@@ -165,10 +144,5 @@ def stripping_sentence(subject: Tensor, verb: Tensor, obj1: Tensor,
             raise ShapeMismatch(f"expected an order-1 noun, got {noun!r}")
     if verb.order != 3:
         raise ShapeMismatch(f"expected an order-3 verb, got {verb!r}")
-    if spaces is None:
-        spaces = _spaces_for([subject, verb, obj1, obj2])
-    x = _type_of(obj1)
-    conj = coordinator_tensor(x, spaces, subject.semiring)
-    types = [_type_of(subject), _type_of(verb), x, coordinator_type(x), x]
-    tensors = [subject, verb, obj1, conj, obj2]
-    return _pipeline(types, tensors, parse_type("s"), spaces)
+    return _coordinated([subject, verb, obj1, None, obj2], _type_of(obj1),
+                        "closed-form", spaces)

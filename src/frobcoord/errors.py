@@ -82,11 +82,6 @@ class UnknownWord(FrobcoordError):
     """A word is missing from the lexicon."""
 
 
-class CoordinationStructureError(FrobcoordError):
-    """A derivation does not use a coordinator in the ternary pattern,
-    so the closed-form rewrite is undefined for it."""
-
-
 class ParseError(FrobcoordError):
     """A lexicon file failed to parse.  ``line`` is 1-based."""
 

@@ -3,27 +3,30 @@
 :func:`build_network` turns a derivation plus per-token tensors into a
 :class:`TensorNetwork` whose edges mirror the contraction links, checking
 every wire against the declared types.  :func:`evaluate` contracts the
-network; the result does not depend on the edge order.
+network; the result does not depend on the edge order.  An edge identifies
+two wires and a wire may sit in several edges, so each class of identified
+wires is one index, a copy spider: it is summed out unless the class holds
+an open wire.
 
 :func:`evaluate_sentence` is the end-to-end pipeline.  Its two modes must
 agree: ``explicit`` contracts coordinator tensors like any other word,
-``closed-form`` collapses each coordinated region to the entry-wise merge
-of its evaluated conjuncts first.
+``closed-form`` drops them and identifies the wires at the three legs of
+each of their copy spiders instead, which merges the conjuncts entry-wise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import (CoordinationStructureError, DimMismatch, MissingSpace,
-                     SemiringMismatch, UngrammaticalSentence, UnknownWord,
-                     WireTypeMismatch)
+from .errors import (DimMismatch, MissingSpace, SemiringMismatch,
+                     UngrammaticalSentence, UnknownWord, WireTypeMismatch)
 from .pregroup import Derivation, PregroupType, parse_type, reduce
 from .semiring import Semiring
-from .tensor import Tensor, Wire, frobenius_mu
+from .tensor import Tensor, Wire, frobenius_zeta
 
 
 class SpaceAssignment:
@@ -63,9 +66,11 @@ class SpaceAssignment:
 class TensorNetwork:
     """Word tensors plus contraction edges and the surviving open wires.
 
-    Edges are ``((node, wire), (node, wire))`` pairs; each wire takes part
-    in at most one edge.  ``open_wires`` fixes the wire order of the
-    evaluation result.
+    Edges are ``((node, wire), (node, wire))`` pairs.  An edge identifies
+    its two wires, and a wire may take part in several edges; each class of
+    identified wires is one index, summed out unless the class holds an
+    open wire.  ``open_wires`` fixes the wire order of the evaluation
+    result; open wires of one class carry copies of the same index.
     """
 
     nodes: list[Tensor]
@@ -109,240 +114,184 @@ def build_network(derivation: Derivation, tensors,
     return TensorNetwork(tensors, edges, open_wires)
 
 
+def _root(parent: list, x: int) -> int:
+    """The root of ``x`` in a union-find forest, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _contract(derivation: Derivation, tensors, is_conj,
+              spaces: SpaceAssignment, mode: str) -> Tensor:
+    """Contract a derivation whose ``is_conj`` tokens are coordinators.
+
+    ``explicit`` evaluates :func:`build_network`.  ``closed-form`` drops
+    the coordinator tokens, whose tensors it never reads (they may be
+    None), and keeps their copy spiders as identified wires: factor ``p``
+    of a coordinator for a ``k``-factor type has legs at the mirrored
+    ``x.r`` position ``k-1-p``, the middle position ``k+p`` and the
+    mirrored ``x.l`` position ``3k-1-p`` (the layout of
+    ``coordinator_tensor``), and the wires linked to them become one class.
+    """
+    if mode == "explicit":
+        return evaluate(build_network(derivation, tensors, spaces))
+    if mode != "closed-form":
+        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
+    types, offsets = derivation.token_types, derivation.offsets
+    parent = list(range(len(derivation.flattened)))
+    find = lambda f: _root(parent, f)
+    joined = list(derivation.links)
+    for tok in (t for t, conj in enumerate(is_conj) if conj):
+        k, off = len(types[tok]) // 3, offsets[tok]
+        for p in range(k):
+            joined += [(off + k + p, off + k - 1 - p),
+                       (off + k + p, off + 3 * k - 1 - p)]
+    for i, j in joined:
+        parent[find(j)] = find(i)
+
+    kept = [tok for tok, conj in enumerate(is_conj) if not conj]
+    nodes = [tensors[tok] for tok in kept]
+    semiring = next(t.semiring for t in tensors if t is not None)
+    wire_of, edges = {}, []
+    for node, tok in enumerate(kept):
+        for w in range(len(types[tok])):
+            root = find(offsets[tok] + w)
+            if root in wire_of:
+                edges.append((wire_of[root], (node, w)))
+            else:
+                wire_of[root] = (node, w)
+    for f, s in enumerate(derivation.flattened):
+        if find(f) not in wire_of:
+            # Spiders joined only to each other fuse into one spider: the
+            # all-ones vector on one wire of the class.
+            nodes.append(frobenius_zeta(s.base, spaces.dim(s.base), s.z,
+                                        semiring))
+            wire_of[find(f)] = (len(nodes) - 1, 0)
+    result = evaluate(TensorNetwork(
+        nodes, sorted(edges), [wire_of[find(r)] for r in derivation.residual]))
+    # A surviving coordinator leg reads a wire of its class, whose adjoint
+    # order may differ; the result is typed by the residual.
+    return Tensor(spaces.wires(derivation.residual_type()), result.array,
+                  semiring, copy=False)
+
+
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract all edges and return the tensor on the open wires.
 
-    Contraction runs in cost order: each step takes the pair of components
-    joined by edges whose merged tensor has the fewest cells (ties go to
-    the earliest edge) and contracts every edge between them in one
-    semiring matrix product, so vectors are absorbed before large tensors
-    meet.  Scalar results come back as 0-wire tensors.
+    Each class of wires identified by edges is one index.  Contraction runs
+    in cost order: each step merges the pair of components sharing an
+    index whose merged tensor has the fewest cells (ties go to the pair
+    whose shared index first appears in the edge list).  A shared index is
+    summed out unless its class holds an open wire or a wire in a third
+    component; such an index is kept as a batch axis.  A step without batch
+    axes is one semiring matrix product, so vectors are absorbed before
+    large tensors meet.  Scalar results come back as 0-wire tensors.
     """
-    sr = network.semiring
-    comp_of = list(range(len(network.nodes)))
-    arrays = {c: t.array for c, t in enumerate(network.nodes)}
-    wire_ids = {c: [(c, w) for w in range(t.order)]
-                for c, t in enumerate(network.nodes)}
-    pending = list(network.edges)
-    joined_cells = {e: network.nodes[e[0][0]].array.shape[e[0][1]]
-                    * network.nodes[e[1][0]].array.shape[e[1][1]]
-                    for e in pending}
+    sr, nodes = network.semiring, network.nodes
+    if any(t.semiring is not sr for t in nodes):
+        raise SemiringMismatch("network nodes carry different semirings")
+    # Wires in edges are numbered in order of first appearance, and a
+    # class's label is the lowest number among its wires.  A wire in no
+    # edge is a class of its own, labelled by the wire itself.
+    number, parent = {}, []
+    find = lambda x: _root(parent, x)
+    for a, b in network.edges:
+        if nodes[a[0]].wires[a[1]].dim != nodes[b[0]].wires[b[1]].dim:
+            raise DimMismatch(f"edge {(a, b)} joins unequal dims")
+        for w in (a, b):
+            if w not in number:
+                number[w] = len(parent)
+                parent.append(len(parent))
+        ra, rb = find(number[a]), find(number[b])
+        parent[max(ra, rb)] = min(ra, rb)
+    wire_at, label = list(number), {w: find(i) for w, i in number.items()}
+    holders = {l: set() for l, p in enumerate(parent) if l == p}
+    dim, arrays, labels = {}, {}, {}
+    for n, t in enumerate(nodes):
+        arr = t.array
+        labs = [label.get((n, w), (n, w)) for w in range(arr.ndim)]
+        dim.update(zip(labs, arr.shape))
+        if len(set(labs)) < len(labs):
+            # Wires of one node in one class keep only their diagonal.
+            uniq = list(dict.fromkeys(labs))
+            arr = np.einsum(arr, [uniq.index(l) for l in labs],
+                            list(range(len(uniq))))
+            labs = uniq
+        arrays[n], labels[n] = arr, labs
+        for l in labs:
+            if l in holders:
+                holders[l].add(n)
+    out = [label.get(w, w) for w in network.open_wires]
+    open_labels = set(out)
+    if not open_labels <= dim.keys():
+        raise DimMismatch(f"open wires {network.open_wires} name a wire "
+                          f"outside the network")
+    holders = {l: frozenset(c) for l, c in holders.items() if len(c) > 1}
+    comp_of = list(range(len(nodes)))
+    cells = lambda labs: math.prod(dim[l] for l in labs)
 
-    def merged_cells(batch):
-        (na, _), (nb, _) = pending[batch[0]]
-        cells = math.prod(arrays[c].size for c in {comp_of[na], comp_of[nb]})
-        for k in batch:
-            cells //= joined_cells[pending[k]]
-        return cells
+    def cost(item):
+        (ca, cb), shared = item
+        size = arrays[ca].size * arrays[cb].size
+        for l in shared:
+            kept = l in open_labels or len(holders[l]) > 2
+            size //= dim[l] if kept else dim[l] ** 2
+        return size, shared[0]
 
-    while pending:
-        batches = {}
-        for k, ((na, _), (nb, _)) in enumerate(pending):
-            batches.setdefault(frozenset((comp_of[na], comp_of[nb])),
-                               []).append(k)
-        # Batches are keyed in order of first edge and min keeps the first
-        # of equals, so ties go to the earliest edge.
-        batch = min(batches.values(), key=merged_cells)
-        edge = (na, wa), (nb, wb) = pending[batch[0]]
-        ca, cb = comp_of[na], comp_of[nb]
-        if ca == cb:
-            ids = wire_ids[ca]
-            ia, ib = ids.index((na, wa)), ids.index((nb, wb))
-            arr = arrays[ca]
-            if arr.shape[ia] != arr.shape[ib]:
-                raise DimMismatch(f"edge {edge} joins unequal dims")
-            arrays[ca] = sr.sum(np.diagonal(arr, axis1=ia, axis2=ib), axis=-1)
-            wire_ids[ca] = [x for k, x in enumerate(ids) if k not in (ia, ib)]
-            del pending[batch[0]]
-            continue
-        ids_a, ids_b = wire_ids[ca], wire_ids[cb]
-        axes_a, axes_b = [], []
-        for k in batch:
-            (xa, ya), (xb, yb) = pending[k]
-            if comp_of[xa] != ca:
-                (xa, ya), (xb, yb) = (xb, yb), (xa, ya)
-            axes_a.append(ids_a.index((xa, ya)))
-            axes_b.append(ids_b.index((xb, yb)))
-        pending = [e for k, e in enumerate(pending) if k not in batch]
-        arr_a, arr_b = arrays[ca], arrays[cb]
-        for pa, pb in zip(axes_a, axes_b):
-            if arr_a.shape[pa] != arr_b.shape[pb]:
-                raise DimMismatch("edge joins unequal dims")
-        free_a = [k for k in range(arr_a.ndim) if k not in axes_a]
-        free_b = [k for k in range(arr_b.ndim) if k not in axes_b]
-        shared = math.prod(arr_a.shape[k] for k in axes_a)
-        a2 = np.transpose(arr_a, free_a + axes_a).reshape(-1, shared)
-        b2 = np.transpose(arr_b, axes_b + free_b).reshape(shared, -1)
-        merged = sr.matmul(a2, b2).reshape(
-            tuple(arr_a.shape[k] for k in free_a)
-            + tuple(arr_b.shape[k] for k in free_b))
-        arrays[ca] = merged
-        wire_ids[ca] = ([ids_a[k] for k in free_a]
-                        + [ids_b[k] for k in free_b])
-        del arrays[cb], wire_ids[cb]
+    while holders:
+        pairs = {}
+        for l, comps in holders.items():
+            for pair in [comps] if len(comps) == 2 else \
+                    map(frozenset, combinations(comps, 2)):
+                pairs.setdefault(pair, []).append(l)
+        (ca, cb), shared = min(pairs.items(), key=cost)
+        if comp_of[wire_at[shared[0]][0]] != ca:
+            ca, cb = cb, ca
+        la, lb = labels[ca], labels.pop(cb)
+        batch = [l for l in shared
+                 if l in open_labels or len(holders[l]) > 2]
+        summed = [l for l in shared if l not in batch]
+        free_a = [l for l in la if l not in shared]
+        free_b = [l for l in lb if l not in shared]
+        a = np.transpose(arrays[ca],
+                         [la.index(l) for l in batch + free_a + summed])
+        b = np.transpose(arrays.pop(cb),
+                         [lb.index(l) for l in batch + summed + free_b])
+        k = cells(summed)
+        if batch:
+            merged = sr.sum(sr.mul(
+                a.reshape(cells(batch), -1, k, 1),
+                b.reshape(cells(batch), 1, k, -1)), axis=2)
+        else:
+            merged = sr.matmul(a.reshape(-1, k), b.reshape(k, -1))
+        labels[ca] = batch + free_a + free_b
+        arrays[ca] = merged.reshape([dim[l] for l in labels[ca]])
+        for l in lb:
+            if l in holders:
+                holders[l] = holders[l] - {cb} | {ca}
+                if len(holders[l]) < 2:
+                    del holders[l]
         comp_of = [ca if c == cb else c for c in comp_of]
 
-    roots = sorted(arrays, key=lambda c: min(
-        n for n in range(len(network.nodes)) if comp_of[n] == c))
-    arr = arrays[roots[0]]
-    ids = list(wire_ids[roots[0]])
-    for c in roots[1:]:
-        other = arrays[c]
-        arr = sr.mul(arr.reshape(arr.shape + (1,) * other.ndim), other)
-        ids += wire_ids[c]
-    if sorted(ids) != sorted(network.open_wires):
-        raise DimMismatch(
-            f"open wires {network.open_wires} do not match the "
-            f"uncontracted wires {ids}")
-    perm = [ids.index(ow) for ow in network.open_wires]
-    out_wires = tuple(network.nodes[n].wires[w]
-                      for (n, w) in network.open_wires)
-    return Tensor(out_wires, np.transpose(arr, perm), sr, copy=False)
-
-
-def _eval_region(types, tensors, links, lo, hi, offsets) -> Tensor:
-    """Evaluate tokens ``lo..hi`` with their internal links only.
-
-    The open wires are the region's surviving wires in row order.
-    """
-    start = offsets[lo]
-    stop = offsets[hi] + len(types[hi])
-    inside = lambda f: start <= f < stop
-    local_tok = lambda f: next(t for t in range(hi, lo - 1, -1)
-                               if offsets[t] <= f)
-    to_local = lambda f: (local_tok(f) - lo, f - offsets[local_tok(f)])
-    edges, linked = [], set()
-    for (i, j) in sorted(links):
-        if inside(i) and inside(j):
-            edges.append((to_local(i), to_local(j)))
-            linked.update((i, j))
-    open_wires = [to_local(f) for f in range(start, stop) if f not in linked]
-    net = TensorNetwork(list(tensors[lo:hi + 1]), edges, open_wires)
-    return evaluate(net)
-
-
-def _collapse_coordinators(types, tensors, is_conj, derivation,
-                           spaces: SpaceAssignment):
-    """Rewrite every ternary coordination into a merged pseudo-token.
-
-    Innermost coordinators go first.  Each rewrite evaluates the two
-    conjunct regions, merges them entry-wise, and splices the result back
-    as a single token of the conjunct type.
-    """
-    types, tensors, is_conj = list(types), list(tensors), list(is_conj)
-    while any(is_conj):
-        offsets, acc = [], 0
-        for t in types:
-            offsets.append(acc)
-            acc += len(t)
-        token_of = {}
-        for tok, t in enumerate(types):
-            for k in range(len(t)):
-                token_of[offsets[tok] + k] = tok
-        partner = {}
-        for (i, j) in derivation.links:
-            partner[i], partner[j] = j, i
-
-        progressed = False
-        for c in (t for t in range(len(types)) if is_conj[t]):
-            width = len(types[c])
-            if width % 3:
-                raise CoordinationStructureError(
-                    f"coordinator token {c} has width {width}")
-            half = width // 3
-            off = offsets[c]
-            left_block = range(off, off + half)
-            right_block = range(off + 2 * half, off + 3 * half)
-            if any(p not in partner or partner[p] >= off
-                   for p in left_block):
-                raise CoordinationStructureError(
-                    f"coordinator token {c} is not saturated on the left")
-            if any(p not in partner or partner[p] < off + width
-                   for p in right_block):
-                raise CoordinationStructureError(
-                    f"coordinator token {c} is not saturated on the right")
-
-            def conjunct_tokens(seed_block, side):
-                # Tokens link-connected to the block, never through the
-                # coordinator itself; they must form one row of whole
-                # tokens flanking it.
-                seen = {token_of[partner[p]] for p in seed_block}
-                queue = list(seen)
-                while queue:
-                    tok = queue.pop()
-                    lo, hi = offsets[tok], offsets[tok] + len(types[tok])
-                    for f in range(lo, hi):
-                        mate = partner.get(f)
-                        if mate is None:
-                            continue
-                        other = token_of[mate]
-                        if other != c and other not in seen:
-                            seen.add(other)
-                            queue.append(other)
-                span = range(min(seen), max(seen) + 1)
-                if c in span or set(span) != seen:
-                    raise CoordinationStructureError(
-                        f"{side} conjunct of coordinator token {c} is "
-                        f"not a contiguous phrase: tokens {sorted(seen)}")
-                return min(seen), max(seen)
-
-            lt, lt_hi = conjunct_tokens(left_block, "left")
-            rt_lo, rt = conjunct_tokens(right_block, "right")
-            if lt_hi != c - 1 or rt_lo != c + 1:
-                raise CoordinationStructureError(
-                    f"conjuncts of coordinator token {c} are not adjacent "
-                    f"to it")
-            if any(is_conj[t] for t in range(lt, c)) or \
-               any(is_conj[t] for t in range(c + 1, rt + 1)):
-                continue  # an inner coordinator must collapse first
-            span_lo = offsets[lt]
-            span_hi = offsets[rt] + len(types[rt]) - 1
-
-            x = PregroupType(tuple(types[c])[half:2 * half])
-            left = _eval_region(types, tensors, derivation.links,
-                                lt, c - 1, offsets)
-            right = _eval_region(types, tensors, derivation.links,
-                                 c + 1, rt, offsets)
-            want = spaces.wires(x)
-            for side, got in (("left", left), ("right", right)):
-                if got.wires != want:
-                    raise CoordinationStructureError(
-                        f"{side} conjunct of token {c} evaluates to "
-                        f"{got!r}, expected wires {want}")
-            merged = frobenius_mu(left, right)
-
-            consumed = set(range(span_lo, off + half)) | \
-                set(range(off + 2 * half, span_hi + 1))
-            shift = (span_hi - span_lo + 1) - half
-
-            def remap(f):
-                if f < span_lo:
-                    return f
-                if off + half <= f < off + 2 * half:
-                    return span_lo + (f - off - half)
-                return f - shift
-
-            new_links = set()
-            for (i, j) in derivation.links:
-                if i in consumed or j in consumed:
-                    if not (i in consumed and j in consumed):
-                        raise CoordinationStructureError(
-                            f"link ({i}, {j}) straddles the coordination")
-                    continue
-                new_links.add((remap(i), remap(j)))
-            new_residual = tuple(remap(f) for f in derivation.residual
-                                 if f not in consumed)
-            types = types[:lt] + [x] + types[rt + 1:]
-            tensors = tensors[:lt] + [merged] + tensors[rt + 1:]
-            is_conj = is_conj[:lt] + [False] + is_conj[rt + 1:]
-            derivation = Derivation(tuple(types), frozenset(new_links),
-                                    new_residual)
-            progressed = True
-            break
-        if not progressed:
-            raise CoordinationStructureError(
-                "coordinators remain but none heads a ternary pattern")
-    return types, tensors, derivation
+    first, *rest = arrays
+    arr, labs = arrays[first], list(labels[first])
+    for c in rest:
+        arr = sr.mul(arr.reshape(arr.shape + (1,) * arrays[c].ndim),
+                     arrays[c])
+        labs += labels[c]
+    # Classes that hold no open wire and no wire elsewhere are summed out.
+    uniq = list(dict.fromkeys(out))
+    arr = sr.sum(np.transpose(arr, [labs.index(l) for l in uniq] + [
+        k for k, l in enumerate(labs) if l not in open_labels]),
+        axis=tuple(range(len(uniq), len(labs))))
+    if len(uniq) < len(out):
+        # Open wires of one class carry copies of its index.
+        copied = np.zeros([dim[l] for l in out], dtype=sr.dtype)
+        np.einsum(copied, [uniq.index(l) for l in out],
+                  list(range(len(uniq))))[...] = arr
+        arr = copied
+    out_wires = tuple(nodes[n].wires[w] for (n, w) in network.open_wires)
+    return Tensor(out_wires, arr, sr, copy=False)
 
 
 def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
@@ -351,11 +300,10 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
     ``tokens`` are words, optionally ``(word, type-string)`` pairs checked
     against the lexicon.  ``target`` is a type string.  ``mode`` is
     ``"explicit"`` (contract coordinator tensors directly) or
-    ``"closed-form"`` (merge evaluated conjuncts entry-wise); the two are
+    ``"closed-form"`` (identify the wires at each coordinator spider's
+    three legs, which merges the conjuncts entry-wise); the two are
     interchangeable on every well-typed sentence.
     """
-    if mode not in ("explicit", "closed-form"):
-        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
     spaces = lexicon.spaces
     bases = spaces.bases()
     words, types, tensors, is_conj = [], [], [], []
@@ -377,7 +325,4 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
     if derivation is None:
         raise UngrammaticalSentence(
             f"{' '.join(words)!r} does not reduce to {target_type}")
-    if mode == "closed-form":
-        types, tensors, derivation = _collapse_coordinators(
-            types, tensors, is_conj, derivation, spaces)
-    return evaluate(build_network(derivation, tensors, spaces))
+    return _contract(derivation, tensors, is_conj, spaces, mode)

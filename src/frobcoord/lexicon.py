@@ -201,8 +201,13 @@ def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
             raise UndeclaredSymbol(word, exc.base, lineno) from None
         if not ptype:
             raise ParseError(f"entry {word!r} has the empty type", lineno)
-        tensor, spec_kind = _realize(word, ptype, spec, spaces, semiring,
-                                     lineno)
+        try:
+            tensor, spec_kind = _realize(word, ptype, spec, spaces, semiring,
+                                         lineno)
+        except MemoryError:
+            cells = math.prod(w.dim for w in spaces.wires(ptype))
+            raise ParseError(f"entry {word!r}: its {cells} cells do not fit "
+                             f"in memory", lineno) from None
         entries[word] = LexiconEntry(word, ptype, tensor, spec_kind)
     return Lexicon(spaces, semiring, entries)
 

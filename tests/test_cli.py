@@ -218,7 +218,10 @@ def test_malformed_seed_env_only_affects_selftest(lex_path):
     ("selftest", "--dims", "2,,3"),
     ("check", "LEX", "john", "sleeps", "--all", "--cap", "0"),
     ("derive", "LEX", "john", "sleeps", "--all", "--cap", "0"),
-], ids=["dims-x", "dims-empty-item", "check-cap-0", "derive-cap-0"])
+    ("selftest", "--trials", "0"),
+    ("selftest", "--trials", "-3"),
+], ids=["dims-x", "dims-empty-item", "check-cap-0", "derive-cap-0",
+        "trials-0", "trials-negative"])
 def test_malformed_counts_are_usage_errors(lex_path, args):
     proc = run(*(lex_path if a == "LEX" else a for a in args))
     assert proc.returncode == 2
@@ -235,3 +238,24 @@ def test_eval_rejects_non_finite_literal(tmp_path):
     assert "line 2" in proc.stderr and "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_lexicon_memory_error_is_a_parse_error(tmp_path, monkeypatch,
+                                               capsys):
+    # A VP coordinator at n = s = 32 asks for 32**6 cells (8 GiB); the
+    # realiser is made to fail here instead of allocating them.
+    from frobcoord import cli, lexicon
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(lexicon, "coordinator_tensor", out_of_memory)
+    path = tmp_path / "big.lex"
+    path.write_text("#type n 32\n#type s 32\njohn : n = @random(1)\n"
+                    "sleeps : n.r s = @random(2)\n"
+                    "and : s.r n.r.r n.r s s.l n = @conj\n", encoding="utf-8")
+    code = cli.main(["check", str(path), "john", "sleeps"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 5: entry 'and'")
+    assert str(32 ** 6) in err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from frobcoord import errors
-from frobcoord.coordination import coordinator_tensor
+from frobcoord import coordination, errors
+from frobcoord.coordination import (coordinator_tensor,
+                                    ditransitive_coordination)
 from frobcoord.evaluator import (SpaceAssignment, TensorNetwork,
                                  build_network, evaluate, evaluate_sentence)
 from frobcoord.lexicon import parse_lexicon
@@ -292,3 +293,131 @@ def test_explicit_coordination_contracts_vectors_first(monkeypatch,
         flops[mode] = sum(2 * m * k * n for m, k, n in shapes)
         assert max(m * n for m, k, n in shapes) <= 8 ** 2
     assert flops["explicit"] <= 2 * flops["closed-form"]
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_wire_in_two_edges_is_a_copy_spider(sr):
+    # u's wire sits in an edge to v and in one to w: the three wires are
+    # one index, as if joined through an explicit three-legged spider.
+    rng = np.random.default_rng(9)
+    u, v, w = rt(rng, "n", sr), rt(rng, "n", sr), rt(rng, "n.r s", sr)
+    hyper = evaluate(TensorNetwork(
+        [u, v, w], [((0, 0), (1, 0)), ((0, 0), (2, 0))], [(2, 1)]))
+    spider = coordinator_tensor(parse_type("n"), SP, sr)
+    explicit = evaluate(TensorNetwork(
+        [u, v, w, spider],
+        [((0, 0), (3, 0)), ((1, 0), (3, 1)), ((2, 0), (3, 2))], [(2, 1)]))
+    assert hyper.isclose(explicit)
+    uv = sr.mul(u.array, v.array)
+    assert sr.allclose(hyper.array,
+                       sr.sum(sr.mul(uv[:, None], w.array), axis=0))
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_open_wire_in_an_edge_keeps_its_index(sr):
+    rng = np.random.default_rng(10)
+    u, v = rt(rng, "n", sr), rt(rng, "n", sr)
+    merged = evaluate(TensorNetwork([u, v], [((0, 0), (1, 0))], [(0, 0)]))
+    assert sr.allclose(merged.array, sr.mul(u.array, v.array))
+    # Two open wires of one class carry copies of the same index.
+    copied = evaluate(TensorNetwork([u, v], [((0, 0), (1, 0))],
+                                    [(0, 0), (1, 0)]))
+    want = np.zeros((2, 2), dtype=sr.dtype)
+    np.fill_diagonal(want, sr.mul(u.array, v.array))
+    assert sr.allclose(copied.array, want)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_closed_form_ditransitive_never_builds_the_coordinator(monkeypatch,
+                                                               sr):
+    # The dense coordinator for n.r s n.l n.l at n = s = 8 would have
+    # 8**12 = 6.9e10 cells; building it at all fails here at once.
+    def no_coordinator(*args):
+        raise AssertionError("closed form built the dense coordinator")
+
+    monkeypatch.setattr(coordination, "coordinator_tensor", no_coordinator)
+    sp = SpaceAssignment({"n": 8, "s": 8})
+    rng = np.random.default_rng(11)
+    bank, john, loan = (rt(rng, "n", sr, sp) for _ in range(3))
+    grant, deny = (rt(rng, "n.r s n.l n.l", sr, sp) for _ in range(2))
+    got = ditransitive_coordination(bank, grant, deny, (john, loan),
+                                    mode="closed-form")
+    as_float = lambda t: t.array.astype(float)
+    want = np.einsum("iklm,iklm,i,m,l->k", as_float(grant), as_float(deny),
+                     as_float(bank), as_float(john), as_float(loan))
+    assert sr.allclose(got.array, want if sr is REAL else want > 0)
+
+
+COORD_LEX = """
+#semiring {sr}
+#type n 3
+a : n = @random(1)
+b : n = @random(2)
+and_n : n.r n n.l = @conj
+"""
+
+
+@pytest.mark.parametrize("sr", ["real", "bool"])
+@pytest.mark.parametrize("words,target", [
+    ("a and_n", "n n.l"), ("and_n b", "n.r n"), ("and_n", "n.r n n.l")])
+def test_closed_form_with_surviving_coordinator_legs(sr, words, target):
+    # Coordinators with legs left over in the result: closed form keeps
+    # them as copies of the spider's index, or as the spider itself when
+    # nothing else holds it.
+    lex = parse_lexicon(COORD_LEX.format(sr=sr))
+    explicit = evaluate_sentence(words.split(), lex, target, mode="explicit")
+    closed = evaluate_sentence(words.split(), lex, target,
+                               mode="closed-form")
+    assert closed.isclose(explicit)
+
+
+def hyperedge_loops(arrays, edges, open_wires):
+    """Brute-force sum over one index per class of edge-joined wires."""
+    parent = {(n, w): (n, w) for n, a in enumerate(arrays)
+              for w in range(a.ndim)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(b)] = find(a)
+    classes = sorted({find(x) for x in parent})
+    dims = [arrays[n].shape[w] for n, w in classes]
+    out = np.zeros([arrays[n].shape[w] for n, w in open_wires])
+    for assignment in np.ndindex(*dims):
+        value = dict(zip(classes, assignment))
+        term = 1.0
+        for n, a in enumerate(arrays):
+            term *= float(a[tuple(value[find((n, w))]
+                                  for w in range(a.ndim))])
+        out[tuple(value[find(x)] for x in open_wires)] += term
+    return out
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_random_hyperedge_networks_against_loops(sr):
+    # Random classes of wires spread over up to four nodes, joined by
+    # random spanning edges: self-loops, wires in several edges, wires in
+    # no edge and open wires repeated or shared with edges all occur.
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        class_dims = rng.integers(1, 4, size=rng.integers(1, 6))
+        nodes, members = [], {}
+        for n in range(rng.integers(1, 5)):
+            cls = rng.integers(0, len(class_dims), size=rng.integers(0, 4))
+            for w, c in enumerate(cls):
+                members.setdefault(c, []).append((n, w))
+            nodes.append(random_tensor(
+                [Wire("n", 0, int(class_dims[c])) for c in cls], rng, sr))
+        edges = [(wires[int(rng.integers(0, k))], wires[k])
+                 for wires in members.values() for k in range(1, len(wires))]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        every = [x for wires in members.values() for x in wires]
+        open_wires = [every[k] for k in
+                      rng.integers(0, len(every), size=rng.integers(0, 4))] \
+            if every else []
+        got = evaluate(TensorNetwork(nodes, edges, open_wires))
+        want = hyperedge_loops([t.array for t in nodes], edges, open_wires)
+        assert sr.allclose(got.array, want if sr is REAL else want > 0)
