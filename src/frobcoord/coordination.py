@@ -13,31 +13,14 @@ merge of the two conjunct meanings.
 
 from __future__ import annotations
 
-from functools import reduce as fold
-
 import numpy as np
 
-from .errors import EmptyType, ShapeMismatch
+from .errors import ShapeMismatch
 from .evaluator import SpaceAssignment, _contract
 from .pregroup import PregroupType, SimpleType, coordinator_type, parse_type
 from .pregroup import reduce as pregroup_reduce
 from .semiring import REAL, Semiring
-from .tensor import Tensor, Wire, frobenius_mu, permute_wires, tensor_product
-
-
-def _spider3(base: str, z: int, dim: int, semiring: Semiring) -> Tensor:
-    """Three-legged copy spider: entry one iff all three indices agree.
-
-    Legs are typed ``(base^{z+1}, base^{z}, base^{z-1})`` so they slot
-    straight into the coordinator's outer-right, middle and outer-left
-    blocks.
-    """
-    arr = np.zeros((dim, dim, dim), dtype=semiring.dtype)
-    idx = np.arange(dim)
-    arr[idx, idx, idx] = semiring.one
-    wires = (Wire(base, z + 1, dim), Wire(base, z, dim),
-             Wire(base, z - 1, dim))
-    return Tensor(wires, arr, semiring, copy=False)
+from .tensor import Tensor, frobenius_mu
 
 
 def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
@@ -45,21 +28,21 @@ def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
     """The coordination tensor on the wires of ``coordinator_type(x)``.
 
     Equal to the cap-then-merge network — two nested identity caps with
-    the merge applied between them — but built directly as a wire-permuted
-    product of per-factor copy spiders.
+    the merge applied between them — but built directly: one entry per
+    joint index of the factor-wise copy spiders, factor ``p``'s index
+    sitting at positions ``k-1-p``, ``k+p`` and ``3k-1-p``.
     """
-    if not x:
-        raise EmptyType("coordinator of the unit type")
-    spiders = [_spider3(s.base, s.z, spaces.dim(s.base), semiring)
-               for s in x]
-    prod = fold(tensor_product, spiders)
-    # Spider f occupies source wires (3f, 3f+1, 3f+2); send them to the
-    # coordinator layout [x.r reversed | x | x.l reversed].
+    wires = spaces.wires(coordinator_type(x))
     k = len(x)
-    perm = [3 * (k - 1 - p) for p in range(k)]          # outer-right block
-    perm += [3 * p + 1 for p in range(k)]               # middle block
-    perm += [3 * (k - 1 - p) + 2 for p in range(k)]     # outer-left block
-    return permute_wires(prod, perm)
+    arr = np.zeros([w.dim for w in wires], dtype=semiring.dtype)
+    index = [None] * (3 * k)
+    for p, w in enumerate(wires[k:2 * k]):
+        # Shaped to vary along axis p only, so the k ranges broadcast.
+        spider = np.arange(w.dim).reshape([-1 if q == p else 1
+                                           for q in range(k)])
+        index[k - 1 - p] = index[k + p] = index[3 * k - 1 - p] = spider
+    arr[tuple(index)] = semiring.one
+    return Tensor(wires, arr, semiring, copy=False)
 
 
 def coordinate_closed_form(a: Tensor, b: Tensor) -> Tensor:
@@ -96,13 +79,14 @@ def _coordinated(tensors, x: PregroupType, mode: str,
     types = [coordinator_type(x) if c else _type_of(t)
              for t, c in zip(tensors, is_conj)]
     derivation = pregroup_reduce(types, parse_type("s"))
+    semiring = tensors[0].semiring
     if derivation is None:
         raise ShapeMismatch(
             f"token types {' | '.join(map(str, types))} do not reduce to s")
     if mode == "explicit":
-        conj = coordinator_tensor(x, spaces, tensors[0].semiring)
+        conj = coordinator_tensor(x, spaces, semiring)
         tensors = [conj if c else t for t, c in zip(tensors, is_conj)]
-    return _contract(derivation, tensors, is_conj, spaces, mode)
+    return _contract(derivation, tensors, is_conj, spaces, semiring, mode)
 
 
 def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,

@@ -122,16 +122,18 @@ def _root(parent: list, x: int) -> int:
 
 
 def _contract(derivation: Derivation, tensors, is_conj,
-              spaces: SpaceAssignment, mode: str) -> Tensor:
+              spaces: SpaceAssignment, semiring: Semiring,
+              mode: str) -> Tensor:
     """Contract a derivation whose ``is_conj`` tokens are coordinators.
 
     ``explicit`` evaluates :func:`build_network`.  ``closed-form`` drops
     the coordinator tokens, whose tensors it never reads (they may be
-    None), and keeps their copy spiders as identified wires: factor ``p``
-    of a coordinator for a ``k``-factor type has legs at the mirrored
-    ``x.r`` position ``k-1-p``, the middle position ``k+p`` and the
-    mirrored ``x.l`` position ``3k-1-p`` (the layout of
-    ``coordinator_tensor``), and the wires linked to them become one class.
+    None, and may be all the tokens, hence ``semiring``), and keeps their
+    copy spiders as identified wires: factor ``p`` of a coordinator for a
+    ``k``-factor type has legs at the mirrored ``x.r`` position ``k-1-p``,
+    the middle position ``k+p`` and the mirrored ``x.l`` position
+    ``3k-1-p`` (the layout of ``coordinator_tensor``), and the wires linked
+    to them become one class.
     """
     if mode == "explicit":
         return evaluate(build_network(derivation, tensors, spaces))
@@ -151,7 +153,6 @@ def _contract(derivation: Derivation, tensors, is_conj,
 
     kept = [tok for tok, conj in enumerate(is_conj) if not conj]
     nodes = [tensors[tok] for tok in kept]
-    semiring = next(t.semiring for t in tensors if t is not None)
     wire_of, edges = {}, []
     for node, tok in enumerate(kept):
         for w in range(len(types[tok])):
@@ -317,12 +318,15 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
                 raise WireTypeMismatch(len(words), 0, entry.type, declared)
         words.append(word)
         types.append(entry.type)
-        tensors.append(entry.tensor)
         is_conj.append(entry.is_coordinator)
+        # Closed form never reads a coordinator's tensor, so it is not built.
+        tensors.append(None if is_conj[-1] and mode == "closed-form"
+                       else entry.tensor)
     target_type = parse_type(target, bases) if isinstance(target, str) \
         else target
     derivation = reduce(types, target_type)
     if derivation is None:
         raise UngrammaticalSentence(
             f"{' '.join(words)!r} does not reduce to {target_type}")
-    return _contract(derivation, tensors, is_conj, spaces, mode)
+    return _contract(derivation, tensors, is_conj, spaces, lexicon.semiring,
+                     mode)

@@ -14,19 +14,22 @@ are directives, blank lines are ignored, everything else is an entry
 
 Tensor specs are a bracketed literal (row-major, length must equal the
 product of the wire dimensions, finite numbers only, and only 0 or 1 for
-the boolean semiring), ``@conj`` (builds the coordinator tensor
-for a type shaped ``x.r x x.l``), ``@random(seed)`` (deterministic
-splitmix64 stream mapped to [0, 1), thresholded at 0.5 for the boolean
-semiring) or ``@identity`` (square order-2 types only).  Real entries are
-saved with 17 significant digits, so save/load round-trips exactly.
+the boolean semiring), ``@conj`` (the coordinator for a type shaped
+``x.r x x.l``; the entry keeps ``x`` and builds the dense tensor on first
+access to its ``tensor``, which only explicit evaluation asks for),
+``@random(seed)`` (a splitmix64 stream with a seed below 2**64, mapped to
+[0, 1) and thresholded at 0.5 for the boolean semiring; it is computed
+over ``np.uint64`` arrays, bit for bit equal to :class:`SplitMix64`) or
+``@identity`` (square order-2 types only).  Real entries are saved with 17
+significant digits, so save/load round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +42,11 @@ from .semiring import BY_NAME, REAL, Semiring
 from .tensor import Tensor
 
 _MASK = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
+        (27, np.uint64(0x94D049BB133111EB)))
+_TOP_BIT = np.uint64(1 << 63)
+_BLOCK = 1 << 15  # words mixed at a time: two blocks stay in cache
 
 
 class SplitMix64:
@@ -59,12 +67,55 @@ class SplitMix64:
         return (self.next_int() >> 11) * 2.0 ** -53
 
 
-@dataclass(frozen=True)
+def _random_array(seed: int, size: int, semiring: Semiring, offset: int = 0):
+    """Outputs ``offset + 1`` to ``offset + size`` of ``SplitMix64(seed)``,
+    each mapped through ``next_unit`` and ``semiring.from_unit``.
+
+    SplitMix64 is counter-based: its i-th state is ``seed + i * gamma``
+    mod 2**64.  So the stream is mixed in place over ``np.uint64``, whose
+    arithmetic wraps, one cache-sized block of counters at a time.
+    """
+    out = np.empty(size, dtype=semiring.dtype)
+    seed = np.uint64(seed & _MASK)
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        z = np.arange(offset + lo + 1, offset + hi + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += seed
+        tmp = np.empty_like(z)
+        for shift, mult in _MIX:
+            z ^= np.right_shift(z, shift, out=tmp)
+            z *= mult
+        z ^= np.right_shift(z, 31, out=tmp)
+        if semiring is REAL:
+            np.multiply(np.right_shift(z, 11, out=z), 2.0 ** -53,
+                        out=out[lo:hi])
+        else:
+            # A unit is at least 0.5 exactly when the word's top bit is set.
+            np.greater_equal(z, _TOP_BIT, out=out[lo:hi])
+    return out
+
+
 class LexiconEntry:
-    word: str
-    type: PregroupType
-    tensor: Tensor
-    spec: str | None  # @conj / @random(n) / @identity; None for literal data
+    """A word, its type, its tensor spec and its tensor.
+
+    ``spec`` is ``@conj``, ``@random(n)`` or ``@identity``, and None for
+    literal data.  A ``@conj`` entry is made with ``tensor=None`` and a
+    ``build`` function; its ``tensor`` is built on first access and kept.
+    """
+
+    __slots__ = ("word", "type", "spec", "_tensor", "_build")
+
+    def __init__(self, word: str, type: PregroupType, tensor: Tensor | None,
+                 spec: str | None, build=None):
+        self.word, self.type, self.spec = word, type, spec
+        self._tensor, self._build = tensor, build
+
+    @property
+    def tensor(self) -> Tensor:
+        if self._tensor is None:
+            self._tensor = self._build()
+        return self._tensor
 
     @property
     def is_coordinator(self) -> bool:
@@ -96,11 +147,6 @@ _ENTRY = re.compile(r"^\s*(\S+)\s*:\s*(.*?)\s*=\s*(.*?)\s*$")
 _RANDOM = re.compile(r"^@random\((\d+)\)$")
 
 
-def _random_data(seed: int, size: int, semiring: Semiring):
-    stream = SplitMix64(seed)
-    return [semiring.from_unit(stream.next_unit()) for _ in range(size)]
-
-
 def _conj_shape(ptype: PregroupType) -> PregroupType | None:
     """The conjunct type when ``ptype`` has the shape ``x.r x x.l``."""
     if len(ptype) % 3:
@@ -119,9 +165,12 @@ def _literal_value_ok(value, semiring: Semiring) -> bool:
     return value in (0, 1)
 
 
-def _realize(word, ptype, spec, spaces, semiring, line):
-    wires = spaces.wires(ptype)
-    size = math.prod(w.dim for w in wires)
+def _too_big(word: str, cells: int, line: int) -> ParseError:
+    return ParseError(f"entry {word!r}: its {cells} cells do not fit in "
+                      f"memory", line)
+
+
+def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
     if spec.startswith("["):
         try:
             data = json.loads(spec)
@@ -138,23 +187,35 @@ def _realize(word, ptype, spec, spaces, semiring, line):
                     f"entry {word!r}: literal value {value!r} is not "
                     f"{'a finite number' if semiring is REAL else '0 or 1'}",
                     line)
-        return Tensor(wires, data, semiring), None
+        return LexiconEntry(word, ptype, Tensor(wires, data, semiring), None)
     if spec == "@conj":
         x = _conj_shape(ptype)
         if x is None:
             raise ParseError(
                 f"entry {word!r}: @conj needs a type shaped x.r x x.l", line)
-        return coordinator_tensor(x, spaces, semiring), "@conj"
+
+        def build():
+            try:
+                return coordinator_tensor(x, spaces, semiring)
+            except MemoryError:
+                raise _too_big(word, size, line) from None
+        return LexiconEntry(word, ptype, None, spec, build)
     if spec == "@identity":
         if len(ptype) != 2 or wires[0].dim != wires[1].dim:
             raise DimMismatch(
                 f"entry {word!r}: @identity needs a square order-2 type")
-        return Tensor(wires, np.eye(wires[0].dim, dtype=semiring.dtype),
-                      semiring), "@identity"
+        return LexiconEntry(word, ptype, Tensor(
+            wires, np.eye(wires[0].dim, dtype=semiring.dtype), semiring,
+            copy=False), spec)
     m = _RANDOM.match(spec)
     if m:
-        data = _random_data(int(m.group(1)), size, semiring)
-        return Tensor(wires, data, semiring), spec
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > 20 or int(digits) > _MASK:
+            raise ParseError(f"entry {word!r}: @random seed is not below "
+                             f"2**64", line)
+        data = _random_array(int(digits), size, semiring)
+        return LexiconEntry(word, ptype, Tensor(wires, data, semiring,
+                                                copy=False), spec)
     raise ParseError(f"entry {word!r}: unrecognised tensor spec {spec!r}",
                      line)
 
@@ -191,30 +252,48 @@ def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
         raw_entries.append((lineno, m.group(1), m.group(2), m.group(3)))
 
     spaces = SpaceAssignment(dims)
+    bases = set(dims)
+    typed = {}  # type text -> (type, wires, cells); each text parsed once
     entries = {}
     for lineno, word, type_text, spec in raw_entries:
         if word in entries:
             raise ParseError(f"duplicate entry for {word!r}", lineno)
+        if type_text not in typed:
+            try:
+                ptype = parse_type(type_text, bases=bases)
+            except UnknownBaseSymbol as exc:
+                raise UndeclaredSymbol(word, exc.base, lineno) from None
+            if not ptype:
+                raise ParseError(f"entry {word!r} has the empty type", lineno)
+            wires = spaces.wires(ptype)
+            typed[type_text] = ptype, wires, math.prod(w.dim for w in wires)
+        ptype, wires, cells = typed[type_text]
         try:
-            ptype = parse_type(type_text, bases=set(dims))
-        except UnknownBaseSymbol as exc:
-            raise UndeclaredSymbol(word, exc.base, lineno) from None
-        if not ptype:
-            raise ParseError(f"entry {word!r} has the empty type", lineno)
-        try:
-            tensor, spec_kind = _realize(word, ptype, spec, spaces, semiring,
-                                         lineno)
+            entries[word] = _realize(word, ptype, wires, cells, spec, spaces,
+                                     semiring, lineno)
         except MemoryError:
-            cells = math.prod(w.dim for w in spaces.wires(ptype))
-            raise ParseError(f"entry {word!r}: its {cells} cells do not fit "
-                             f"in memory", lineno) from None
-        entries[word] = LexiconEntry(word, ptype, tensor, spec_kind)
+            raise _too_big(word, cells, lineno) from None
     return Lexicon(spaces, semiring, entries)
 
 
 def load_lexicon(path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(fh.read(), name=str(path))
+    """Load a lexicon file; bytes that are not UTF-8 are a ParseError."""
+    # Bare descriptor reads: a buffered file object makes more system calls.
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the bad byte, counted as parse_lexicon counts lines.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8: {exc.reason}", line) from None
+    return parse_lexicon(text, name=str(path))
 
 
 def _format_element(value, semiring: Semiring) -> str:
@@ -254,13 +333,13 @@ def generate_random_lexicon(grammar, spaces, seed: int,
     if not isinstance(spaces, SpaceAssignment):
         spaces = SpaceAssignment(dict(spaces))
     pairs = grammar.items() if isinstance(grammar, dict) else list(grammar)
-    stream = SplitMix64(seed)
-    entries = {}
+    entries, offset = {}, 0
     for word, type_text in pairs:
         ptype = parse_type(type_text, bases=spaces.bases())
         wires = spaces.wires(ptype)
         size = math.prod(w.dim for w in wires)
-        data = [semiring.from_unit(stream.next_unit()) for _ in range(size)]
-        entries[word] = LexiconEntry(word, ptype, Tensor(wires, data,
-                                                         semiring), None)
+        data = _random_array(seed, size, semiring, offset)
+        offset += size
+        entries[word] = LexiconEntry(word, ptype, Tensor(
+            wires, data, semiring, copy=False), None)
     return Lexicon(spaces, semiring, entries)

@@ -243,7 +243,8 @@ def test_eval_rejects_non_finite_literal(tmp_path):
 def test_lexicon_memory_error_is_a_parse_error(tmp_path, monkeypatch,
                                                capsys):
     # A VP coordinator at n = s = 32 asks for 32**6 cells (8 GiB); the
-    # realiser is made to fail here instead of allocating them.
+    # realiser is made to fail here instead of allocating them.  Only
+    # explicit evaluation builds a coordinator, on first use.
     from frobcoord import cli, lexicon
 
     def out_of_memory(*args):
@@ -254,8 +255,37 @@ def test_lexicon_memory_error_is_a_parse_error(tmp_path, monkeypatch,
     path.write_text("#type n 32\n#type s 32\njohn : n = @random(1)\n"
                     "sleeps : n.r s = @random(2)\n"
                     "and : s.r n.r.r n.r s s.l n = @conj\n", encoding="utf-8")
-    code = cli.main(["check", str(path), "john", "sleeps"])
+    code = cli.main(["eval", str(path), "john", "sleeps", "and", "sleeps",
+                     "--mode", "explicit"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: line 5: entry 'and'")
     assert str(32 ** 6) in err
+
+
+def test_invalid_utf8_lexicon_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.lex"
+    path.write_bytes(b"#type n 2\r\njohn : n = [1, 0]\n\xff : n = [0, 1]\n")
+    proc = run("check", str(path), "john", "--target", "n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 3: invalid UTF-8")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "john", "sleeps", "and", "snores"),
+    ("check", "john", "sleeps", "and", "snores", "--all"),
+    ("derive", "john", "sleeps", "and", "snores"),
+    ("eval", "john", "sleeps", "and", "snores", "--mode", "closed-form"),
+], ids=["check", "check-all", "derive", "eval-closed-form"])
+def test_commands_that_never_build_a_coordinator(lex_path, monkeypatch,
+                                                 capsys, args):
+    from frobcoord import cli, lexicon
+
+    def refuse(*_):
+        raise AssertionError("coordinator built")
+
+    monkeypatch.setattr(lexicon, "coordinator_tensor", refuse)
+    assert cli.main([args[0], lex_path, *args[1:]]) == 0
+    assert capsys.readouterr().out

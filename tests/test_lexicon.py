@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from frobcoord import errors
+from frobcoord.coordination import coordinator_tensor
+from frobcoord.evaluator import evaluate_sentence
 from frobcoord.lexicon import (SplitMix64, dumps_lexicon,
                                generate_random_lexicon, load_lexicon,
                                parse_lexicon, save_lexicon)
@@ -189,3 +191,85 @@ def test_generate_random_lexicon_boolean():
 def test_load_missing_file():
     with pytest.raises(OSError):
         load_lexicon("/nonexistent/path/lex.txt")
+
+
+def reference_cells(seed, count, semiring, skip=0):
+    stream = SplitMix64(seed)
+    for _ in range(skip):
+        stream.next_int()
+    return [semiring.from_unit(stream.next_unit()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_random_entries_match_reference_stream(semiring, seed):
+    for size in (1, 2, 3, 64, 4097):
+        lex = parse_lexicon(f"#semiring {semiring.name}\n#type n {size}\n"
+                            f"w : n = @random({seed})\n")
+        got = lex["w"].tensor.array
+        assert got.dtype == semiring.dtype
+        assert got.tolist() == reference_cells(seed, size, semiring)
+
+
+@pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_generate_random_lexicon_continues_one_stream(semiring):
+    grammar = {"a": "n", "b": "n.r s", "c": "s", "d": "n.r s n.l"}
+    lex = generate_random_lexicon(grammar, {"n": 5, "s": 3}, seed=2 ** 64 - 5,
+                                  semiring=semiring)
+    offset = 0
+    for word in grammar:
+        flat = lex[word].tensor.flat.tolist()
+        assert flat == reference_cells(2 ** 64 - 5, len(flat), semiring,
+                                       skip=offset)
+        offset += len(flat)
+    assert offset == 5 + 15 + 3 + 75
+
+
+def test_dumps_keeps_random_spec_verbatim():
+    text = ("#semiring real\n#type n 2\n"
+            "a : n = @random(007)\n"
+            "b : n = @random(18446744073709551615)\n")
+    lex = parse_lexicon(text)
+    assert dumps_lexicon(lex) == text
+    assert lex["a"].tensor.flat.tolist() == reference_cells(7, 2, REAL)
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616",
+                                  "340282366920938463463374607431768211457",
+                                  "9" * 5000])
+def test_random_seed_must_be_below_two_to_the_64(seed):
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon(f"#type n 2\n\nw : n = @random({seed})\n")
+    assert exc.value.line == 3
+    assert "2**64" in str(exc.value)
+    # Leading zeros do not count against the bound.
+    lex = parse_lexicon("#type n 2\nw : n = @random(" + "0" * 30 + "1)\n")
+    assert lex["w"].tensor.flat.tolist() == reference_cells(1, 2, REAL)
+
+
+
+def test_coordinators_built_on_first_explicit_use_and_kept(monkeypatch):
+    from frobcoord import lexicon
+
+    built = []
+
+    def counting(x, spaces, semiring):
+        built.append(str(x))
+        return coordinator_tensor(x, spaces, semiring)
+
+    monkeypatch.setattr(lexicon, "coordinator_tensor", counting)
+    lex = parse_lexicon("#type n 2\n#type s 3\n"
+                        "john : n = @random(1)\nmary : n = @random(2)\n"
+                        "sleeps : n.r s = @random(3)\n"
+                        "and : s.r n.r.r n.r s s.l n = @conj\n"
+                        "and_n : n.r n n.l = @conj\n")
+    sentences = ["john sleeps and sleeps and sleeps",
+                 "mary and_n john sleeps and sleeps",
+                 "mary and_n john and_n mary sleeps"]
+    for words in sentences:
+        evaluate_sentence(words.split(), lex, "s", mode="closed-form")
+    assert built == []
+    for words in sentences * 2:
+        evaluate_sentence(words.split(), lex, "s", mode="explicit")
+    assert sorted(built) == ["n", "n.r s"]
+    assert lex["and"].tensor is lex["and"].tensor
