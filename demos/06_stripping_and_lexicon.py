@@ -31,7 +31,7 @@ assert np.allclose(stripped.array, compact)
 print("stripped sentence:", stripped.array)
 
 # Word tensors live in line-oriented lexicon files.  @random(seed) draws a
-# reproducible tensor, @conj builds the coordinator for the declared type.
+# reproducible tensor, @conj declares a coordinator (contracted as spiders).
 text = """#semiring real
 #type n 2
 #type s 2

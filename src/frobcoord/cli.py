@@ -170,15 +170,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    print(f"selftest: seed={args.seed}")
+    as_json = args.format == "json"
+    if not as_json:
+        print(f"selftest: seed={args.seed}")
     results = run_selftest(dims=args.dims, trials=args.trials, seed=args.seed,
                            inject_fault=args.inject_fault)
-    ok = True
+    ok = all(res.ok for res in results)
+    if as_json:
+        print(json.dumps({"seed": args.seed, "ok": ok, "suites": [
+            {"name": res.name, "passed": res.passed, "total": res.total,
+             "seconds": res.seconds, "counterexample": res.counterexample}
+            for res in results]}))
+        return 0 if ok else 1
     for res in results:
         print(f"{res.name}: {res.passed}/{res.total} pass "
               f"({res.seconds:.3f} s)")
         if not res.ok:
-            ok = False
             print(f"counterexample[{res.name}]: seed={args.seed} "
                   f"{res.counterexample}")
     print("selftest: OK" if ok else "selftest: FAILED")
@@ -249,6 +256,9 @@ def _parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=int,
                         default=os.environ.get("FROBCOORD_SEED", "0"),
                         help="RNG seed (default: $FROBCOORD_SEED, else 0)")
+    p_self.add_argument("--format", choices=("plain", "json"),
+                        default="plain",
+                        help="json: one object with the seed and each suite")
     p_self.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)
     p_self.set_defaults(func=cmd_selftest)

@@ -71,22 +71,18 @@ def _coordinated(tensors, x: PregroupType, mode: str,
                  spaces: SpaceAssignment = None) -> Tensor:
     """The sentence meaning of a token row around one coordinator for ``x``.
 
-    The coordinator's place in ``tensors`` holds None; explicit mode fills
-    it with :func:`coordinator_tensor`, closed form never builds it.
+    The coordinator's place in ``tensors`` holds None: explicit mode
+    contracts its copy spiders, closed form identifies their legs, and
+    neither builds :func:`coordinator_tensor`.
     """
-    is_conj = [t is None for t in tensors]
     spaces = spaces or _spaces_for([t for t in tensors if t is not None])
-    types = [coordinator_type(x) if c else _type_of(t)
-             for t, c in zip(tensors, is_conj)]
+    types = [coordinator_type(x) if t is None else _type_of(t)
+             for t in tensors]
     derivation = pregroup_reduce(types, parse_type("s"))
-    semiring = tensors[0].semiring
     if derivation is None:
         raise ShapeMismatch(
             f"token types {' | '.join(map(str, types))} do not reduce to s")
-    if mode == "explicit":
-        conj = coordinator_tensor(x, spaces, semiring)
-        tensors = [conj if c else t for t, c in zip(tensors, is_conj)]
-    return _contract(derivation, tensors, is_conj, spaces, semiring, mode)
+    return _contract(derivation, tensors, spaces, tensors[0].semiring, mode)
 
 
 def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
@@ -100,8 +96,8 @@ def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
     nearer object).  With ``obj1``/``obj2`` given, the conjuncts are the
     verb-object combinations; without them the bare verbs coordinate and
     ``shared_object`` must be a pair ``(near, far)``.  Both modes compute
-    the sentence vector: ``explicit`` contracts the coordinator tensor,
-    ``closed-form`` merges the conjuncts entry-wise; they agree.
+    the sentence vector: ``explicit`` contracts the coordinator's copy
+    spiders, ``closed-form`` merges the conjuncts entry-wise; they agree.
     """
     if (obj1 is None) != (obj2 is None):
         raise ShapeMismatch("provide both per-conjunct objects or neither")

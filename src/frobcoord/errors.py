@@ -25,6 +25,10 @@ class SemiringMismatch(FrobcoordError):
     """Operands carry elements of different semirings."""
 
 
+class OutOfMemory(FrobcoordError):
+    """A tensor the computation needs does not fit in memory."""
+
+
 class BadPermutation(FrobcoordError):
     """The argument is not a permutation of the wire indices."""
 

@@ -2,28 +2,33 @@
 
 :func:`build_network` turns a derivation plus per-token tensors into a
 :class:`TensorNetwork` whose edges mirror the contraction links, checking
-every wire against the declared types.  :func:`evaluate` contracts the
-network; the result does not depend on the edge order.  An edge identifies
-two wires and a wire may sit in several edges, so each class of identified
-wires is one index, a copy spider: it is summed out unless the class holds
-an open wire.
+every wire against the declared types.  A coordinator token enters the
+network as structure, not data: one three-legged copy spider per atomic
+factor of its conjunct type, ``k * d**3`` cells where the dense
+coordinator has ``d**(3k)``.  :func:`evaluate` contracts the network; the
+result does not depend on the edge order.  An edge identifies two wires
+and a wire may sit in several edges, so each class of identified wires is
+one index, a copy spider: it is summed out unless the class holds an open
+wire.
 
 :func:`evaluate_sentence` is the end-to-end pipeline.  Its two modes must
-agree: ``explicit`` contracts coordinator tensors like any other word,
-``closed-form`` drops them and identifies the wires at the three legs of
-each of their copy spiders instead, which merges the conjuncts entry-wise.
+agree: ``explicit`` contracts each coordinator's spiders as nodes like any
+other word, ``closed-form`` drops them and identifies the wires at their
+three legs instead, which merges the conjuncts entry-wise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import (DimMismatch, MissingSpace, SemiringMismatch,
-                     UngrammaticalSentence, UnknownWord, WireTypeMismatch)
+from .errors import (DimMismatch, MissingSpace, OutOfMemory,
+                     SemiringMismatch, UngrammaticalSentence, UnknownWord,
+                     WireTypeMismatch)
 from .pregroup import Derivation, PregroupType, parse_type, reduce
 from .semiring import Semiring
 from .tensor import Tensor, Wire, frobenius_zeta
@@ -37,6 +42,7 @@ class SpaceAssignment:
             if not isinstance(d, int) or d < 1:
                 raise DimMismatch(f"space for {base!r} must have dim >= 1")
         self._dims = dict(dims)
+        self._wires = {}
 
     def dim(self, base: str) -> int:
         try:
@@ -46,7 +52,12 @@ class SpaceAssignment:
 
     def wires(self, ptype: PregroupType) -> tuple[Wire, ...]:
         """The wire signature of a pregroup type under this assignment."""
-        return tuple(Wire(s.base, s.z, self.dim(s.base)) for s in ptype)
+        try:
+            return self._wires[ptype]
+        except KeyError:
+            wires = tuple(Wire(s.base, s.z, self.dim(s.base)) for s in ptype)
+            self._wires[ptype] = wires
+            return wires
 
     def bases(self):
         return set(self._dims)
@@ -82,25 +93,91 @@ class TensorNetwork:
         return self.nodes[0].semiring
 
 
-def build_network(derivation: Derivation, tensors,
-                  spaces: SpaceAssignment) -> TensorNetwork:
+@lru_cache(maxsize=None)
+def _copy_array(dim: int, semiring: Semiring) -> np.ndarray:
+    """The read-only ``dim**3`` copy tensor: ``one`` at each ``(j, j, j)``.
+
+    A spider depends only on its dimension and carrier, so each is built
+    once per process and shared by every network that needs it.
+    """
+    arr = np.zeros((dim,) * 3, dtype=semiring.dtype)
+    diag = np.arange(dim)
+    arr[diag, diag, diag] = semiring.one
+    arr.setflags(write=False)
+    return arr
+
+
+def _spider_legs(k: int) -> list[tuple[int, int, int]]:
+    """Where the copy spiders of a coordinator for a ``k``-factor type sit.
+
+    Factor ``p``'s spider has legs at the mirrored ``x.r`` position
+    ``k-1-p``, the middle position ``k+p`` and the mirrored ``x.l``
+    position ``3k-1-p`` of the type ``x.r x x.l``: the layout of
+    ``coordinator_tensor``, whose dense tensor is the spiders' product.
+    """
+    return [(k - 1 - p, k + p, 3 * k - 1 - p) for p in range(k)]
+
+
+def _spiders(tok: int, wires, semiring: Semiring):
+    """The copy spiders of coordinator token ``tok`` typed ``x.r x x.l``.
+
+    Yields ``(legs, spider)`` per atomic factor of ``x``, the spider's
+    wires taken from the token's ``wires`` at its ``legs``
+    (:func:`_spider_legs`).
+    """
+    k, extra = divmod(len(wires), 3)
+    if extra or not k:
+        raise WireTypeMismatch(tok, 0, "a coordinator type x.r x x.l",
+                               f"{len(wires)} wires")
+    for legs in _spider_legs(k):
+        mid = wires[legs[1]]
+        for leg, step in ((legs[0], 1), (legs[2], -1)):
+            got = wires[leg]
+            if (got.base, got.z, got.dim) != (mid.base, mid.z + step,
+                                              mid.dim):
+                raise WireTypeMismatch(tok, leg, mid.shifted(step), got)
+        try:
+            arr = _copy_array(mid.dim, semiring)
+        except MemoryError:
+            raise OutOfMemory(f"token {tok}: a copy spider of "
+                              f"{mid.dim ** 3} cells does not fit in "
+                              f"memory") from None
+        yield legs, Tensor([wires[q] for q in legs], arr, semiring,
+                           copy=False)
+
+
+def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
+                  semiring: Semiring = None) -> TensorNetwork:
     """Mirror a derivation's links as contraction edges over word tensors.
 
     Every tensor is checked wire by wire against its token's type under
-    ``spaces``; mixed semirings are rejected.
+    ``spaces``; mixed semirings are rejected.  A None tensor stands for a
+    coordinator token of type ``x.r x x.l``: it becomes one three-legged
+    copy spider node per atomic factor of ``x`` (see :func:`_spiders`).
+    ``semiring`` is the carrier, by default that of the first tensor.
     """
     tensors = list(tensors)
     if len(tensors) != len(derivation.token_types):
         raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
                                f"{len(tensors)} tensors")
-    semiring = tensors[0].semiring
+    if semiring is None:
+        semiring = next((t.semiring for t in tensors if t is not None), None)
+        if semiring is None:
+            raise ValueError("every token is a coordinator: pass semiring")
+    nodes, wire_at = [], [None] * len(derivation.flattened)
     for tok, (ptype, tensor) in enumerate(zip(derivation.token_types,
                                               tensors)):
+        expected, off = spaces.wires(ptype), derivation.offsets[tok]
+        if tensor is None:
+            for legs, spider in _spiders(tok, expected, semiring):
+                for leg, q in enumerate(legs):
+                    wire_at[off + q] = (len(nodes), leg)
+                nodes.append(spider)
+            continue
         if tensor.semiring is not semiring:
             raise SemiringMismatch(
                 f"token {tok} carries {tensor.semiring.name}, "
                 f"expected {semiring.name}")
-        expected = spaces.wires(ptype)
         if tensor.wires != expected:
             for w, (need, got) in enumerate(zip(expected, tensor.wires)):
                 if need != got:
@@ -108,10 +185,12 @@ def build_network(derivation: Derivation, tensors,
             raise WireTypeMismatch(tok, min(len(expected), tensor.order),
                                    f"{len(expected)} wires",
                                    f"{tensor.order} wires")
-    edges = [(derivation.token_wire(i), derivation.token_wire(j))
-             for (i, j) in sorted(derivation.links)]
-    open_wires = [derivation.token_wire(r) for r in derivation.residual]
-    return TensorNetwork(tensors, edges, open_wires)
+        wire_at[off:off + len(expected)] = [
+            (len(nodes), w) for w in range(len(expected))]
+        nodes.append(tensor)
+    edges = [(wire_at[i], wire_at[j]) for (i, j) in sorted(derivation.links)]
+    open_wires = [wire_at[r] for r in derivation.residual]
+    return TensorNetwork(nodes, edges, open_wires)
 
 
 def _root(parent: list, x: int) -> int:
@@ -121,37 +200,32 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
-def _contract(derivation: Derivation, tensors, is_conj,
-              spaces: SpaceAssignment, semiring: Semiring,
-              mode: str) -> Tensor:
-    """Contract a derivation whose ``is_conj`` tokens are coordinators.
+def _contract(derivation: Derivation, tensors, spaces: SpaceAssignment,
+              semiring: Semiring, mode: str) -> Tensor:
+    """Contract a derivation whose coordinator tokens hold None tensors.
 
-    ``explicit`` evaluates :func:`build_network`.  ``closed-form`` drops
-    the coordinator tokens, whose tensors it never reads (they may be
-    None, and may be all the tokens, hence ``semiring``), and keeps their
-    copy spiders as identified wires: factor ``p`` of a coordinator for a
-    ``k``-factor type has legs at the mirrored ``x.r`` position ``k-1-p``,
-    the middle position ``k+p`` and the mirrored ``x.l`` position
-    ``3k-1-p`` (the layout of ``coordinator_tensor``), and the wires linked
-    to them become one class.
+    ``explicit`` evaluates :func:`build_network`, which turns each
+    coordinator into its copy spiders.  ``closed-form`` drops the
+    coordinator tokens (they may be all the tokens, hence ``semiring``)
+    and keeps their copy spiders as identified wires: the wires linked to
+    the three legs of one spider (:func:`_spider_legs`) become one class.
     """
     if mode == "explicit":
-        return evaluate(build_network(derivation, tensors, spaces))
+        return evaluate(build_network(derivation, tensors, spaces, semiring))
     if mode != "closed-form":
         raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
     types, offsets = derivation.token_types, derivation.offsets
     parent = list(range(len(derivation.flattened)))
     find = lambda f: _root(parent, f)
     joined = list(derivation.links)
-    for tok in (t for t, conj in enumerate(is_conj) if conj):
-        k, off = len(types[tok]) // 3, offsets[tok]
-        for p in range(k):
-            joined += [(off + k + p, off + k - 1 - p),
-                       (off + k + p, off + 3 * k - 1 - p)]
+    for tok in (t for t, tensor in enumerate(tensors) if tensor is None):
+        off = offsets[tok]
+        for outer_r, mid, outer_l in _spider_legs(len(types[tok]) // 3):
+            joined += [(off + mid, off + outer_r), (off + mid, off + outer_l)]
     for i, j in joined:
         parent[find(j)] = find(i)
 
-    kept = [tok for tok, conj in enumerate(is_conj) if not conj]
+    kept = [tok for tok, tensor in enumerate(tensors) if tensor is not None]
     nodes = [tensors[tok] for tok in kept]
     wire_of, edges = {}, []
     for node, tok in enumerate(kept):
@@ -300,14 +374,16 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
 
     ``tokens`` are words, optionally ``(word, type-string)`` pairs checked
     against the lexicon.  ``target`` is a type string.  ``mode`` is
-    ``"explicit"`` (contract coordinator tensors directly) or
-    ``"closed-form"`` (identify the wires at each coordinator spider's
-    three legs, which merges the conjuncts entry-wise); the two are
-    interchangeable on every well-typed sentence.
+    ``"explicit"`` (contract each coordinator as its copy spiders, one
+    three-legged node per atomic factor of its conjunct type) or
+    ``"closed-form"`` (identify the wires at each spider's three legs,
+    which merges the conjuncts entry-wise); the two are interchangeable
+    on every well-typed sentence.  Neither mode reads a coordinator's
+    dense ``entry.tensor``, so neither builds it.
     """
     spaces = lexicon.spaces
     bases = spaces.bases()
-    words, types, tensors, is_conj = [], [], [], []
+    words, types, tensors = [], [], []
     for token in tokens:
         word, declared = (token, None) if isinstance(token, str) else token
         if word not in lexicon:
@@ -318,15 +394,11 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
                 raise WireTypeMismatch(len(words), 0, entry.type, declared)
         words.append(word)
         types.append(entry.type)
-        is_conj.append(entry.is_coordinator)
-        # Closed form never reads a coordinator's tensor, so it is not built.
-        tensors.append(None if is_conj[-1] and mode == "closed-form"
-                       else entry.tensor)
+        tensors.append(None if entry.is_coordinator else entry.tensor)
     target_type = parse_type(target, bases) if isinstance(target, str) \
         else target
     derivation = reduce(types, target_type)
     if derivation is None:
         raise UngrammaticalSentence(
             f"{' '.join(words)!r} does not reduce to {target_type}")
-    return _contract(derivation, tensors, is_conj, spaces, lexicon.semiring,
-                     mode)
+    return _contract(derivation, tensors, spaces, lexicon.semiring, mode)

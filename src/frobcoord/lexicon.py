@@ -15,13 +15,15 @@ are directives, blank lines are ignored, everything else is an entry
 Tensor specs are a bracketed literal (row-major, length must equal the
 product of the wire dimensions, finite numbers only, and only 0 or 1 for
 the boolean semiring), ``@conj`` (the coordinator for a type shaped
-``x.r x x.l``; the entry keeps ``x`` and builds the dense tensor on first
-access to its ``tensor``, which only explicit evaluation asks for),
+``x.r x x.l``; evaluation in either mode works from the copy spiders of
+``x``'s factors, so the entry keeps ``x`` and builds the dense tensor only
+on first access to its ``tensor``, which no command makes),
 ``@random(seed)`` (a splitmix64 stream with a seed below 2**64, mapped to
 [0, 1) and thresholded at 0.5 for the boolean semiring; it is computed
 over ``np.uint64`` arrays, bit for bit equal to :class:`SplitMix64`) or
-``@identity`` (square order-2 types only).  Real entries are saved with 17
-significant digits, so save/load round-trips exactly.
+``@identity`` (square order-2 types only).  Dimensions and seeds are
+ASCII digits.  Real entries are saved with 17 significant digits, so
+save/load round-trips exactly.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class Lexicon:
 
 
 _ENTRY = re.compile(r"^\s*(\S+)\s*:\s*(.*?)\s*=\s*(.*?)\s*$")
-_RANDOM = re.compile(r"^@random\((\d+)\)$")
+_RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 
 
 def _conj_shape(ptype: PregroupType) -> PregroupType | None:
@@ -237,7 +239,8 @@ def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
                                      lineno)
                 semiring = BY_NAME[parts[1]]
             elif parts[:1] == ["type"]:
-                if len(parts) != 3 or not parts[2].isdigit():
+                if (len(parts) != 3 or not parts[2].isascii()
+                        or not parts[2].isdigit()):
                     raise ParseError(f"bad type directive {line!r}", lineno)
                 if parts[1] in dims:
                     raise ParseError(f"duplicate type {parts[1]!r}", lineno)

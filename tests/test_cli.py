@@ -146,6 +146,31 @@ def test_selftest_fault_injection_fails_with_counterexample():
     assert "selftest: FAILED" in proc.stdout
 
 
+@pytest.mark.parametrize("fault", [False, True], ids=["ok", "fault"])
+def test_selftest_json_schema(fault):
+    proc = run("selftest", "--trials", "4", "--dims", "2,3", "--seed", "5",
+               "--format", "json", *(["--inject-fault"] if fault else []))
+    assert proc.returncode == (1 if fault else 0)
+    report = json.loads(proc.stdout)
+    assert set(report) == {"seed", "ok", "suites"}
+    assert report["seed"] == 5
+    assert report["ok"] is not fault
+    assert len(report["suites"]) == 8
+    for suite in report["suites"]:
+        assert set(suite) == {"name", "passed", "total", "seconds",
+                              "counterexample"}
+        assert isinstance(suite["name"], str)
+        assert 0 <= suite["passed"] <= suite["total"]
+        assert suite["seconds"] >= 0
+        passed = suite["passed"] == suite["total"]
+        assert (suite["counterexample"] is None) is passed
+        if not passed:
+            assert isinstance(suite["counterexample"], str)
+    assert report["ok"] is all(
+        s["counterexample"] is None for s in report["suites"])
+    assert "frobenius-axioms" in [s["name"] for s in report["suites"]]
+
+
 DITRANSITIVE_LEX = """#semiring real
 #type n 2
 #type s 2
@@ -240,27 +265,78 @@ def test_eval_rejects_non_finite_literal(tmp_path):
     assert proc.stdout == ""
 
 
-def test_lexicon_memory_error_is_a_parse_error(tmp_path, monkeypatch,
-                                               capsys):
-    # A VP coordinator at n = s = 32 asks for 32**6 cells (8 GiB); the
-    # realiser is made to fail here instead of allocating them.  Only
-    # explicit evaluation builds a coordinator, on first use.
-    from frobcoord import cli, lexicon
+# A VP coordinator at n = s = 32: its dense tensor has 32**6 cells (8 GiB).
+BIG_VP_LEX = ("#type n 32\n#type s 32\njohn : n = @random(1)\n"
+              "sleeps : n.r s = @random(2)\n"
+              "and : s.r n.r.r n.r s s.l n = @conj\n")
+
+
+def test_lexicon_memory_error_is_a_parse_error(monkeypatch):
+    # No command builds the dense coordinator, so its MemoryError is met
+    # only by reading the entry's tensor; the realiser is made to fail
+    # here instead of allocating the cells.
+    from frobcoord import errors, lexicon
 
     def out_of_memory(*args):
         raise MemoryError
 
     monkeypatch.setattr(lexicon, "coordinator_tensor", out_of_memory)
+    lex = lexicon.parse_lexicon(BIG_VP_LEX)
+    with pytest.raises(errors.ParseError) as exc:
+        lex["and"].tensor
+    assert exc.value.line == 5
+    assert str(exc.value).startswith("line 5: entry 'and'")
+    assert str(32 ** 6) in str(exc.value)
+
+
+def refuse_dense_coordinator(monkeypatch):
+    from frobcoord import lexicon
+
+    def refuse(*_):
+        raise AssertionError("coordinator built")
+
+    monkeypatch.setattr(lexicon, "coordinator_tensor", refuse)
+
+
+def test_eval_compare_at_the_8gib_vp_coordinator(tmp_path, monkeypatch,
+                                                 capsys):
+    from frobcoord import cli
+
+    refuse_dense_coordinator(monkeypatch)
     path = tmp_path / "big.lex"
-    path.write_text("#type n 32\n#type s 32\njohn : n = @random(1)\n"
-                    "sleeps : n.r s = @random(2)\n"
-                    "and : s.r n.r.r n.r s s.l n = @conj\n", encoding="utf-8")
+    path.write_text(BIG_VP_LEX, encoding="utf-8")
     code = cli.main(["eval", str(path), "john", "sleeps", "and", "sleeps",
+                     "--compare"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("max-abs-diff ")
+    assert float(out.split()[1]) <= 1e-9
+
+
+def test_spider_memory_error_is_an_error_exit(lex_path, monkeypatch, capsys):
+    from frobcoord import cli, evaluator
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(evaluator, "_copy_array", out_of_memory)
+    code = cli.main(["eval", lex_path, "john", "sleeps", "and", "snores",
                      "--mode", "explicit"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: line 5: entry 'and'")
-    assert str(32 ** 6) in err
+    assert err.startswith("error: token 2: a copy spider of 8 cells")
+
+
+@pytest.mark.parametrize("line", ["#type n \u0663", "#type n 2\n"
+                                  "john : n = @random(\u0661\u0662)"],
+                         ids=["type", "random"])
+def test_non_ascii_digits_are_a_parse_error(tmp_path, line):
+    path = tmp_path / "digits.lex"
+    path.write_text(f"#type s 2\n{line}\n", encoding="utf-8")
+    proc = run("check", str(path), "john", "--target", "n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: line {line.count(chr(10)) + 2}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_invalid_utf8_lexicon_is_a_parse_error(tmp_path):
@@ -278,14 +354,14 @@ def test_invalid_utf8_lexicon_is_a_parse_error(tmp_path):
     ("check", "john", "sleeps", "and", "snores", "--all"),
     ("derive", "john", "sleeps", "and", "snores"),
     ("eval", "john", "sleeps", "and", "snores", "--mode", "closed-form"),
-], ids=["check", "check-all", "derive", "eval-closed-form"])
+    ("eval", "john", "sleeps", "and", "snores", "--mode", "explicit"),
+    ("eval", "john", "sleeps", "and", "snores", "--compare"),
+], ids=["check", "check-all", "derive", "eval-closed-form", "eval-explicit",
+        "eval-compare"])
 def test_commands_that_never_build_a_coordinator(lex_path, monkeypatch,
                                                  capsys, args):
-    from frobcoord import cli, lexicon
+    from frobcoord import cli
 
-    def refuse(*_):
-        raise AssertionError("coordinator built")
-
-    monkeypatch.setattr(lexicon, "coordinator_tensor", refuse)
+    refuse_dense_coordinator(monkeypatch)
     assert cli.main([args[0], lex_path, *args[1:]]) == 0
     assert capsys.readouterr().out

@@ -85,6 +85,34 @@ def test_spider_symmetry_within_factor_groups():
 
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+@pytest.mark.parametrize("type_text", ["n", "s", "n.r s", "n.r s n.l n.l"])
+def test_coordinator_factors_into_spider_nodes(type_text, sr):
+    # Explicit mode contracts a coordinator as k three-legged copy spiders;
+    # their product must be the dense coordinator tensor.
+    x = parse_type(type_text)
+    sp, k = spaces(2, 3), len(x)
+    conj_type = coordinator_type(x)
+    derivation = reduce([conj_type], conj_type)
+    net = build_network(derivation, [None], sp, sr)
+    assert len(net.nodes) == k
+    operands = []
+    for p, spider in enumerate(net.nodes):
+        d = sp.dim(x[p].base)
+        assert spider.dims == (d, d, d)
+        assert np.count_nonzero(spider.array) == d
+        for j in range(d):
+            assert spider.array[j, j, j] == sr.one
+        legs = [k - 1 - p, k + p, 3 * k - 1 - p]
+        for leg, q in enumerate(legs):
+            assert net.open_wires[q] == (p, leg)
+        operands += [spider.array.astype(float), legs]
+    product = np.einsum(*operands, list(range(3 * k)))
+    want = coordinator_tensor(x, sp, sr)
+    assert sr.allclose(product if sr is REAL else product > 0, want.array)
+    assert evaluate(net).isclose(want)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 @pytest.mark.parametrize("type_text", ["n", "s", "n.r s", "s.l n"])
 def test_central_equivalence(type_text, sr):
     rng = np.random.default_rng(abs(hash((type_text, sr.name))) % 2 ** 32)

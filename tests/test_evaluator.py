@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frobcoord import coordination, errors
+from frobcoord import lexicon as lexicon_module
 from frobcoord.coordination import (coordinator_tensor,
                                     ditransitive_coordination)
 from frobcoord.evaluator import (SpaceAssignment, TensorNetwork,
@@ -266,18 +267,17 @@ b : n = @random(2)
 c : n = @random(3)
 v : n.r s n.l = @random(4)
 w : n.r s n.l = @random(5)
+sleeps : n.r s = @random(6)
+snores : n.r s = @random(7)
 and_n : n.r n n.l = @conj
 and_s : s.r s s.l = @conj
+and_vp : s.r n.r.r n.r s s.l n = @conj
 """
 
 
-@pytest.mark.parametrize("sentence", [
-    "a v b", "a and_n b v c", "a v b and_n c", "a v b and_s c w a"])
-def test_explicit_coordination_contracts_vectors_first(monkeypatch,
-                                                        sentence):
-    # Contracting the d^3 coordinator with a d^3 verb before the nouns are
-    # absorbed costs 8.5-9x the closed form's matmul work at d = 8.
-    lex = parse_lexicon(PLAN_LEX)
+@pytest.fixture
+def matmul_shapes(monkeypatch):
+    """The (m, k, n) shape of every REAL.matmul call while a test runs."""
     shapes = []
     plain_matmul = type(REAL).matmul
 
@@ -286,13 +286,80 @@ def test_explicit_coordination_contracts_vectors_first(monkeypatch,
         return plain_matmul(REAL, a, b)
 
     monkeypatch.setattr(REAL, "matmul", counting_matmul)
+    return shapes
+
+
+@pytest.mark.parametrize("sentence", [
+    "a v b", "a and_n b v c", "a v b and_n c", "a v b and_s c w a"])
+def test_explicit_coordination_contracts_vectors_first(matmul_shapes,
+                                                        sentence):
+    # Contracting the d^3 coordinator with a d^3 verb before the nouns are
+    # absorbed costs 8.5-9x the closed form's matmul work at d = 8.
+    lex = parse_lexicon(PLAN_LEX)
     flops = {}
     for mode in ("explicit", "closed-form"):
-        shapes.clear()
+        matmul_shapes.clear()
         evaluate_sentence(sentence.split(), lex, "s", mode=mode)
-        flops[mode] = sum(2 * m * k * n for m, k, n in shapes)
-        assert max(m * n for m, k, n in shapes) <= 8 ** 2
+        flops[mode] = sum(2 * m * k * n for m, k, n in matmul_shapes)
+        assert max(m * n for m, k, n in matmul_shapes) <= 8 ** 2
     assert flops["explicit"] <= 2 * flops["closed-form"]
+
+
+def test_explicit_vp_coordination_multiplies_spiders(matmul_shapes):
+    # The dense VP coordinator at d = 8 has 8**6 cells, and contracting it
+    # took 532 608 matmul FLOPs with a 4 096-cell product; its two 8**3
+    # copy spiders take 4 096 FLOPs and no product beyond d**2 cells.
+    lex = parse_lexicon(PLAN_LEX)
+    got = evaluate_sentence("a sleeps and_vp snores".split(), lex, "s",
+                            mode="explicit")
+    assert sum(2 * m * k * n for m, k, n in matmul_shapes) <= 8192
+    assert max(m * n for m, k, n in matmul_shapes) <= 8 ** 2
+    closed = evaluate_sentence("a sleeps and_vp snores".split(), lex, "s",
+                               mode="closed-form")
+    assert got.isclose(closed)
+
+
+def _refuse_dense_coordinator(monkeypatch):
+    def no_coordinator(*args):
+        raise AssertionError("built the dense coordinator")
+
+    monkeypatch.setattr(coordination, "coordinator_tensor", no_coordinator)
+    monkeypatch.setattr(lexicon_module, "coordinator_tensor", no_coordinator)
+
+
+@pytest.mark.parametrize("sr", ["real", "bool"])
+def test_explicit_vp_chain_at_dimension_64(monkeypatch, sr):
+    # The dense VP coordinator at n = s = 64 would have 64**6 cells (550
+    # GB); its spiders have 2 * 64**3.
+    _refuse_dense_coordinator(monkeypatch)
+    lex = parse_lexicon(f"#semiring {sr}\n#type n 64\n#type s 64\n"
+                        "john : n = @random(1)\n"
+                        "sleeps : n.r s = @random(2)\n"
+                        "snores : n.r s = @random(3)\n"
+                        "knits : n.r s = @random(4)\n"
+                        "and : s.r n.r.r n.r s s.l n = @conj\n")
+    words = "john sleeps and snores and knits".split()
+    explicit = evaluate_sentence(words, lex, "s", mode="explicit")
+    closed = evaluate_sentence(words, lex, "s", mode="closed-form")
+    assert explicit.isclose(closed)
+    grab = lambda w: lex[w].tensor.array.astype(float)
+    want = grab("john") @ (grab("sleeps") * grab("snores") * grab("knits"))
+    assert lex.semiring.allclose(
+        explicit.array, want if lex.semiring is REAL else want > 0)
+
+
+def test_build_network_spiders_need_a_coordinator_type():
+    derivation = reduce([parse_type("n"), parse_type("n.r s")],
+                        parse_type("s"))
+    sleeps = random_tensor(SP.wires(parse_type("n.r s")),
+                           np.random.default_rng(13))
+    with pytest.raises(errors.WireTypeMismatch):
+        build_network(derivation, [None, sleeps], SP)
+    # The last leg of the n.r factor's spider should be n, not n.l.
+    bad = parse_type("s.r n.r.r n.r s s.l n.l")
+    with pytest.raises(errors.WireTypeMismatch) as exc:
+        build_network(reduce([bad], bad), [None], SP, REAL)
+    assert (exc.value.token, exc.value.wire) == (0, 5)
 
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
@@ -327,25 +394,31 @@ def test_open_wire_in_an_edge_keeps_its_index(sr):
     assert sr.allclose(copied.array, want)
 
 
-@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
-def test_closed_form_ditransitive_never_builds_the_coordinator(monkeypatch,
-                                                               sr):
+def _ditransitive_at_eight(monkeypatch, sr, mode):
     # The dense coordinator for n.r s n.l n.l at n = s = 8 would have
     # 8**12 = 6.9e10 cells; building it at all fails here at once.
-    def no_coordinator(*args):
-        raise AssertionError("closed form built the dense coordinator")
-
-    monkeypatch.setattr(coordination, "coordinator_tensor", no_coordinator)
+    _refuse_dense_coordinator(monkeypatch)
     sp = SpaceAssignment({"n": 8, "s": 8})
     rng = np.random.default_rng(11)
     bank, john, loan = (rt(rng, "n", sr, sp) for _ in range(3))
     grant, deny = (rt(rng, "n.r s n.l n.l", sr, sp) for _ in range(2))
     got = ditransitive_coordination(bank, grant, deny, (john, loan),
-                                    mode="closed-form")
+                                    mode=mode)
     as_float = lambda t: t.array.astype(float)
     want = np.einsum("iklm,iklm,i,m,l->k", as_float(grant), as_float(deny),
                      as_float(bank), as_float(john), as_float(loan))
     assert sr.allclose(got.array, want if sr is REAL else want > 0)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_closed_form_ditransitive_never_builds_the_coordinator(monkeypatch,
+                                                               sr):
+    _ditransitive_at_eight(monkeypatch, sr, "closed-form")
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_explicit_ditransitive_never_builds_the_coordinator(monkeypatch, sr):
+    _ditransitive_at_eight(monkeypatch, sr, "explicit")
 
 
 COORD_LEX = """

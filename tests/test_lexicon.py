@@ -248,7 +248,7 @@ def test_random_seed_must_be_below_two_to_the_64(seed):
 
 
 
-def test_coordinators_built_on_first_explicit_use_and_kept(monkeypatch):
+def test_coordinators_built_only_on_access_and_kept(monkeypatch):
     from frobcoord import lexicon
 
     built = []
@@ -266,10 +266,26 @@ def test_coordinators_built_on_first_explicit_use_and_kept(monkeypatch):
     sentences = ["john sleeps and sleeps and sleeps",
                  "mary and_n john sleeps and sleeps",
                  "mary and_n john and_n mary sleeps"]
-    for words in sentences:
-        evaluate_sentence(words.split(), lex, "s", mode="closed-form")
+    for mode in ("closed-form", "explicit"):
+        for words in sentences:
+            evaluate_sentence(words.split(), lex, "s", mode=mode)
+    # Both modes work from copy spiders; only the dense view builds.
     assert built == []
-    for words in sentences * 2:
-        evaluate_sentence(words.split(), lex, "s", mode="explicit")
-    assert sorted(built) == ["n", "n.r s"]
-    assert lex["and"].tensor is lex["and"].tensor
+    conj = lex["and"].tensor
+    assert built == ["n.r s"]
+    assert lex["and"].tensor is conj
+    assert built == ["n.r s"]
+    assert conj.isclose(coordinator_tensor(parse_type("n.r s"), lex.spaces))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("#type n \u0663\n", 1),                          # Arabic-Indic 3
+    ("#type n \u00b2\n", 1),                          # superscript 2
+    ("#type n 2\nw : n = @random(\u0661\u0662)\n", 2),  # Arabic-Indic 12
+    ("#type n 2\nw : n = @random(\uff11)\n", 2),       # fullwidth 1
+], ids=["type-arabic-indic", "type-superscript", "random-arabic-indic",
+        "random-fullwidth"])
+def test_non_ascii_digits_rejected(text, line):
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon(text)
+    assert exc.value.line == line
