@@ -52,12 +52,11 @@ class SpaceAssignment:
 
     def wires(self, ptype: PregroupType) -> tuple[Wire, ...]:
         """The wire signature of a pregroup type under this assignment."""
-        try:
-            return self._wires[ptype]
-        except KeyError:
-            wires = tuple(Wire(s.base, s.z, self.dim(s.base)) for s in ptype)
+        wires = self._wires.get(ptype)
+        if wires is None:
+            wires = tuple([Wire(s.base, s.z, self.dim(s.base)) for s in ptype])
             self._wires[ptype] = wires
-            return wires
+        return wires
 
     def bases(self):
         return set(self._dims)
@@ -256,7 +255,8 @@ def evaluate(network: TensorNetwork) -> Tensor:
     Each class of wires identified by edges is one index.  Contraction runs
     in cost order: each step merges the pair of components sharing an
     index whose merged tensor has the fewest cells (ties go to the pair
-    whose shared index first appears in the edge list).  A shared index is
+    whose shared index first appears in the edge list, then to the pair of
+    lowest-numbered components).  A shared index is
     summed out unless its class holds an open wire or a wire in a third
     component; such an index is kept as a batch axis.  A step without batch
     axes is one semiring matrix product, so vectors are absorbed before
@@ -301,30 +301,37 @@ def evaluate(network: TensorNetwork) -> Tensor:
     if not open_labels <= dim.keys():
         raise DimMismatch(f"open wires {network.open_wires} name a wire "
                           f"outside the network")
-    holders = {l: frozenset(c) for l, c in holders.items() if len(c) > 1}
-    comp_of = list(range(len(nodes)))
+    holders = {l: c for l, c in holders.items() if len(c) > 1}
+    comp = list(range(len(nodes)))  # union-find; a root names a component
     cells = lambda labs: math.prod(dim[l] for l in labs)
+    kept = lambda l: l in open_labels or len(holders[l]) > 2
 
-    def cost(item):
-        (ca, cb), shared = item
-        size = arrays[ca].size * arrays[cb].size
+    def cost(a, b, shared):
+        size = arrays[a].size * arrays[b].size
         for l in shared:
-            kept = l in open_labels or len(holders[l]) > 2
-            size //= dim[l] if kept else dim[l] ** 2
-        return size, shared[0]
+            size //= dim[l] if kept(l) else dim[l] ** 2
+        return size
 
-    while holders:
-        pairs = {}
-        for l, comps in holders.items():
-            for pair in [comps] if len(comps) == 2 else \
-                    map(frozenset, combinations(comps, 2)):
-                pairs.setdefault(pair, []).append(l)
-        (ca, cb), shared = min(pairs.items(), key=cost)
-        if comp_of[wire_at[shared[0]][0]] != ca:
+    # Each pair of components that shares an index has its shared labels
+    # in ascending order and a key (cost, first shared label, pair); a step
+    # takes the pair of least key.  A merge changes only the keys of the
+    # merged components' pairs: those of the surviving component are
+    # redone, and those of the merged-away one dropped (its partners are
+    # all partners of the survivor now).
+    shares = {}
+    for l in holders:  # in ascending order
+        for pair in combinations(sorted(holders[l]), 2):
+            shares.setdefault(pair, []).append(l)
+    keys = {p: (cost(*p, s), s[0], p) for p, s in shares.items()}
+    while keys:
+        _, first, pair = min(keys.values())
+        del keys[pair]
+        shared = shares[pair]
+        ca, cb = pair
+        if _root(comp, wire_at[first][0]) != ca:
             ca, cb = cb, ca
         la, lb = labels[ca], labels.pop(cb)
-        batch = [l for l in shared
-                 if l in open_labels or len(holders[l]) > 2]
+        batch = [l for l in shared if kept(l)]
         summed = [l for l in shared if l not in batch]
         free_a = [l for l in la if l not in shared]
         free_b = [l for l in lb if l not in shared]
@@ -341,12 +348,23 @@ def evaluate(network: TensorNetwork) -> Tensor:
             merged = sr.matmul(a.reshape(-1, k), b.reshape(k, -1))
         labels[ca] = batch + free_a + free_b
         arrays[ca] = merged.reshape([dim[l] for l in labels[ca]])
-        for l in lb:
+        comp[cb] = ca
+        for l in la + lb:
             if l in holders:
-                holders[l] = holders[l] - {cb} | {ca}
+                holders[l].discard(cb)
+                holders[l].add(ca)
                 if len(holders[l]) < 2:
                     del holders[l]
-        comp_of = [ca if c == cb else c for c in comp_of]
+        fresh = {}
+        for l in sorted(l for l in labels[ca] if l in holders):
+            for other in holders[l]:
+                if other != ca:
+                    p = (ca, other) if ca < other else (other, ca)
+                    fresh.setdefault(p, []).append(l)
+        for p, s in fresh.items():
+            other = p[0] if p[1] == ca else p[1]
+            keys.pop((cb, other) if cb < other else (other, cb), None)
+            shares[p], keys[p] = s, (cost(*p, s), s[0], p)
 
     first, *rest = arrays
     arr, labs = arrays[first], list(labels[first])

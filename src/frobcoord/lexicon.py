@@ -19,8 +19,9 @@ the boolean semiring), ``@conj`` (the coordinator for a type shaped
 ``x``'s factors, so the entry keeps ``x`` and builds the dense tensor only
 on first access to its ``tensor``, which no command makes),
 ``@random(seed)`` (a splitmix64 stream with a seed below 2**64, mapped to
-[0, 1) and thresholded at 0.5 for the boolean semiring; it is computed
-over ``np.uint64`` arrays, bit for bit equal to :class:`SplitMix64`) or
+[0, 1) and thresholded at 0.5 for the boolean semiring; the streams of all
+``@random`` entries are computed together over ``np.uint64`` arrays into
+one read-only buffer, bit for bit equal to :class:`SplitMix64`) or
 ``@identity`` (square order-2 types only).  Dimensions and seeds are
 ASCII digits.  Real entries are saved with 17 significant digits, so
 save/load round-trips exactly.
@@ -44,9 +45,13 @@ from .semiring import BY_NAME, REAL, Semiring
 from .tensor import Tensor
 
 _MASK = (1 << 64) - 1
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
-        (27, np.uint64(0x94D049BB133111EB)))
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
+# Shift counts are 0-d uint64 arrays: numpy takes longer to resolve a
+# shift of a uint64 array by a Python int or a numpy scalar.
+_MIX = ((np.array(30, np.uint64), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.array(27, np.uint64), np.uint64(0x94D049BB133111EB)))
+_SHIFT_31, _SHIFT_11 = np.array(31, np.uint64), np.array(11, np.uint64)
 _TOP_BIT = np.uint64(1 << 63)
 _BLOCK = 1 << 15  # words mixed at a time: two blocks stay in cache
 
@@ -69,33 +74,60 @@ class SplitMix64:
         return (self.next_int() >> 11) * 2.0 ** -53
 
 
-def _random_array(seed: int, size: int, semiring: Semiring, offset: int = 0):
-    """Outputs ``offset + 1`` to ``offset + size`` of ``SplitMix64(seed)``,
-    each mapped through ``next_unit`` and ``semiring.from_unit``.
+def _mix_into(z, out, semiring: Semiring):
+    """Finish splitmix64 on the states ``z`` (clobbered), mapping each
+    output through ``next_unit`` and ``semiring.from_unit`` into ``out``."""
+    tmp = np.empty_like(z)
+    for shift, mult in _MIX:
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, _SHIFT_31, out=tmp)
+    if semiring is REAL:
+        np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53, out=out)
+    else:
+        # A unit is at least 0.5 exactly when the word's top bit is set.
+        np.greater_equal(z, _TOP_BIT, out=out)
 
-    SplitMix64 is counter-based: its i-th state is ``seed + i * gamma``
-    mod 2**64.  So the stream is mixed in place over ``np.uint64``, whose
-    arithmetic wraps, one cache-sized block of counters at a time.
+
+def _random_arrays(seeds, shapes, semiring: Semiring):
+    """For each seed and shape, outputs 1 to ``prod(shape)`` of
+    ``SplitMix64(seed)``, each mapped through ``next_unit`` and
+    ``semiring.from_unit``: read-only views, in ``shape``, of one buffer.
+
+    SplitMix64 is counter-based: its c-th state is ``seed + c * gamma``
+    mod 2**64.  The streams lie end to end in the buffer, so buffer cell
+    ``i`` of a stream that starts at cell ``start`` has the state
+    ``(seed - start * gamma) + (i + 1) * gamma``: a counter range plus one
+    base per stream.  The buffer is mixed in place over ``np.uint64``,
+    whose arithmetic wraps, one cache-sized block of cells at a time, so
+    a block packs consecutive streams and a long stream spans blocks.
     """
-    out = np.empty(size, dtype=semiring.dtype)
-    seed = np.uint64(seed & _MASK)
-    for lo in range(0, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        z = np.arange(offset + lo + 1, offset + hi + 1, dtype=np.uint64)
+    sizes = [math.prod(shape) for shape in shapes]
+    out = np.empty(sum(sizes), dtype=semiring.dtype)
+    blocks, room, start = [], 0, 0  # per block: (stream bases, cells)
+    for seed, size in zip(seeds, sizes):
+        base = (seed - start * _GAMMA_INT) & _MASK
+        start += size
+        while size:
+            if not room:
+                bases, parts, room = [], [], _BLOCK
+                blocks.append((bases, parts))
+            part = min(size, room)
+            bases.append(base)
+            parts.append(part)
+            size -= part
+            room -= part
+    for lo, (bases, parts) in zip(range(0, start, _BLOCK), blocks):
+        z = np.arange(lo + 1, lo + sum(parts) + 1, dtype=np.uint64)
         z *= _GAMMA
-        z += seed
-        tmp = np.empty_like(z)
-        for shift, mult in _MIX:
-            z ^= np.right_shift(z, shift, out=tmp)
-            z *= mult
-        z ^= np.right_shift(z, 31, out=tmp)
-        if semiring is REAL:
-            np.multiply(np.right_shift(z, 11, out=z), 2.0 ** -53,
-                        out=out[lo:hi])
-        else:
-            # A unit is at least 0.5 exactly when the word's top bit is set.
-            np.greater_equal(z, _TOP_BIT, out=out[lo:hi])
-    return out
+        z += np.repeat(np.array(bases, dtype=np.uint64), parts)
+        _mix_into(z, out[lo:lo + len(z)], semiring)
+    out.setflags(write=False)
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(out[start:start + size].reshape(shape))
+        start += size
+    return arrays
 
 
 class LexiconEntry:
@@ -145,19 +177,26 @@ class Lexicon:
         return list(self.entries)
 
 
-_ENTRY = re.compile(r"^\s*(\S+)\s*:\s*(.*?)\s*=\s*(.*?)\s*$")
+# Matched against stripped lines.
+_ENTRY = re.compile(r"(\S+)\s*:\s*(.*?)\s*=\s*(.*)")
 _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 
 
 def _conj_shape(ptype: PregroupType) -> PregroupType | None:
-    """The conjunct type when ``ptype`` has the shape ``x.r x x.l``."""
-    if len(ptype) % 3:
+    """The conjunct type when ``ptype`` has the shape ``x.r x x.l``.
+
+    Factor ``p`` of the middle block ``x`` must recur one adjoint up at
+    the mirrored position ``k-1-p`` and one down at ``3k-1-p``.
+    """
+    k, extra = divmod(len(ptype), 3)
+    if extra:
         return None
-    k = len(ptype) // 3
-    x = ptype[k:2 * k]
-    if ptype[:k] == x.adjoint_right() and ptype[2 * k:] == x.adjoint_left():
-        return x
-    return None
+    s = ptype.simples
+    for p in range(k):
+        mid, r, l = s[k + p], s[k - 1 - p], s[3 * k - 1 - p]
+        if not (r.base == l.base == mid.base and r.z - 1 == mid.z == l.z + 1):
+            return None
+    return ptype[k:2 * k]
 
 
 def _literal_value_ok(value, semiring: Semiring) -> bool:
@@ -209,15 +248,6 @@ def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
         return LexiconEntry(word, ptype, Tensor(
             wires, np.eye(wires[0].dim, dtype=semiring.dtype), semiring,
             copy=False), spec)
-    m = _RANDOM.match(spec)
-    if m:
-        digits = m.group(1).lstrip("0") or "0"
-        if len(digits) > 20 or int(digits) > _MASK:
-            raise ParseError(f"entry {word!r}: @random seed is not below "
-                             f"2**64", line)
-        data = _random_array(int(digits), size, semiring)
-        return LexiconEntry(word, ptype, Tensor(wires, data, semiring,
-                                                copy=False), spec)
     raise ParseError(f"entry {word!r}: unrecognised tensor spec {spec!r}",
                      line)
 
@@ -252,12 +282,12 @@ def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
         if m is None:
             raise ParseError(f"expected 'word : type = spec', got {line!r}",
                              lineno)
-        raw_entries.append((lineno, m.group(1), m.group(2), m.group(3)))
+        raw_entries.append((lineno, *m.groups()))
 
     spaces = SpaceAssignment(dims)
     bases = set(dims)
-    typed = {}  # type text -> (type, wires, cells); each text parsed once
-    entries = {}
+    typed = {}  # type text -> (type, wires, shape); each text parsed once
+    entries, randoms, seeds, shapes = {}, [], [], []
     for lineno, word, type_text, spec in raw_entries:
         if word in entries:
             raise ParseError(f"duplicate entry for {word!r}", lineno)
@@ -269,13 +299,37 @@ def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
             if not ptype:
                 raise ParseError(f"entry {word!r} has the empty type", lineno)
             wires = spaces.wires(ptype)
-            typed[type_text] = ptype, wires, math.prod(w.dim for w in wires)
-        ptype, wires, cells = typed[type_text]
+            typed[type_text] = ptype, wires, [w.dim for w in wires]
+        ptype, wires, shape = typed[type_text]
+        m = _RANDOM.match(spec)
+        if m:
+            digits = m.group(1).lstrip("0") or "0"
+            seed = int(digits) if len(digits) <= 20 else _MASK + 1
+            if seed > _MASK:
+                raise ParseError(f"entry {word!r}: @random seed is not below "
+                                 f"2**64", lineno)
+            randoms.append((lineno, word, ptype, wires, spec))
+            seeds.append(seed)
+            shapes.append(shape)
+            entries[word] = None  # keeps the file order; realised below
+            continue
+        cells = math.prod(shape)
         try:
             entries[word] = _realize(word, ptype, wires, cells, spec, spaces,
                                      semiring, lineno)
         except MemoryError:
             raise _too_big(word, cells, lineno) from None
+    # Every @random entry is realised in one pass over one buffer.
+    try:
+        arrays = _random_arrays(seeds, shapes, semiring)
+    except (MemoryError, ValueError):
+        # numpy refuses a buffer past its size limit with a ValueError.
+        cells, (lineno, word, *_) = max(
+            (math.prod(shape), r) for shape, r in zip(shapes, randoms))
+        raise _too_big(word, cells, lineno) from None
+    for (_, word, ptype, wires, spec), data in zip(randoms, arrays):
+        entries[word] = LexiconEntry(word, ptype, Tensor(
+            wires, data, semiring, copy=False), spec)
     return Lexicon(spaces, semiring, entries)
 
 
@@ -336,13 +390,17 @@ def generate_random_lexicon(grammar, spaces, seed: int,
     if not isinstance(spaces, SpaceAssignment):
         spaces = SpaceAssignment(dict(spaces))
     pairs = grammar.items() if isinstance(grammar, dict) else list(grammar)
-    entries, offset = {}, 0
+    typed, seeds, state = [], [], seed
     for word, type_text in pairs:
         ptype = parse_type(type_text, bases=spaces.bases())
         wires = spaces.wires(ptype)
-        size = math.prod(w.dim for w in wires)
-        data = _random_array(seed, size, semiring, offset)
-        offset += size
-        entries[word] = LexiconEntry(word, ptype, Tensor(
-            wires, data, semiring, copy=False), None)
-    return Lexicon(spaces, semiring, entries)
+        typed.append((word, ptype, wires))
+        # The entry's stream is the lexicon's, advanced past earlier cells.
+        seeds.append(state)
+        state = (state + math.prod(w.dim for w in wires) * _GAMMA_INT) & _MASK
+    arrays = _random_arrays(seeds, [[w.dim for w in wires]
+                                    for _, _, wires in typed], semiring)
+    return Lexicon(spaces, semiring, {
+        word: LexiconEntry(word, ptype, Tensor(wires, data, semiring,
+                                               copy=False), None)
+        for (word, ptype, wires), data in zip(typed, arrays)})

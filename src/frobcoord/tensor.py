@@ -60,7 +60,7 @@ class Tensor:
 
     def __init__(self, wires, data, semiring: Semiring = REAL, copy=True):
         wires = tuple(wires)
-        shape = tuple(w.dim for w in wires)
+        shape = tuple([w.dim for w in wires])
         if copy:
             arr = np.array(data, dtype=semiring.dtype)
         else:

@@ -83,6 +83,72 @@ def rewrite_link_sets(flat_sigs, target_sigs):
     return go(tuple(range(len(flat_sigs))))
 
 
+def _derivation_search(flat, target):
+    """Yield sorted link lists by backtracking over the walk's moves.
+
+    The reference for ``pregroup.reduce`` and ``enumerate_reductions``:
+    walks the flattened row left to right keeping a stack of open link
+    ends.  At each position the choices are tried in the order: close the
+    top of the stack, open a new link, survive as residual (stack must be
+    empty).  That order makes the first yield the canonical derivation.
+    States proven hopeless are memoised by (position, open types, progress
+    into the target).  Exponential on coordination chains, and recursive,
+    so for short rows only.
+    """
+    n = len(flat)
+    t_sig = tuple((s.base, s.z) for s in target)
+    t_len = len(t_sig)
+    # For the "open" move to be worth trying, a matching closer must exist
+    # somewhere to the right.
+    closer_after = {}
+    for p in range(n - 1, -1, -1):
+        closer_after[(flat[p].base, flat[p].z, p)] = any(
+            flat[q].base == flat[p].base and flat[q].z == flat[p].z + 1
+            for q in range(p + 1, n))
+    dead = set()
+    stack: list[int] = []
+    links: list[tuple[int, int]] = []
+
+    def walk(p, tpos):
+        if p == n:
+            if not stack and tpos == t_len:
+                yield tuple(sorted(links))
+            return
+        remaining = n - p
+        needed = len(stack) + (t_len - tpos)
+        if remaining < needed or (remaining - needed) % 2:
+            return
+        key = (p, tuple((flat[s].base, flat[s].z) for s in stack), tpos)
+        if key in dead:
+            return
+        s = flat[p]
+        fruitful = False
+        if stack:
+            top = flat[stack[-1]]
+            if top.base == s.base and s.z == top.z + 1:
+                opened = stack.pop()
+                links.append((opened, p))
+                for d in walk(p + 1, tpos):
+                    fruitful = True
+                    yield d
+                links.pop()
+                stack.append(opened)
+        if closer_after[(s.base, s.z, p)]:
+            stack.append(p)
+            for d in walk(p + 1, tpos):
+                fruitful = True
+                yield d
+            stack.pop()
+        if not stack and tpos < t_len and (s.base, s.z) == t_sig[tpos]:
+            for d in walk(p + 1, tpos + 1):
+                fruitful = True
+                yield d
+        if not fruitful:
+            dead.add(key)
+
+    yield from walk(0, 0)
+
+
 def coordinator_caps_and_merge(dims):
     """The coordinator array from its cap-then-merge definition.
 

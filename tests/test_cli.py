@@ -75,6 +75,14 @@ def test_check_all_lists_every_derivation(lex_path):
     assert proc.stdout.strip().splitlines() == ["(0.0–1.0)"]
 
 
+def test_check_all_on_a_twenty_conjunct_chain(lex_path):
+    words = ["john", "sleeps"] + ["and", "snores"] * 19
+    proc = run("check", lex_path, *words, "--all", "--cap", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 5 and len(set(lines)) == 5
+
+
 def test_check_ascii_diagram(lex_path):
     proc = run("check", lex_path, "mary", "likes", "musicals",
                "--ascii-diagram")

@@ -348,6 +348,25 @@ def test_explicit_vp_chain_at_dimension_64(monkeypatch, sr):
         explicit.array, want if lex.semiring is REAL else want > 0)
 
 
+def test_sixty_conjunct_vp_chain():
+    # Entries near 1, so the entry-wise product of 60 verbs stays near 1.
+    verbs = {"v0": [1.01, 0.98, 0.99, 1.02], "v1": [0.97, 1.03, 1.0, 0.99],
+             "v2": [1.02, 1.0, 0.98, 1.01]}
+    lex = parse_lexicon("#type n 2\n#type s 2\njohn : n = [0.5, 2.0]\n"
+                        + "".join(f"{v} : n.r s = {cells}\n"
+                                  for v, cells in verbs.items())
+                        + "and : s.r n.r.r n.r s s.l n = @conj\n")
+    words = ["john", "v0"] + [w for i in range(1, 60)
+                              for w in ("and", f"v{i % 3}")]
+    explicit = evaluate_sentence(words, lex, "s", mode="explicit")
+    closed = evaluate_sentence(words, lex, "s", mode="closed-form")
+    assert explicit.isclose(closed)
+    merged = np.prod([np.reshape(verbs[f"v{i % 3}"], (2, 2))
+                      for i in range(60)], axis=0)
+    assert np.allclose(explicit.array, np.array([0.5, 2.0]) @ merged,
+                       rtol=1e-10)
+
+
 def test_build_network_spiders_need_a_coordinator_type():
     derivation = reduce([parse_type("n"), parse_type("n.r s")],
                         parse_type("s"))

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from frobcoord import errors
+from frobcoord import lexicon as lexicon_module
 from frobcoord.coordination import coordinator_tensor
 from frobcoord.evaluator import evaluate_sentence
 from frobcoord.lexicon import (SplitMix64, dumps_lexicon,
@@ -209,6 +212,36 @@ def test_random_entries_match_reference_stream(semiring, seed):
         got = lex["w"].tensor.array
         assert got.dtype == semiring.dtype
         assert got.tolist() == reference_cells(seed, size, semiring)
+
+
+@pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_random_entries_of_mixed_sizes_share_one_realisation(semiring):
+    # Small entries pack into one block of counters around entries of a
+    # block and of more than a block; every stream must stay its own.
+    block = lexicon_module._BLOCK
+    sizes = {"a": 1, "b": 2, "c": block, "d": 3, "e": block + 1, "f": 2}
+    seeds = {w: 2 ** 64 - 1 - 977 * i for i, w in enumerate(sizes)}
+    text = f"#semiring {semiring.name}\n" + "".join(
+        f"#type t{size} {size}\n" for size in set(sizes.values())) + "".join(
+        f"{w} : t{size} = @random({seeds[w]})\n" for w, size in sizes.items())
+    lex = parse_lexicon(text)
+    arrays = [lex[w].tensor.array for w in sizes]
+    for w, arr in zip(sizes, arrays):
+        assert arr.dtype == semiring.dtype and not arr.flags.writeable
+        assert arr.tolist() == reference_cells(seeds[w], sizes[w], semiring)
+    for a, b in combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("dims, type_text", [
+    ("#type n 1000000\n#type s 1000\n", "n.r s n.l"),  # 10**15 cells
+    ("#type n 100000\n#type s 2\n", "n n n n")])      # past numpy's limit
+def test_random_entry_too_big_for_memory_is_a_parse_error(dims, type_text):
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon(f"{dims}a : n = @random(1)\n"
+                      f"w : {type_text} = @random(2)\n")
+    assert exc.value.line == 4
+    assert str(exc.value).startswith("line 4: entry 'w'")
 
 
 @pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from frobcoord.pregroup import (Derivation, PregroupType, SimpleType,
                                 coordinator_type, enumerate_reductions,
                                 parse_type, reduce)
 
-from oracles import rewrite_link_sets
+from oracles import _derivation_search, rewrite_link_sets
 
 
 def sigs(ptype):
@@ -106,6 +108,10 @@ def test_derivation_validation():
         Derivation(types, {(0, 1)}, (2, 3))  # residual omits an index
     with pytest.raises(errors.InvalidDerivation):
         Derivation(types, {(1, 0)}, (2, 3, 4))  # backwards link
+    with pytest.raises(errors.InvalidDerivation):
+        Derivation(types, {(3, 5)}, (0, 1, 2, 4))  # past the row's end
+    with pytest.raises(errors.InvalidDerivation):
+        Derivation(types, {(0, 1), (1, 4)}, (2, 3))  # index 1 reused
     good = Derivation(types, {(0, 1), (3, 4)}, (2,))
     assert good.residual_type() == parse_type("s")
     assert good.token_wire(3) == (1, 2)
@@ -200,3 +206,88 @@ def test_every_search_result_validates():
 def test_ungrammatical_gives_empty_enumeration():
     row = [parse_type("n.r s n.l"), parse_type("n")]
     assert enumerate_reductions(row, parse_type("s"), cap=10) == []
+
+
+SIGS = st.tuples(st.sampled_from("ns"), st.integers(-2, 2))
+# A row that contracts to the unit: empty, or a link around such a row
+# followed by another.
+UNIT_ROWS = st.recursive(
+    st.just([]),
+    lambda inner: st.tuples(SIGS, inner, inner).map(
+        lambda t: [t[0], *t[1], (t[0][0], t[0][1] + 1), *t[2]]),
+    max_leaves=6)
+
+
+@st.composite
+def structured_rows(draw):
+    """A reducible row for a target of length 0-2, then up to two point
+    edits, which may make it ungrammatical or ambiguous."""
+    target = draw(st.lists(SIGS, max_size=2))
+    row = draw(UNIT_ROWS)
+    for s in target:
+        row = row + [s] + draw(UNIT_ROWS)
+    for pos, s in draw(st.lists(st.tuples(st.integers(0, 99), SIGS),
+                                max_size=2)):
+        if row:
+            row[pos % len(row)] = s
+    return row, target
+
+
+def _ptype(pairs):
+    return PregroupType(tuple(SimpleType(b, z) for b, z in pairs))
+
+
+def _check_against_oracle(row, target, cap=50):
+    """reduce and enumerate_reductions against the backtracking search."""
+    want = list(islice(_derivation_search(row.simples, target), cap))
+    d = reduce([row], target)
+    assert (d and tuple(sorted(d.links))) == (want[0] if want else None)
+    got = enumerate_reductions([row], target, cap=cap)
+    assert [tuple(sorted(e.links)) for e in got] == want
+    if len(want) < cap and len(row) <= 14:
+        assert {e.links for e in got} == set(
+            rewrite_link_sets(sigs(row), sigs(target)))
+    return bool(want)
+
+
+@given(structured_rows())
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_backtracking_oracle(case):
+    row, target = case
+    _check_against_oracle(_ptype(row), _ptype(target))
+
+
+def test_reduce_matches_backtracking_oracle_on_seeded_rows():
+    rng = np.random.default_rng(2024)
+    grammatical = 0
+    for trial in range(600):
+        target = _random_row(rng, 2)[:int(rng.integers(0, 3))]
+        if trial % 2:
+            row = _random_row(rng, 12)
+        else:
+            # Survivors spelling the target, each after a run of adjacent
+            # reducible pairs, then point edits.
+            pairs = []
+            for s in (*target, None):
+                for _ in range(int(rng.integers(0, 4))):
+                    b, z = rng.choice(["n", "s"]), int(rng.integers(-2, 2))
+                    pairs += [(b, z), (b, z + 1)]
+                if s is not None:
+                    pairs.append((s.base, s.z))
+            for _ in range(int(rng.integers(0, 3))):
+                if pairs:
+                    pairs[int(rng.integers(len(pairs)))] = (
+                        rng.choice(["n", "s"]), int(rng.integers(-2, 3)))
+            row = _ptype(pairs)
+        grammatical += _check_against_oracle(row, target)
+    assert 100 < grammatical < 500
+
+
+def test_long_row_reduces_without_recursion_error():
+    # 2500 words, 4999 simple types: the recursive search ran out of stack
+    # near 600 words.
+    n, step = parse_type("n"), parse_type("n.r n")
+    d = reduce([n] + [step] * 2499, n)
+    assert d.residual == (4998,)
+    assert sorted(d.links) == [(i, i + 1) for i in range(0, 4998, 2)]
+    assert reduce([n] + [step] * 2499, parse_type("s")) is None
