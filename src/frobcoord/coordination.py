@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .evaluator import SpaceAssignment, _contract
-from .pregroup import PregroupType, SimpleType, coordinator_type, parse_type
-from .pregroup import reduce as pregroup_reduce
+from .evaluator import SpaceAssignment, _row_meaning
+from .pregroup import (PregroupType, SimpleType, coordinator_legs,
+                       coordinator_type, parse_type)
 from .semiring import REAL, Semiring
 from .tensor import Tensor, frobenius_mu
 
@@ -30,17 +30,16 @@ def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
     Equal to the cap-then-merge network — two nested identity caps with
     the merge applied between them — but built directly: one entry per
     joint index of the factor-wise copy spiders, factor ``p``'s index
-    sitting at positions ``k-1-p``, ``k+p`` and ``3k-1-p``.
+    sitting at its legs ``coordinator_legs(len(x))[p]``.
     """
     wires = spaces.wires(coordinator_type(x))
     k = len(x)
     arr = np.zeros([w.dim for w in wires], dtype=semiring.dtype)
     index = [None] * (3 * k)
-    for p, w in enumerate(wires[k:2 * k]):
+    for p, (r, mid, l) in enumerate(coordinator_legs(k)):
         # Shaped to vary along axis p only, so the k ranges broadcast.
-        spider = np.arange(w.dim).reshape([-1 if q == p else 1
-                                           for q in range(k)])
-        index[k - 1 - p] = index[k + p] = index[3 * k - 1 - p] = spider
+        index[r] = index[mid] = index[l] = np.arange(wires[mid].dim).reshape(
+            [-1 if q == p else 1 for q in range(k)])
     arr[tuple(index)] = semiring.one
     return Tensor(wires, arr, semiring, copy=False)
 
@@ -78,11 +77,10 @@ def _coordinated(tensors, x: PregroupType, mode: str,
     spaces = spaces or _spaces_for([t for t in tensors if t is not None])
     types = [coordinator_type(x) if t is None else _type_of(t)
              for t in tensors]
-    derivation = pregroup_reduce(types, parse_type("s"))
-    if derivation is None:
-        raise ShapeMismatch(
-            f"token types {' | '.join(map(str, types))} do not reduce to s")
-    return _contract(derivation, tensors, spaces, tensors[0].semiring, mode)
+    return _row_meaning(types, tensors, parse_type("s"), spaces,
+                        tensors[0].semiring, mode, lambda: ShapeMismatch(
+                            f"token types {' | '.join(map(str, types))} "
+                            f"do not reduce to s"))
 
 
 def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,

@@ -1,20 +1,17 @@
 """From derivations to meanings: tensor-network construction and contraction.
 
-:func:`build_network` turns a derivation plus per-token tensors into a
-:class:`TensorNetwork` whose edges mirror the contraction links, checking
-every wire against the declared types.  A coordinator token enters the
-network as structure, not data: one three-legged copy spider per atomic
-factor of its conjunct type, ``k * d**3`` cells where the dense
-coordinator has ``d**(3k)``.  :func:`evaluate` contracts the network; the
-result does not depend on the edge order.  An edge identifies two wires
-and a wire may sit in several edges, so each class of identified wires is
-one index, a copy spider: it is summed out unless the class holds an open
-wire.
-
-:func:`evaluate_sentence` is the end-to-end pipeline.  Its two modes must
-agree: ``explicit`` contracts each coordinator's spiders as nodes like any
-other word, ``closed-form`` drops them and identifies the wires at their
-three legs instead, which merges the conjuncts entry-wise.
+:func:`build_network` is the one place that turns a derivation plus
+per-token tensors into a :class:`TensorNetwork`, in either mode, checking
+every word tensor against its type.  A coordinator token enters as
+structure, not data: one three-legged copy spider per atomic factor of its
+conjunct type.  ``explicit`` mode makes each spider a node (``k * d**3``
+cells where the dense coordinator has ``d**(3k)``); ``closed-form`` makes
+none and identifies the wires at the spider's legs, which merges the
+conjuncts entry-wise.  The two modes agree on every well-typed sentence.
+:func:`evaluate` contracts the network; the result does not depend on the
+edge order.  An edge identifies two wires and a wire may sit in several
+edges, so each class of identified wires is one index, a copy spider: it
+is summed out unless the class holds an open wire.
 """
 
 from __future__ import annotations
@@ -29,7 +26,8 @@ import numpy as np
 from .errors import (DimMismatch, MissingSpace, OutOfMemory,
                      SemiringMismatch, UngrammaticalSentence, UnknownWord,
                      WireTypeMismatch)
-from .pregroup import Derivation, PregroupType, parse_type, reduce
+from .pregroup import (Derivation, PregroupType, conjunct_type,
+                       coordinator_legs, parse_type, reduce)
 from .semiring import Semiring
 from .tensor import Tensor, Wire, frobenius_zeta
 
@@ -106,55 +104,23 @@ def _copy_array(dim: int, semiring: Semiring) -> np.ndarray:
     return arr
 
 
-def _spider_legs(k: int) -> list[tuple[int, int, int]]:
-    """Where the copy spiders of a coordinator for a ``k``-factor type sit.
-
-    Factor ``p``'s spider has legs at the mirrored ``x.r`` position
-    ``k-1-p``, the middle position ``k+p`` and the mirrored ``x.l``
-    position ``3k-1-p`` of the type ``x.r x x.l``: the layout of
-    ``coordinator_tensor``, whose dense tensor is the spiders' product.
-    """
-    return [(k - 1 - p, k + p, 3 * k - 1 - p) for p in range(k)]
-
-
-def _spiders(tok: int, wires, semiring: Semiring):
-    """The copy spiders of coordinator token ``tok`` typed ``x.r x x.l``.
-
-    Yields ``(legs, spider)`` per atomic factor of ``x``, the spider's
-    wires taken from the token's ``wires`` at its ``legs``
-    (:func:`_spider_legs`).
-    """
-    k, extra = divmod(len(wires), 3)
-    if extra or not k:
-        raise WireTypeMismatch(tok, 0, "a coordinator type x.r x x.l",
-                               f"{len(wires)} wires")
-    for legs in _spider_legs(k):
-        mid = wires[legs[1]]
-        for leg, step in ((legs[0], 1), (legs[2], -1)):
-            got = wires[leg]
-            if (got.base, got.z, got.dim) != (mid.base, mid.z + step,
-                                              mid.dim):
-                raise WireTypeMismatch(tok, leg, mid.shifted(step), got)
-        try:
-            arr = _copy_array(mid.dim, semiring)
-        except MemoryError:
-            raise OutOfMemory(f"token {tok}: a copy spider of "
-                              f"{mid.dim ** 3} cells does not fit in "
-                              f"memory") from None
-        yield legs, Tensor([wires[q] for q in legs], arr, semiring,
-                           copy=False)
-
-
 def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
-                  semiring: Semiring = None) -> TensorNetwork:
+                  semiring: Semiring = None,
+                  mode: str = "explicit") -> TensorNetwork:
     """Mirror a derivation's links as contraction edges over word tensors.
 
     Every tensor is checked wire by wire against its token's type under
-    ``spaces``; mixed semirings are rejected.  A None tensor stands for a
-    coordinator token of type ``x.r x x.l``: it becomes one three-legged
-    copy spider node per atomic factor of ``x`` (see :func:`_spiders`).
-    ``semiring`` is the carrier, by default that of the first tensor.
+    ``spaces``; mixed semirings are rejected.  ``semiring`` is the carrier,
+    by default that of the first tensor.  A None tensor is a coordinator of
+    type ``x.r x x.l``, one copy spider per factor of ``x`` at
+    :func:`coordinator_legs`: a node in ``explicit`` mode, its legs' wires
+    joined into one class in ``closed-form``.  Each class of joined wires
+    becomes edges from its first word wire to the others, or the all-ones
+    vector if it holds none.  In closed form an open wire may differ from
+    its residual type in adjoint order.
     """
+    if mode not in ("explicit", "closed-form"):
+        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
     tensors = list(tensors)
     if len(tensors) != len(derivation.token_types):
         raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
@@ -163,15 +129,32 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
         semiring = next((t.semiring for t in tensors if t is not None), None)
         if semiring is None:
             raise ValueError("every token is a coordinator: pass semiring")
-    nodes, wire_at = [], [None] * len(derivation.flattened)
+    flat = derivation.flattened
+    nodes, wire_at = [], [None] * len(flat)
+    joined = list(derivation.links)
     for tok, (ptype, tensor) in enumerate(zip(derivation.token_types,
                                               tensors)):
         expected, off = spaces.wires(ptype), derivation.offsets[tok]
         if tensor is None:
-            for legs, spider in _spiders(tok, expected, semiring):
+            x = conjunct_type(ptype)
+            if isinstance(x, int):
+                raise WireTypeMismatch(tok, x, "a coordinator type x.r x x.l",
+                                       ptype)
+            for legs in coordinator_legs(len(x)):
+                if mode == "closed-form":
+                    joined += [(off + legs[1], off + q) for q in legs[::2]]
+                    continue
+                dim = expected[legs[1]].dim
+                try:
+                    arr = _copy_array(dim, semiring)
+                except MemoryError:
+                    raise OutOfMemory(f"token {tok}: a copy spider of "
+                                      f"{dim ** 3} cells does not fit in "
+                                      f"memory") from None
                 for leg, q in enumerate(legs):
                     wire_at[off + q] = (len(nodes), leg)
-                nodes.append(spider)
+                nodes.append(Tensor([expected[q] for q in legs], arr,
+                                    semiring, copy=False))
             continue
         if tensor.semiring is not semiring:
             raise SemiringMismatch(
@@ -180,16 +163,31 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
         if tensor.wires != expected:
             for w, (need, got) in enumerate(zip(expected, tensor.wires)):
                 if need != got:
-                    raise WireTypeMismatch(tok, w, need, got)
+                    raise WireTypeMismatch(tok, w, f"{need}:{need.dim}",
+                                           f"{got}:{got.dim}")
             raise WireTypeMismatch(tok, min(len(expected), tensor.order),
                                    f"{len(expected)} wires",
                                    f"{tensor.order} wires")
         wire_at[off:off + len(expected)] = [
             (len(nodes), w) for w in range(len(expected))]
         nodes.append(tensor)
-    edges = [(wire_at[i], wire_at[j]) for (i, j) in sorted(derivation.links)]
-    open_wires = [wire_at[r] for r in derivation.residual]
-    return TensorNetwork(nodes, edges, open_wires)
+    parent = list(range(len(flat)))
+    for i, j in joined:
+        parent[_root(parent, j)] = _root(parent, i)
+    root = [_root(parent, f) for f in range(len(flat))]
+    classes = {}  # class root -> its word wires; classes, wires in flat order
+    for f, wire in enumerate(wire_at):
+        if wire is not None:
+            classes.setdefault(root[f], []).append(wire)
+    edges = [(wires[0], w) for wires in classes.values() for w in wires[1:]]
+    for f, s in enumerate(flat):
+        if root[f] not in classes:
+            # Spiders joined only to each other fuse into the all-ones vector.
+            classes[root[f]] = [(len(nodes), 0)]
+            nodes.append(frobenius_zeta(s.base, spaces.dim(s.base), s.z,
+                                        semiring))
+    return TensorNetwork(nodes, edges, [classes[root[r]][0]
+                                        for r in derivation.residual])
 
 
 def _root(parent: list, x: int) -> int:
@@ -197,56 +195,6 @@ def _root(parent: list, x: int) -> int:
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
-
-
-def _contract(derivation: Derivation, tensors, spaces: SpaceAssignment,
-              semiring: Semiring, mode: str) -> Tensor:
-    """Contract a derivation whose coordinator tokens hold None tensors.
-
-    ``explicit`` evaluates :func:`build_network`, which turns each
-    coordinator into its copy spiders.  ``closed-form`` drops the
-    coordinator tokens (they may be all the tokens, hence ``semiring``)
-    and keeps their copy spiders as identified wires: the wires linked to
-    the three legs of one spider (:func:`_spider_legs`) become one class.
-    """
-    if mode == "explicit":
-        return evaluate(build_network(derivation, tensors, spaces, semiring))
-    if mode != "closed-form":
-        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
-    types, offsets = derivation.token_types, derivation.offsets
-    parent = list(range(len(derivation.flattened)))
-    find = lambda f: _root(parent, f)
-    joined = list(derivation.links)
-    for tok in (t for t, tensor in enumerate(tensors) if tensor is None):
-        off = offsets[tok]
-        for outer_r, mid, outer_l in _spider_legs(len(types[tok]) // 3):
-            joined += [(off + mid, off + outer_r), (off + mid, off + outer_l)]
-    for i, j in joined:
-        parent[find(j)] = find(i)
-
-    kept = [tok for tok, tensor in enumerate(tensors) if tensor is not None]
-    nodes = [tensors[tok] for tok in kept]
-    wire_of, edges = {}, []
-    for node, tok in enumerate(kept):
-        for w in range(len(types[tok])):
-            root = find(offsets[tok] + w)
-            if root in wire_of:
-                edges.append((wire_of[root], (node, w)))
-            else:
-                wire_of[root] = (node, w)
-    for f, s in enumerate(derivation.flattened):
-        if find(f) not in wire_of:
-            # Spiders joined only to each other fuse into one spider: the
-            # all-ones vector on one wire of the class.
-            nodes.append(frobenius_zeta(s.base, spaces.dim(s.base), s.z,
-                                        semiring))
-            wire_of[find(f)] = (len(nodes) - 1, 0)
-    result = evaluate(TensorNetwork(
-        nodes, sorted(edges), [wire_of[find(r)] for r in derivation.residual]))
-    # A surviving coordinator leg reads a wire of its class, whose adjoint
-    # order may differ; the result is typed by the residual.
-    return Tensor(spaces.wires(derivation.residual_type()), result.array,
-                  semiring, copy=False)
 
 
 def evaluate(network: TensorNetwork) -> Tensor:
@@ -387,6 +335,20 @@ def evaluate(network: TensorNetwork) -> Tensor:
     return Tensor(out_wires, arr, sr, copy=False)
 
 
+def _row_meaning(types, tensors, target: PregroupType,
+                 spaces: SpaceAssignment, semiring: Semiring, mode: str,
+                 refusal) -> Tensor:
+    """Reduce ``types`` to ``target`` (else raise ``refusal()``), contract
+    the network in ``mode`` and type the result by the residual."""
+    derivation = reduce(types, target)
+    if derivation is None:
+        raise refusal()
+    result = evaluate(build_network(derivation, tensors, spaces, semiring,
+                                    mode))
+    return Tensor(spaces.wires(derivation.residual_type()), result.array,
+                  semiring, copy=False)
+
+
 def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
     """Parse, reduce and contract a sentence against a lexicon.
 
@@ -415,8 +377,7 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
         tensors.append(None if entry.is_coordinator else entry.tensor)
     target_type = parse_type(target, bases) if isinstance(target, str) \
         else target
-    derivation = reduce(types, target_type)
-    if derivation is None:
-        raise UngrammaticalSentence(
-            f"{' '.join(words)!r} does not reduce to {target_type}")
-    return _contract(derivation, tensors, spaces, lexicon.semiring, mode)
+    return _row_meaning(types, tensors, target_type, spaces, lexicon.semiring,
+                        mode, lambda: UngrammaticalSentence(
+                            f"{' '.join(words)!r} does not reduce to "
+                            f"{target_type}"))

@@ -40,7 +40,7 @@ from .coordination import coordinator_tensor
 from .errors import (DimMismatch, ParseError, UndeclaredSymbol,
                      UnknownBaseSymbol)
 from .evaluator import SpaceAssignment
-from .pregroup import PregroupType, parse_type
+from .pregroup import PregroupType, conjunct_type, parse_type
 from .semiring import BY_NAME, REAL, Semiring
 from .tensor import Tensor
 
@@ -182,23 +182,6 @@ _ENTRY = re.compile(r"(\S+)\s*:\s*(.*?)\s*=\s*(.*)")
 _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 
 
-def _conj_shape(ptype: PregroupType) -> PregroupType | None:
-    """The conjunct type when ``ptype`` has the shape ``x.r x x.l``.
-
-    Factor ``p`` of the middle block ``x`` must recur one adjoint up at
-    the mirrored position ``k-1-p`` and one down at ``3k-1-p``.
-    """
-    k, extra = divmod(len(ptype), 3)
-    if extra:
-        return None
-    s = ptype.simples
-    for p in range(k):
-        mid, r, l = s[k + p], s[k - 1 - p], s[3 * k - 1 - p]
-        if not (r.base == l.base == mid.base and r.z - 1 == mid.z == l.z + 1):
-            return None
-    return ptype[k:2 * k]
-
-
 def _literal_value_ok(value, semiring: Semiring) -> bool:
     """Real literals take finite numbers; boolean literals take 0 and 1."""
     if semiring is REAL:
@@ -230,8 +213,8 @@ def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
                     line)
         return LexiconEntry(word, ptype, Tensor(wires, data, semiring), None)
     if spec == "@conj":
-        x = _conj_shape(ptype)
-        if x is None:
+        x = conjunct_type(ptype)
+        if isinstance(x, int):
             raise ParseError(
                 f"entry {word!r}: @conj needs a type shaped x.r x x.l", line)
 
@@ -245,14 +228,18 @@ def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
         if len(ptype) != 2 or wires[0].dim != wires[1].dim:
             raise DimMismatch(
                 f"entry {word!r}: @identity needs a square order-2 type")
-        return LexiconEntry(word, ptype, Tensor(
-            wires, np.eye(wires[0].dim, dtype=semiring.dtype), semiring,
-            copy=False), spec)
+        try:
+            eye = np.eye(wires[0].dim, dtype=semiring.dtype)
+        except ValueError:
+            # numpy refuses an array past its size limit with a ValueError.
+            raise _too_big(word, size, line) from None
+        return LexiconEntry(word, ptype, Tensor(wires, eye, semiring,
+                                                copy=False), spec)
     raise ParseError(f"entry {word!r}: unrecognised tensor spec {spec!r}",
                      line)
 
 
-def parse_lexicon(text: str, name: str = "<string>") -> Lexicon:
+def parse_lexicon(text: str) -> Lexicon:
     """Parse lexicon text; see the module docstring for the format."""
     dims: dict[str, int] = {}
     semiring = REAL
@@ -350,7 +337,7 @@ def load_lexicon(path) -> Lexicon:
         # The line of the bad byte, counted as parse_lexicon counts lines.
         line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"invalid UTF-8: {exc.reason}", line) from None
-    return parse_lexicon(text, name=str(path))
+    return parse_lexicon(text)
 
 
 def _format_element(value, semiring: Semiring) -> str:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 
 from .errors import (EmptyType, InvalidDerivation, TypeSyntaxError,
@@ -143,6 +143,34 @@ def coordinator_type(x: PregroupType) -> PregroupType:
     if not x:
         raise EmptyType("coordinator of the unit type")
     return x.adjoint_right() @ x @ x.adjoint_left()
+
+
+@lru_cache(maxsize=None)
+def coordinator_legs(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The legs in ``x.r x x.l`` of the copy spider of each factor ``p`` of
+    a ``k``-factor ``x``: its mirrored place in the ``x.r`` block, its own
+    place in ``x`` and its mirrored place in the ``x.l`` block.
+
+    >>> coordinator_legs(2)
+    ((1, 2, 5), (0, 3, 4))
+    """
+    return tuple((k - 1 - p, k + p, 3 * k - 1 - p) for p in range(k))
+
+
+@lru_cache(maxsize=None)
+def conjunct_type(ptype: PregroupType) -> PregroupType | int:
+    """``x`` when ``ptype`` is ``coordinator_type(x)``, else the index of
+    its first wire out of place (0 when its length is no multiple of 3).
+
+    >>> conjunct_type(parse_type("s.r n.r.r n.r s s.l n.l"))
+    5
+    """
+    k, extra = divmod(len(ptype), 3)
+    if extra or not k:
+        return 0
+    x = ptype[k:2 * k]
+    return next((i for i, (got, want) in enumerate(
+        zip(ptype, coordinator_type(x))) if got != want), x)
 
 
 @dataclass(frozen=True)

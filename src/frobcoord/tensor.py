@@ -44,10 +44,6 @@ class Wire:
         if self.dim < 1:
             raise DimMismatch(f"wire dimension must be >= 1, got {self.dim}")
 
-    def shifted(self, step: int) -> "Wire":
-        """The same wire with the adjoint order moved by ``step``."""
-        return Wire(self.base, self.z + step, self.dim)
-
     def __str__(self):
         marks = ".l" * -self.z if self.z < 0 else ".r" * self.z
         return f"{self.base}{marks}"

@@ -273,6 +273,17 @@ def test_eval_rejects_non_finite_literal(tmp_path):
     assert proc.stdout == ""
 
 
+def test_identity_past_numpy_size_limit_is_a_parse_error(tmp_path):
+    # np.eye refuses 10**10 rows with "array is too big", a ValueError.
+    path = tmp_path / "huge.lex"
+    path.write_text("#type n 10000000000\nw : n.r n = @identity\n",
+                    encoding="utf-8")
+    proc = run("check", str(path), "w", "--target", "n.r n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2: entry 'w'")
+    assert "Traceback" not in proc.stderr
+
+
 # A VP coordinator at n = s = 32: its dense tensor has 32**6 cells (8 GiB).
 BIG_VP_LEX = ("#type n 32\n#type s 32\njohn : n = @random(1)\n"
               "sleeps : n.r s = @random(2)\n"

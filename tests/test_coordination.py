@@ -324,6 +324,21 @@ def test_stripping_shape_errors():
         stripping_sentence(john, john, john, john, sp)
 
 
+# Spaces that contradict the tensors: the first wrong wire is the subject's
+# for n = 3 and the verb's sentence wire for s = 5.
+@pytest.mark.parametrize("dims,where", [((3, 2), (0, 0)), ((2, 5), (1, 1))],
+                         ids=["n3-over-2d-nouns", "s5"])
+def test_stripping_checks_tensors_against_spaces(dims, where):
+    rng = np.random.default_rng(11)
+    sp = spaces(2, 2)
+    john, poe, lovecraft = (random_tensor(sp.wires(parse_type("n")), rng)
+                            for _ in range(3))
+    likes = random_tensor(sp.wires(parse_type("n.r s n.l")), rng)
+    with pytest.raises(errors.WireTypeMismatch) as exc:
+        stripping_sentence(john, likes, poe, lovecraft, spaces(*dims))
+    assert (exc.value.token, exc.value.wire) == where
+
+
 def test_iterated_coordination_is_associative():
     rng = np.random.default_rng(12)
     wires = (Wire("n", 0, 4),)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frobcoord import coordination, errors
+from frobcoord import coordination, errors, evaluator
 from frobcoord import lexicon as lexicon_module
 from frobcoord.coordination import (coordinator_tensor,
                                     ditransitive_coordination)
@@ -52,6 +52,12 @@ def test_build_network_reports_wire_mismatch():
         build_network(derivation, [john, bad], SP)
     assert exc.value.token == 1
     assert exc.value.wire == 1
+    assert str(exc.value).endswith("expected s:3, got s:2")
+    # A 2-dimensional john under n = 3 differs in dimension only.
+    with pytest.raises(errors.WireTypeMismatch) as exc:
+        build_network(derivation, [john, rt(rng, "n.r s")],
+                      SpaceAssignment({"n": 3, "s": 3}))
+    assert str(exc.value) == "token 0, wire 0: expected n:3, got n:2"
 
 
 def test_build_network_rejects_mixed_semirings():
@@ -415,8 +421,14 @@ def test_open_wire_in_an_edge_keeps_its_index(sr):
 
 def _ditransitive_at_eight(monkeypatch, sr, mode):
     # The dense coordinator for n.r s n.l n.l at n = s = 8 would have
-    # 8**12 = 6.9e10 cells; building it at all fails here at once.
+    # 8**12 = 6.9e10 cells; building it at all fails here at once.  Closed
+    # form builds no copy spider either.
     _refuse_dense_coordinator(monkeypatch)
+    if mode == "closed-form":
+        def no_spider(*args):
+            raise AssertionError("built a copy spider")
+
+        monkeypatch.setattr(evaluator, "_copy_array", no_spider)
     sp = SpaceAssignment({"n": 8, "s": 8})
     rng = np.random.default_rng(11)
     bank, john, loan = (rt(rng, "n", sr, sp) for _ in range(3))
