@@ -87,10 +87,11 @@ class UnknownWord(FrobcoordError):
 
 
 class ParseError(FrobcoordError):
-    """A lexicon file failed to parse.  ``line`` is 1-based."""
+    """A lexicon failed to parse.  ``line`` is 1-based, or None."""
 
     def __init__(self, message, line):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: "
+                         f"{message}")
         self.line = line
 
 

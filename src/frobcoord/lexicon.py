@@ -16,15 +16,16 @@ Tensor specs are a bracketed literal (row-major, length must equal the
 product of the wire dimensions, finite numbers only, and only 0 or 1 for
 the boolean semiring), ``@conj`` (the coordinator for a type shaped
 ``x.r x x.l``; evaluation in either mode works from the copy spiders of
-``x``'s factors, so the entry keeps ``x`` and builds the dense tensor only
-on first access to its ``tensor``, which no command makes),
+``x``'s factors, so no command reads its dense ``tensor``),
 ``@random(seed)`` (a splitmix64 stream with a seed below 2**64, mapped to
-[0, 1) and thresholded at 0.5 for the boolean semiring; the streams of all
-``@random`` entries are computed together over ``np.uint64`` arrays into
-one read-only buffer, bit for bit equal to :class:`SplitMix64`) or
+[0, 1) and thresholded at 0.5 for the boolean semiring, computed over
+``np.uint64`` arrays bit for bit equal to :class:`SplitMix64`) or
 ``@identity`` (square order-2 types only).  Dimensions and seeds are
-ASCII digits.  Real entries are saved with 17 significant digits, so
-save/load round-trips exactly.
+ASCII digits.  Parsing checks every spec against its entry's type and
+allocates no tensor: each entry's tensor is built on first access to it
+(see :class:`LexiconEntry`), so a tensor too large for memory is a
+:class:`ParseError` at its first use.  Real entries are saved with 17
+significant digits, so save/load round-trips exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -74,81 +76,67 @@ class SplitMix64:
         return (self.next_int() >> 11) * 2.0 ** -53
 
 
-def _mix_into(z, out, semiring: Semiring):
-    """Finish splitmix64 on the states ``z`` (clobbered), mapping each
-    output through ``next_unit`` and ``semiring.from_unit`` into ``out``."""
-    tmp = np.empty_like(z)
-    for shift, mult in _MIX:
-        z ^= np.right_shift(z, shift, out=tmp)
-        z *= mult
-    z ^= np.right_shift(z, _SHIFT_31, out=tmp)
-    if semiring is REAL:
-        np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53, out=out)
-    else:
-        # A unit is at least 0.5 exactly when the word's top bit is set.
-        np.greater_equal(z, _TOP_BIT, out=out)
-
-
-def _random_arrays(seeds, shapes, semiring: Semiring):
-    """For each seed and shape, outputs 1 to ``prod(shape)`` of
-    ``SplitMix64(seed)``, each mapped through ``next_unit`` and
-    ``semiring.from_unit``: read-only views, in ``shape``, of one buffer.
+def _random_array(seed: int, shape, semiring: Semiring):
+    """Outputs 1 to ``prod(shape)`` of ``SplitMix64(seed)``, each mapped
+    through ``next_unit`` and ``semiring.from_unit``: a read-only array in
+    ``shape``.
 
     SplitMix64 is counter-based: its c-th state is ``seed + c * gamma``
-    mod 2**64.  The streams lie end to end in the buffer, so buffer cell
-    ``i`` of a stream that starts at cell ``start`` has the state
-    ``(seed - start * gamma) + (i + 1) * gamma``: a counter range plus one
-    base per stream.  The buffer is mixed in place over ``np.uint64``,
-    whose arithmetic wraps, one cache-sized block of cells at a time, so
-    a block packs consecutive streams and a long stream spans blocks.
+    mod 2**64.  The states are mixed in place over ``np.uint64``, whose
+    arithmetic wraps, one cache-sized block of counters at a time.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    out = np.empty(sum(sizes), dtype=semiring.dtype)
-    blocks, room, start = [], 0, 0  # per block: (stream bases, cells)
-    for seed, size in zip(seeds, sizes):
-        base = (seed - start * _GAMMA_INT) & _MASK
-        start += size
-        while size:
-            if not room:
-                bases, parts, room = [], [], _BLOCK
-                blocks.append((bases, parts))
-            part = min(size, room)
-            bases.append(base)
-            parts.append(part)
-            size -= part
-            room -= part
-    for lo, (bases, parts) in zip(range(0, start, _BLOCK), blocks):
-        z = np.arange(lo + 1, lo + sum(parts) + 1, dtype=np.uint64)
+    out = np.empty(math.prod(shape), dtype=semiring.dtype)
+    base = np.uint64(seed)
+    for lo in range(0, out.size, _BLOCK):
+        part = out[lo:lo + _BLOCK]
+        z = np.arange(lo + 1, lo + part.size + 1, dtype=np.uint64)
         z *= _GAMMA
-        z += np.repeat(np.array(bases, dtype=np.uint64), parts)
-        _mix_into(z, out[lo:lo + len(z)], semiring)
+        z += base
+        tmp = np.empty_like(z)
+        for shift, mult in _MIX:
+            z ^= np.right_shift(z, shift, out=tmp)
+            z *= mult
+        z ^= np.right_shift(z, _SHIFT_31, out=tmp)
+        if semiring is REAL:
+            np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53,
+                        out=part)
+        else:
+            # A unit is at least 0.5 exactly when the word's top bit is set.
+            np.greater_equal(z, _TOP_BIT, out=part)
     out.setflags(write=False)
-    arrays, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        arrays.append(out[start:start + size].reshape(shape))
-        start += size
-    return arrays
+    return out.reshape(shape)
 
 
 class LexiconEntry:
     """A word, its type, its tensor spec and its tensor.
 
     ``spec`` is ``@conj``, ``@random(n)`` or ``@identity``, and None for
-    literal data.  A ``@conj`` entry is made with ``tensor=None`` and a
-    ``build`` function; its ``tensor`` is built on first access and kept.
+    literal data.  Each entry is made from a spec checked against its type
+    and a ``build`` function that ``tensor`` calls on first access, keeping
+    the result and dropping the function.  An allocation failing there is
+    a :class:`ParseError` naming the entry, its ``cells`` and ``line``.
     """
 
-    __slots__ = ("word", "type", "spec", "_tensor", "_build")
+    __slots__ = ("word", "type", "spec", "line", "cells", "_tensor",
+                 "_build")
 
-    def __init__(self, word: str, type: PregroupType, tensor: Tensor | None,
-                 spec: str | None, build=None):
+    def __init__(self, word: str, type: PregroupType, spec: str | None,
+                 line: int | None, cells: int, build):
         self.word, self.type, self.spec = word, type, spec
-        self._tensor, self._build = tensor, build
+        self.line, self.cells = line, cells
+        self._tensor, self._build = None, build
 
     @property
     def tensor(self) -> Tensor:
         if self._tensor is None:
-            self._tensor = self._build()
+            try:
+                self._tensor = self._build()
+            except (MemoryError, ValueError):
+                # numpy refuses an array past its size limit with a ValueError.
+                raise ParseError(f"entry {self.word!r}: its {self.cells} "
+                                 f"cells do not fit in memory",
+                                 self.line) from None
+            self._build = None
         return self._tensor
 
     @property
@@ -185,21 +173,31 @@ _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 def _literal_value_ok(value, semiring: Semiring) -> bool:
     """Real literals take finite numbers; boolean literals take 0 and 1."""
     if semiring is REAL:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        # False for NaN, the infinities and integers past the float range.
+        return (isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max)
     return value in (0, 1)
 
 
-def _too_big(word: str, cells: int, line: int) -> ParseError:
-    return ParseError(f"entry {word!r}: its {cells} cells do not fit in "
-                      f"memory", line)
-
-
-def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
+def _builder(word, ptype, wires, spec, spaces, semiring, line):
+    """Check ``spec`` against its entry's type; return the tensor's maker."""
+    m = _RANDOM.match(spec)
+    if m:
+        digits = m.group(1).lstrip("0") or "0"
+        seed = int(digits) if len(digits) <= 20 else _MASK + 1
+        if seed > _MASK:
+            raise ParseError(f"entry {word!r}: @random seed is not below "
+                             f"2**64", line)
+        return lambda: Tensor(wires, _random_array(
+            seed, [w.dim for w in wires], semiring), semiring, copy=False)
     if spec.startswith("["):
         try:
             data = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad literal for {word!r}: {exc.msg}", line)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, or past Python's integer-digit or nesting limit
+            msg = getattr(exc, "msg", "too many digits or too deeply nested")
+            raise ParseError(f"bad literal for {word!r}: {msg}", line)
+        size = math.prod(w.dim for w in wires)
         if not isinstance(data, list) or len(data) != size:
             raise DimMismatch(
                 f"entry {word!r}: literal of length "
@@ -211,30 +209,20 @@ def _realize(word, ptype, wires, size, spec, spaces, semiring, line):
                     f"entry {word!r}: literal value {value!r} is not "
                     f"{'a finite number' if semiring is REAL else '0 or 1'}",
                     line)
-        return LexiconEntry(word, ptype, Tensor(wires, data, semiring), None)
+        return lambda: Tensor(wires, data, semiring)
     if spec == "@conj":
         x = conjunct_type(ptype)
         if isinstance(x, int):
             raise ParseError(
                 f"entry {word!r}: @conj needs a type shaped x.r x x.l", line)
-
-        def build():
-            try:
-                return coordinator_tensor(x, spaces, semiring)
-            except MemoryError:
-                raise _too_big(word, size, line) from None
-        return LexiconEntry(word, ptype, None, spec, build)
+        return lambda: coordinator_tensor(x, spaces, semiring)
     if spec == "@identity":
         if len(ptype) != 2 or wires[0].dim != wires[1].dim:
             raise DimMismatch(
                 f"entry {word!r}: @identity needs a square order-2 type")
-        try:
-            eye = np.eye(wires[0].dim, dtype=semiring.dtype)
-        except ValueError:
-            # numpy refuses an array past its size limit with a ValueError.
-            raise _too_big(word, size, line) from None
-        return LexiconEntry(word, ptype, Tensor(wires, eye, semiring,
-                                                copy=False), spec)
+        return lambda: Tensor(wires, np.eye(wires[0].dim,
+                                            dtype=semiring.dtype),
+                              semiring, copy=False)
     raise ParseError(f"entry {word!r}: unrecognised tensor spec {spec!r}",
                      line)
 
@@ -273,8 +261,8 @@ def parse_lexicon(text: str) -> Lexicon:
 
     spaces = SpaceAssignment(dims)
     bases = set(dims)
-    typed = {}  # type text -> (type, wires, shape); each text parsed once
-    entries, randoms, seeds, shapes = {}, [], [], []
+    typed = {}  # type text -> (type, wires); each text parsed once
+    entries = {}
     for lineno, word, type_text, spec in raw_entries:
         if word in entries:
             raise ParseError(f"duplicate entry for {word!r}", lineno)
@@ -285,38 +273,12 @@ def parse_lexicon(text: str) -> Lexicon:
                 raise UndeclaredSymbol(word, exc.base, lineno) from None
             if not ptype:
                 raise ParseError(f"entry {word!r} has the empty type", lineno)
-            wires = spaces.wires(ptype)
-            typed[type_text] = ptype, wires, [w.dim for w in wires]
-        ptype, wires, shape = typed[type_text]
-        m = _RANDOM.match(spec)
-        if m:
-            digits = m.group(1).lstrip("0") or "0"
-            seed = int(digits) if len(digits) <= 20 else _MASK + 1
-            if seed > _MASK:
-                raise ParseError(f"entry {word!r}: @random seed is not below "
-                                 f"2**64", lineno)
-            randoms.append((lineno, word, ptype, wires, spec))
-            seeds.append(seed)
-            shapes.append(shape)
-            entries[word] = None  # keeps the file order; realised below
-            continue
-        cells = math.prod(shape)
-        try:
-            entries[word] = _realize(word, ptype, wires, cells, spec, spaces,
-                                     semiring, lineno)
-        except MemoryError:
-            raise _too_big(word, cells, lineno) from None
-    # Every @random entry is realised in one pass over one buffer.
-    try:
-        arrays = _random_arrays(seeds, shapes, semiring)
-    except (MemoryError, ValueError):
-        # numpy refuses a buffer past its size limit with a ValueError.
-        cells, (lineno, word, *_) = max(
-            (math.prod(shape), r) for shape, r in zip(shapes, randoms))
-        raise _too_big(word, cells, lineno) from None
-    for (_, word, ptype, wires, spec), data in zip(randoms, arrays):
-        entries[word] = LexiconEntry(word, ptype, Tensor(
-            wires, data, semiring, copy=False), spec)
+            typed[type_text] = ptype, spaces.wires(ptype)
+        ptype, wires = typed[type_text]
+        build = _builder(word, ptype, wires, spec, spaces, semiring, lineno)
+        entries[word] = LexiconEntry(
+            word, ptype, None if spec.startswith("[") else spec, lineno,
+            math.prod(w.dim for w in wires), build)
     return Lexicon(spaces, semiring, entries)
 
 
@@ -377,17 +339,13 @@ def generate_random_lexicon(grammar, spaces, seed: int,
     if not isinstance(spaces, SpaceAssignment):
         spaces = SpaceAssignment(dict(spaces))
     pairs = grammar.items() if isinstance(grammar, dict) else list(grammar)
-    typed, seeds, state = [], [], seed
+    entries, state = {}, seed
     for word, type_text in pairs:
         ptype = parse_type(type_text, bases=spaces.bases())
         wires = spaces.wires(ptype)
-        typed.append((word, ptype, wires))
+        cells = math.prod(w.dim for w in wires)
         # The entry's stream is the lexicon's, advanced past earlier cells.
-        seeds.append(state)
-        state = (state + math.prod(w.dim for w in wires) * _GAMMA_INT) & _MASK
-    arrays = _random_arrays(seeds, [[w.dim for w in wires]
-                                    for _, _, wires in typed], semiring)
-    return Lexicon(spaces, semiring, {
-        word: LexiconEntry(word, ptype, Tensor(wires, data, semiring,
-                                               copy=False), None)
-        for (word, ptype, wires), data in zip(typed, arrays)})
+        entries[word] = LexiconEntry(word, ptype, None, None, cells, _builder(
+            word, ptype, wires, f"@random({state})", spaces, semiring, None))
+        state = (state + cells * _GAMMA_INT) & _MASK
+    return Lexicon(spaces, semiring, entries)

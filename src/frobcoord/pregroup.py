@@ -68,6 +68,15 @@ class PregroupType:
 
     def __post_init__(self):
         object.__setattr__(self, "simples", tuple(self.simples))
+        # The dataclass hash, computed once: evaluation hashes every token.
+        object.__setattr__(self, "_hash", hash((self.simples,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, do not copy.
+        return PregroupType, (self.simples,)
 
     def __len__(self):
         return len(self.simples)

@@ -275,12 +275,28 @@ def test_eval_rejects_non_finite_literal(tmp_path):
 
 def test_identity_past_numpy_size_limit_is_a_parse_error(tmp_path):
     # np.eye refuses 10**10 rows with "array is too big", a ValueError.
+    # Only the first command that reads the tensor builds it.
     path = tmp_path / "huge.lex"
     path.write_text("#type n 10000000000\nw : n.r n = @identity\n",
                     encoding="utf-8")
-    proc = run("check", str(path), "w", "--target", "n.r n")
+    assert run("check", str(path), "w", "--target", "n.r n").returncode == 0
+    proc = run("eval", str(path), "w", "--target", "n.r n")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 2: entry 'w'")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("literal", [
+    "[" + "1" * 5000 + "]",   # past Python's integer digit limit
+    "[" + "1" * 400 + "]",    # past the float range
+    "[" * 100000,             # past the recursion limit
+], ids=["digits", "overflow", "nesting"])
+def test_unreadable_literal_is_a_parse_error(tmp_path, literal):
+    path = tmp_path / "literal.lex"
+    path.write_text(f"#type n 1\nw : n = {literal}\n", encoding="utf-8")
+    proc = run("check", str(path), "w", "--target", "n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2: ")
     assert "Traceback" not in proc.stderr
 
 
@@ -290,22 +306,32 @@ BIG_VP_LEX = ("#type n 32\n#type s 32\njohn : n = @random(1)\n"
               "and : s.r n.r.r n.r s s.l n = @conj\n")
 
 
-def test_lexicon_memory_error_is_a_parse_error(monkeypatch):
-    # No command builds the dense coordinator, so its MemoryError is met
-    # only by reading the entry's tensor; the realiser is made to fail
-    # here instead of allocating the cells.
+@pytest.mark.parametrize("word, line, cells, patch", [
+    ("likes", 6, 32 ** 3, "_random_array"),
+    ("is", 7, 32 ** 2, "eye"),
+    ("and", 5, 32 ** 6, "coordinator_tensor"),
+], ids=["random", "identity", "conj"])
+def test_lexicon_memory_error_is_a_parse_error(monkeypatch, word, line,
+                                               cells, patch):
+    # An entry is realised on first use, so its MemoryError is met by
+    # reading its tensor; the realiser is made to fail here instead of
+    # allocating the cells.
+    import numpy as np
+
     from frobcoord import errors, lexicon
 
-    def out_of_memory(*args):
+    def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(lexicon, "coordinator_tensor", out_of_memory)
-    lex = lexicon.parse_lexicon(BIG_VP_LEX)
+    monkeypatch.setattr(np if patch == "eye" else lexicon, patch,
+                        out_of_memory)
+    lex = lexicon.parse_lexicon(BIG_VP_LEX + "likes : n.r s n.l = @random(3)"
+                                "\nis : n.r n = @identity\n")
     with pytest.raises(errors.ParseError) as exc:
-        lex["and"].tensor
-    assert exc.value.line == 5
-    assert str(exc.value).startswith("line 5: entry 'and'")
-    assert str(32 ** 6) in str(exc.value)
+        lex[word].tensor
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: entry {word!r}")
+    assert f" {cells} cells" in str(exc.value)
 
 
 def refuse_dense_coordinator(monkeypatch):
@@ -379,8 +405,25 @@ def test_invalid_utf8_lexicon_is_a_parse_error(tmp_path):
         "eval-compare"])
 def test_commands_that_never_build_a_coordinator(lex_path, monkeypatch,
                                                  capsys, args):
-    from frobcoord import cli
+    # check and derive realise no entry; eval realises each word of its
+    # sentence once, and no coordinator.
+    from frobcoord import cli, lexicon
 
     refuse_dense_coordinator(monkeypatch)
+    realised = []
+    make_entry = lexicon.LexiconEntry.__init__
+
+    def recording(self, word, type, spec, line, cells, build):
+        def record():
+            assert args[0] == "eval", f"{args[0]} realised {word!r}"
+            realised.append(word)
+            return build()
+        make_entry(self, word, type, spec, line, cells, record)
+
+    monkeypatch.setattr(lexicon.LexiconEntry, "__init__", recording)
     assert cli.main([args[0], lex_path, *args[1:]]) == 0
     assert capsys.readouterr().out
+    if args[0] == "eval":
+        assert sorted(realised) == ["john", "sleeps", "snores"]
+    else:
+        assert realised == []

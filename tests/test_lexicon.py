@@ -216,7 +216,7 @@ def test_random_entries_match_reference_stream(semiring, seed):
 
 @pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_random_entries_of_mixed_sizes_share_one_realisation(semiring):
-    # Small entries pack into one block of counters around entries of a
+    # Entries smaller than a block of counters sit beside entries of a
     # block and of more than a block; every stream must stay its own.
     block = lexicon_module._BLOCK
     sizes = {"a": 1, "b": 2, "c": block, "d": 3, "e": block + 1, "f": 2}
@@ -237,11 +237,21 @@ def test_random_entries_of_mixed_sizes_share_one_realisation(semiring):
     ("#type n 1000000\n#type s 1000\n", "n.r s n.l"),  # 10**15 cells
     ("#type n 100000\n#type s 2\n", "n n n n")])      # past numpy's limit
 def test_random_entry_too_big_for_memory_is_a_parse_error(dims, type_text):
+    lex = parse_lexicon(f"{dims}a : n = @random(1)\n"
+                        f"w : {type_text} = @random(2)\n")
     with pytest.raises(errors.ParseError) as exc:
-        parse_lexicon(f"{dims}a : n = @random(1)\n"
-                      f"w : {type_text} = @random(2)\n")
+        lex["w"].tensor
     assert exc.value.line == 4
     assert str(exc.value).startswith("line 4: entry 'w'")
+
+
+def test_generated_entry_too_big_for_memory_is_an_error_without_a_line():
+    lex = generate_random_lexicon({"w": "n n n n"}, {"n": 100000}, seed=1)
+    with pytest.raises(errors.ParseError) as exc:
+        lex["w"].tensor
+    assert exc.value.line is None
+    assert str(exc.value) == f"entry 'w': its {10 ** 20} cells do not fit " \
+                             f"in memory"
 
 
 @pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])

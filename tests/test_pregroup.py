@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import numpy as np
@@ -59,6 +62,22 @@ def test_type_adjoints_reverse_and_cancel(pairs):
 def test_type_string_round_trip():
     for text in ("n", "n.r s n.l", "s.r n.r.r n.r s s.l n", "n.l.l"):
         assert str(parse_type(text)) == text
+
+
+def test_unpickled_type_hashes_as_in_its_new_process():
+    # The dict is pickled and read back under different string hashes;
+    # a hash carried in the pickle would hide the key from the lookup.
+    def child(seed, code, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        return subprocess.run([sys.executable, "-c", code], input=data,
+                              capture_output=True, check=True, env=env,
+                              timeout=60).stdout
+    load = "from frobcoord.pregroup import parse_type; import pickle, sys; "
+    data = child(1, load + "sys.stdout.buffer.write(pickle.dumps("
+                 "{parse_type('s.r n.r.r n.r s s.l n'): 1}))")
+    found = child(2, load + "print(pickle.loads(sys.stdin.buffer.read())"
+                  "[parse_type('s.r n.r.r n.r s s.l n')])", data)
+    assert found.strip() == b"1"
 
 
 def test_reduce_fixtures():
