@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Commands: ``check`` (grammaticality + link listing), ``derive`` (canonical
-derivation with an ASCII cup diagram), ``eval`` (meaning tensor, explicit
-or closed-form mode, optional mode comparison), ``selftest`` (the
-randomized verification suites).  Exit codes: 0 success, 1 semantic
-failure (ungrammatical input or a failing suite), 2 environmental failure
-(I/O, lexicon or lookup errors).
+Commands: ``check`` (grammaticality + link listing, ``--ascii-diagram``
+adds a cup diagram), ``derive`` (``check --ascii-diagram`` with a blank
+line between derivations), ``eval`` (meaning tensor, explicit or
+closed-form mode, optional mode comparison), ``selftest`` (the randomized
+verification suites).  Exit codes: 0 success, 1 semantic failure
+(ungrammatical input or a failing suite), 2 environmental failure (I/O,
+lexicon or lookup errors); only :func:`main` maps errors to them.
 """
 
 from __future__ import annotations
@@ -17,21 +18,12 @@ import sys
 
 import numpy as np
 
-from .errors import FrobcoordError, UngrammaticalSentence, UnknownWord
+from .errors import FrobcoordError, UngrammaticalSentence
 from .evaluator import evaluate_sentence
 from .lexicon import load_lexicon
 from .pregroup import enumerate_reductions, parse_type, reduce
 from .selftest import run_selftest
 from .semiring import REAL
-
-
-def _lexicon_types(lexicon, words):
-    types = []
-    for word in words:
-        if word not in lexicon:
-            raise UnknownWord(f"{word!r} is not in the lexicon")
-        types.append(lexicon[word].type)
-    return types
 
 
 def _format_links(derivation) -> str:
@@ -89,39 +81,24 @@ def _diagram(words, derivation) -> str:
     return "\n".join(lines)
 
 
-def _derivations_for(args, lexicon):
-    types = _lexicon_types(lexicon, args.words)
-    target = parse_type(args.target, lexicon.spaces.bases())
-    if getattr(args, "all", False):
-        return enumerate_reductions(types, target, args.cap)
-    derivation = reduce(types, target)
-    return [] if derivation is None else [derivation]
-
-
 def cmd_check(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    derivations = _derivations_for(args, lexicon)
-    if not derivations:
-        print("ungrammatical")
-        return 1
-    for derivation in derivations:
-        print(_format_links(derivation))
-        if args.ascii_diagram:
-            print(_diagram(args.words, derivation))
-    return 0
-
-
-def cmd_derive(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    derivations = _derivations_for(args, lexicon)
+    types = [entry.type for entry in lexicon.row(args.words)]
+    target = parse_type(args.target, lexicon.spaces.bases())
+    if args.all:
+        derivations = enumerate_reductions(types, target, args.cap)
+    else:
+        derivation = reduce(types, target)
+        derivations = [] if derivation is None else [derivation]
     if not derivations:
         print("ungrammatical")
         return 1
     for k, derivation in enumerate(derivations):
-        if k:
+        if k and args.command == "derive":
             print()
         print(_format_links(derivation))
-        print(_diagram(args.words, derivation))
+        if args.ascii_diagram:
+            print(_diagram(args.words, derivation))
     return 0
 
 
@@ -146,26 +123,20 @@ def _print_tensor(tensor, fmt):
 
 def cmd_eval(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    try:
-        if args.compare:
-            explicit = evaluate_sentence(args.words, lexicon, args.target,
-                                         mode="explicit")
-            closed = evaluate_sentence(args.words, lexicon, args.target,
-                                       mode="closed-form")
-            if explicit.semiring is REAL:
-                diff = float(np.max(np.abs(explicit.array - closed.array))) \
-                    if explicit.array.size else 0.0
-            else:
-                diff = int(np.count_nonzero(
-                    explicit.array != closed.array))
-            print(f"max-abs-diff {diff:.6g}")
-            return 0
-        result = evaluate_sentence(args.words, lexicon, args.target,
-                                   mode=args.mode)
-    except UngrammaticalSentence as exc:
-        print(f"ungrammatical: {exc}", file=sys.stderr)
-        return 1
-    _print_tensor(result, args.format)
+    if args.compare:
+        explicit = evaluate_sentence(args.words, lexicon, args.target,
+                                     mode="explicit")
+        closed = evaluate_sentence(args.words, lexicon, args.target,
+                                   mode="closed-form")
+        if explicit.semiring is REAL:
+            diff = float(np.max(np.abs(explicit.array - closed.array))) \
+                if explicit.array.size else 0.0
+        else:
+            diff = int(np.count_nonzero(explicit.array != closed.array))
+        print(f"max-abs-diff {diff:.6g}")
+        return 0
+    _print_tensor(evaluate_sentence(args.words, lexicon, args.target,
+                                    mode=args.mode), args.format)
     return 0
 
 
@@ -214,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
                     "semantics with coordinator tensors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sentence_command(name, func, help_text):
+    def sentence_command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("lexicon", help="path to a lexicon file")
         p.add_argument("words", nargs="+", metavar="word")
@@ -224,15 +195,14 @@ def _parser() -> argparse.ArgumentParser:
                        help="list every derivation, not just the canonical")
         p.add_argument("--cap", type=_positive_int, default=1000,
                        help="derivation cap for --all")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_check)
         return p
 
-    p_check = sentence_command("check", cmd_check,
-                               "check grammaticality and print links")
-    p_check.add_argument("--ascii-diagram", action="store_true",
-                         help="draw cups as nested brackets")
-    sentence_command("derive", cmd_derive,
-                     "print derivations with cup diagrams")
+    sentence_command("check", "check grammaticality and print links"
+                     ).add_argument("--ascii-diagram", action="store_true",
+                                    help="draw cups as nested brackets")
+    sentence_command("derive", "print derivations with cup diagrams"
+                     ).set_defaults(ascii_diagram=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a sentence meaning")
     p_eval.add_argument("lexicon")

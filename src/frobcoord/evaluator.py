@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (DimMismatch, MissingSpace, OutOfMemory,
-                     SemiringMismatch, UngrammaticalSentence, UnknownWord,
+                     SemiringMismatch, UngrammaticalSentence,
                      WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
@@ -147,7 +147,7 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
                 dim = expected[legs[1]].dim
                 try:
                     arr = _copy_array(dim, semiring)
-                except MemoryError:
+                except (MemoryError, ValueError):  # past numpy's limit
                     raise OutOfMemory(f"token {tok}: a copy spider of "
                                       f"{dim ** 3} cells does not fit in "
                                       f"memory") from None
@@ -361,23 +361,12 @@ def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:
     on every well-typed sentence.  Neither mode reads a coordinator's
     dense ``entry.tensor``, so neither builds it.
     """
-    spaces = lexicon.spaces
-    bases = spaces.bases()
-    words, types, tensors = [], [], []
-    for token in tokens:
-        word, declared = (token, None) if isinstance(token, str) else token
-        if word not in lexicon:
-            raise UnknownWord(f"{word!r} is not in the lexicon")
-        entry = lexicon[word]
-        if declared is not None:
-            if parse_type(declared, bases) != entry.type:
-                raise WireTypeMismatch(len(words), 0, entry.type, declared)
-        words.append(word)
-        types.append(entry.type)
-        tensors.append(None if entry.is_coordinator else entry.tensor)
-    target_type = parse_type(target, bases) if isinstance(target, str) \
-        else target
-    return _row_meaning(types, tensors, target_type, spaces, lexicon.semiring,
-                        mode, lambda: UngrammaticalSentence(
-                            f"{' '.join(words)!r} does not reduce to "
-                            f"{target_type}"))
+    row = lexicon.row(tokens)
+    tensors = [None if e.is_coordinator else e.tensor for e in row]
+    target_type = parse_type(target, lexicon.spaces.bases()) \
+        if isinstance(target, str) else target
+    return _row_meaning([e.type for e in row], tensors, target_type,
+                        lexicon.spaces, lexicon.semiring, mode,
+                        lambda: UngrammaticalSentence(
+                            f"{' '.join(e.word for e in row)!r} does not "
+                            f"reduce to {target_type}"))

@@ -13,8 +13,9 @@ are directives, blank lines are ignored, everything else is an entry
     is : n.r n = @identity
 
 Tensor specs are a bracketed literal (row-major, length must equal the
-product of the wire dimensions, finite numbers only, and only 0 or 1 for
-the boolean semiring), ``@conj`` (the coordinator for a type shaped
+product of the wire dimensions, finite numbers only, and only the
+integers 0 or 1 for the boolean semiring; ``true`` and ``false`` are not
+numbers), ``@conj`` (the coordinator for a type shaped
 ``x.r x x.l``; evaluation in either mode works from the copy spiders of
 ``x``'s factors, so no command reads its dense ``tensor``),
 ``@random(seed)`` (a splitmix64 stream with a seed below 2**64, mapped to
@@ -26,6 +27,9 @@ allocates no tensor: each entry's tensor is built on first access to it
 (see :class:`LexiconEntry`), so a tensor too large for memory is a
 :class:`ParseError` at its first use.  Real entries are saved with 17
 significant digits, so save/load round-trips exactly.
+
+:meth:`Lexicon.row` is the one word lookup from a sentence to its entries:
+it raises :class:`UnknownWord` and realises no tensor.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .coordination import coordinator_tensor
 from .errors import (DimMismatch, ParseError, UndeclaredSymbol,
-                     UnknownBaseSymbol)
+                     UnknownBaseSymbol, UnknownWord, WireTypeMismatch)
 from .evaluator import SpaceAssignment
 from .pregroup import PregroupType, conjunct_type, parse_type
 from .semiring import BY_NAME, REAL, Semiring
@@ -164,6 +168,22 @@ class Lexicon:
     def words(self):
         return list(self.entries)
 
+    def row(self, tokens) -> list[LexiconEntry]:
+        """The entries of a sentence's tokens: words, or ``(word,
+        type-string)`` pairs checked against the word's type."""
+        row = []
+        for token in tokens:
+            word, declared = (token, None) if isinstance(token, str) \
+                else token
+            entry = self.entries.get(word)
+            if entry is None:
+                raise UnknownWord(f"{word!r} is not in the lexicon")
+            if declared is not None and \
+                    parse_type(declared, self.spaces.bases()) != entry.type:
+                raise WireTypeMismatch(len(row), 0, entry.type, declared)
+            row.append(entry)
+        return row
+
 
 # Matched against stripped lines.
 _ENTRY = re.compile(r"(\S+)\s*:\s*(.*?)\s*=\s*(.*)")
@@ -171,12 +191,13 @@ _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 
 
 def _literal_value_ok(value, semiring: Semiring) -> bool:
-    """Real literals take finite numbers; boolean literals take 0 and 1."""
+    """Real literals take finite numbers; boolean literals take the
+    integers 0 and 1.  JSON ``true`` and ``false`` are neither."""
     if semiring is REAL:
         # False for NaN, the infinities and integers past the float range.
-        return (isinstance(value, (int, float))
+        return (type(value) in (int, float)
                 and abs(value) <= sys.float_info.max)
-    return value in (0, 1)
+    return type(value) is int and value in (0, 1)
 
 
 def _builder(word, ptype, wires, spec, spaces, semiring, line):

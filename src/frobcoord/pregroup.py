@@ -107,7 +107,7 @@ class PregroupType:
         return " ".join(str(s) for s in self.simples) if self.simples else "1"
 
 
-_SIMPLE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\.[lr])*)$")
+_TOKEN = re.compile(r"\S+")
 
 
 def parse_type(text: str, bases=None) -> PregroupType:
@@ -115,31 +115,19 @@ def parse_type(text: str, bases=None) -> PregroupType:
 
     ``bases``, when given, is the set of declared base symbols; anything
     else raises :class:`UnknownBaseSymbol`.  Malformed tokens raise
-    :class:`TypeSyntaxError` carrying the character position.
+    :class:`TypeSyntaxError`.  Tokens are checked left to right, so the
+    error, with its character position, is that of the first bad token.
     """
     simples = []
-    for token in text.split():
-        base, *marks = token.split(".")
+    for token in _TOKEN.finditer(text):
+        base, *marks = token.group().split(".")
         r, l = marks.count("r"), marks.count("l")
-        if not (r + l == len(marks) and base.isascii() and base.isidentifier()
-                and (bases is None or base in bases)):
-            break
-        simples.append(SimpleType(base, r - l))
-    else:
-        return PregroupType(tuple(simples))
-    # Only a malformed or undeclared token gets here; this scan reports
-    # its position.
-    simples = []
-    for token in re.finditer(r"\S+", text):
-        m = _SIMPLE.match(token.group())
-        if m is None or m.end() != len(token.group()):
+        if r + l != len(marks) or not (base.isascii() and base.isidentifier()):
             raise TypeSyntaxError(f"bad simple type {token.group()!r}",
                                   token.start())
-        base, marks = m.group(1), m.group(2)
         if bases is not None and base not in bases:
             raise UnknownBaseSymbol(base, token.start())
-        z = marks.count(".r") - marks.count(".l")
-        simples.append(SimpleType(base, z))
+        simples.append(SimpleType(base, r - l))
     return PregroupType(tuple(simples))
 
 

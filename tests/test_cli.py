@@ -97,6 +97,20 @@ def test_derive_prints_diagram(lex_path):
     assert "─" in proc.stdout
 
 
+def test_derive_is_check_with_diagrams_and_blank_lines(lex_path):
+    words = ["john", "sleeps", "and", "snores", "and", "sleeps"]
+    check = run("check", lex_path, *words, "--all", "--ascii-diagram")
+    derive = run("derive", lex_path, *words, "--all")
+    assert check.returncode == derive.returncode == 0
+    blocks = []  # one per derivation; each starts at its links line
+    for line in check.stdout.splitlines():
+        if line.startswith("("):
+            blocks.append([])
+        blocks[-1].append(line)
+    assert len(blocks) > 1
+    assert derive.stdout == "\n\n".join("\n".join(b) for b in blocks) + "\n"
+
+
 def test_eval_plain_has_expected_width(lex_path):
     proc = run("eval", lex_path, "john", "sleeps")
     assert proc.returncode == 0
@@ -370,6 +384,23 @@ def test_spider_memory_error_is_an_error_exit(lex_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: token 2: a copy spider of 8 cells")
+
+
+def test_spider_past_numpy_size_limit_is_an_error_exit(tmp_path):
+    # A copy spider on a wire of dimension 1.1e6 has 1.3e18 cells, which
+    # numpy refuses with a ValueError; closed form builds no spider.
+    path = tmp_path / "wide.lex"
+    path.write_text("#type n 1100000\n#type s 1\njohn : n = @random(1)\n"
+                    "sleeps : n.r s = @random(2)\n"
+                    "snores : n.r s = @random(3)\n"
+                    "and : s.r n.r.r n.r s s.l n = @conj\n", encoding="utf-8")
+    words = [str(path), "john", "sleeps", "and", "snores"]
+    for mode in (["--mode", "explicit"], ["--compare"]):
+        proc = run("eval", *words, *mode)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: token 2: a copy spider of")
+        assert "Traceback" not in proc.stderr
+    assert run("eval", *words, "--mode", "closed-form").returncode == 0
 
 
 @pytest.mark.parametrize("line", ["#type n \u0663", "#type n 2\n"

@@ -85,7 +85,8 @@ def test_parse_errors_carry_line_numbers():
 
 
 @pytest.mark.parametrize("literal", ["[NaN, 1]", "[1, Infinity]",
-                                     "[-Infinity, 1]", "[1e400, 1]"])
+                                     "[-Infinity, 1]", "[1e400, 1]",
+                                     "[true, 1]"])
 def test_non_finite_real_literal_rejected(literal):
     with pytest.raises(errors.ParseError) as exc:
         parse_lexicon(f"#type n 2\n\nbad : n = {literal}\n")
@@ -94,7 +95,7 @@ def test_non_finite_real_literal_rejected(literal):
 
 
 @pytest.mark.parametrize("literal", ["[0.3, 1]", "[2, 0]", "[1, -1]",
-                                     "[NaN, 0]"])
+                                     "[NaN, 0]", "[true, 0]", "[1.0, 0]"])
 def test_boolean_literal_must_be_zero_or_one(literal):
     with pytest.raises(errors.ParseError) as exc:
         parse_lexicon(f"#semiring bool\n#type n 2\nbad : n = {literal}\n")

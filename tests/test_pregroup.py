@@ -37,6 +37,22 @@ def test_parse_errors():
     with pytest.raises(errors.UnknownBaseSymbol) as exc:
         parse_type("n q.r", bases={"n", "s"})
     assert exc.value.base == "q"
+    # Tokens are checked left to right: the first bad token is reported,
+    # whichever of the two errors it is.
+    with pytest.raises(errors.UnknownBaseSymbol) as exc:
+        parse_type("x n.q", bases={"n"})
+    assert (exc.value.base, exc.value.position) == ("x", 0)
+    with pytest.raises(errors.TypeSyntaxError) as exc:
+        parse_type("n.q x")
+    assert exc.value.position == 0
+    with pytest.raises(errors.TypeSyntaxError) as exc:
+        parse_type("n  s..r")
+    assert exc.value.position == 3
+    with pytest.raises(errors.TypeSyntaxError) as exc:
+        parse_type("n\u00e9")
+    assert exc.value.position == 0
+    # A no-break space separates tokens like any other whitespace.
+    assert parse_type("n\u00a0s.r") == parse_type("n s.r")
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=3),
