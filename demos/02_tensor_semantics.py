@@ -28,16 +28,18 @@ meaning = contract(both, 0, 1, typed=True)
 print("\njohn sleeps =", meaning.array)
 assert np.allclose(meaning.array, john.array @ sleep.array)
 
-# The evaluator automates this: the derivation's links become network
-# edges and the residual becomes the open wires of the result.
+# The evaluator automates this: every wire of the network gets an integer
+# label, the two ends of a link share one, and the residual becomes the open
+# wires of the result.
 tokens = [parse_type("n"), parse_type("n.r s")]
 derivation = reduce(tokens, parse_type("s"))
 network = build_network(derivation, [john, sleep], spaces)
-print("network edges:", network.edges, "open:", network.open_wires)
+print("network indices:", network.indices, "open:", network.open_wires)
 print("evaluated:    ", evaluate(network).array)
 
-# The result never depends on the order edges are contracted in; with a
-# transitive verb there are two cups and either may go first.
+# The result never depends on how the labels are numbered, which also
+# decides the contraction order; with a transitive verb there are two cups
+# and either may go first.
 likes = Tensor(spaces.wires(parse_type("n.r s n.l")),
                np.arange(12, dtype=float).reshape(2, 3, 2) / 10)
 musicals = Tensor(spaces.wires(parse_type("n")), [0.0, 1.0])
@@ -45,7 +47,8 @@ tokens = [parse_type("n"), parse_type("n.r s n.l"), parse_type("n")]
 derivation = reduce(tokens, parse_type("s"))
 net = build_network(derivation, [john, likes, musicals], spaces)
 forward = evaluate(net)
-net.edges.reverse()
+top = max(max(labs) for labs in net.indices)
+net.indices = [[top - l for l in labs] for labs in net.indices]
 backward = evaluate(net)
 assert forward.isclose(backward)
-print("\njohn likes musicals =", forward.array, "(edge-order independent)")
+print("\njohn likes musicals =", forward.array, "(label-order independent)")

@@ -47,8 +47,6 @@ def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
 def coordinate_closed_form(a: Tensor, b: Tensor) -> Tensor:
     """The compact form of coordination: the entry-wise merge of the
     conjunct meanings."""
-    if a.wires != b.wires:
-        raise ShapeMismatch(f"conjuncts {a!r} and {b!r} differ in shape")
     return frobenius_mu(a, b)
 
 

@@ -8,10 +8,10 @@ conjunct type.  ``explicit`` mode makes each spider a node (``k * d**3``
 cells where the dense coordinator has ``d**(3k)``); ``closed-form`` makes
 none and identifies the wires at the spider's legs, which merges the
 conjuncts entry-wise.  The two modes agree on every well-typed sentence.
-:func:`evaluate` contracts the network; the result does not depend on the
-edge order.  An edge identifies two wires and a wire may sit in several
-edges, so each class of identified wires is one index, a copy spider: it
-is summed out unless the class holds an open wire.
+A network gives each wire of each node one integer label, einsum's sublist
+form: wires with one label share one index, a copy spider, which
+:func:`evaluate` sums out unless an open wire holds it.  The result does
+not depend on how the labels are numbered.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (DimMismatch, MissingSpace, OutOfMemory,
-                     SemiringMismatch, UngrammaticalSentence,
+                     SemiringMismatch, ShapeMismatch, UngrammaticalSentence,
                      WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
@@ -72,17 +72,17 @@ class SpaceAssignment:
 
 @dataclass
 class TensorNetwork:
-    """Word tensors plus contraction edges and the surviving open wires.
+    """Word tensors, an index label per wire and the surviving open wires.
 
-    Edges are ``((node, wire), (node, wire))`` pairs.  An edge identifies
-    its two wires, and a wire may take part in several edges; each class of
-    identified wires is one index, summed out unless the class holds an
-    open wire.  ``open_wires`` fixes the wire order of the evaluation
-    result; open wires of one class carry copies of the same index.
+    ``indices[n]`` gives one integer label per wire of ``nodes[n]``; wires
+    with one label share one index, summed out unless an open wire holds
+    it.  ``open_wires`` are ``(node, wire)`` pairs and fix the wire order
+    of the evaluation result; open wires with one label carry copies of
+    the same index.
     """
 
     nodes: list[Tensor]
-    edges: list[tuple[tuple[int, int], tuple[int, int]]]
+    indices: list[list[int]]
     open_wires: list[tuple[int, int]]
 
     @property
@@ -107,17 +107,19 @@ def _copy_array(dim: int, semiring: Semiring) -> np.ndarray:
 def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
                   semiring: Semiring = None,
                   mode: str = "explicit") -> TensorNetwork:
-    """Mirror a derivation's links as contraction edges over word tensors.
+    """Label the wires of word tensors by the derivation's links.
 
     Every tensor is checked wire by wire against its token's type under
     ``spaces``; mixed semirings are rejected.  ``semiring`` is the carrier,
     by default that of the first tensor.  A None tensor is a coordinator of
     type ``x.r x x.l``, one copy spider per factor of ``x`` at
     :func:`coordinator_legs`: a node in ``explicit`` mode, its legs' wires
-    joined into one class in ``closed-form``.  Each class of joined wires
-    becomes edges from its first word wire to the others, or the all-ones
-    vector if it holds none.  In closed form an open wire may differ from
-    its residual type in adjoint order.
+    joined into one class in ``closed-form``.  The classes of joined wires
+    are labelled 0, 1, ... in the order of their first node wire along the
+    row; then each class that holds none gets the next label and an
+    all-ones vector.  Each open wire is the first node wire of its class.
+    In closed form an open wire may differ from its residual type in
+    adjoint order.
     """
     if mode not in ("explicit", "closed-form"):
         raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
@@ -175,19 +177,21 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     for i, j in joined:
         parent[_root(parent, j)] = _root(parent, i)
     root = [_root(parent, f) for f in range(len(flat))]
-    classes = {}  # class root -> its word wires; classes, wires in flat order
+    # first: class root -> (label, first node wire), classes in row order
+    indices, first = [[None] * t.order for t in nodes], {}
     for f, wire in enumerate(wire_at):
         if wire is not None:
-            classes.setdefault(root[f], []).append(wire)
-    edges = [(wires[0], w) for wires in classes.values() for w in wires[1:]]
+            first.setdefault(root[f], (len(first), wire))
+            indices[wire[0]][wire[1]] = first[root[f]][0]
     for f, s in enumerate(flat):
-        if root[f] not in classes:
+        if root[f] not in first:
             # Spiders joined only to each other fuse into the all-ones vector.
-            classes[root[f]] = [(len(nodes), 0)]
+            first[root[f]] = (len(first), (len(nodes), 0))
+            indices.append([len(first) - 1])
             nodes.append(frobenius_zeta(s.base, spaces.dim(s.base), s.z,
                                         semiring))
-    return TensorNetwork(nodes, edges, [classes[root[r]][0]
-                                        for r in derivation.residual])
+    return TensorNetwork(nodes, indices, [first[root[r]][1]
+                                          for r in derivation.residual])
 
 
 def _root(parent: list, x: int) -> int:
@@ -198,58 +202,48 @@ def _root(parent: list, x: int) -> int:
 
 
 def evaluate(network: TensorNetwork) -> Tensor:
-    """Contract all edges and return the tensor on the open wires.
+    """Contract the network and return the tensor on the open wires.
 
-    Each class of wires identified by edges is one index.  Contraction runs
-    in cost order: each step merges the pair of components sharing an
-    index whose merged tensor has the fewest cells (ties go to the pair
-    whose shared index first appears in the edge list, then to the pair of
-    lowest-numbered components).  A shared index is
-    summed out unless its class holds an open wire or a wire in a third
-    component; such an index is kept as a batch axis.  A step without batch
-    axes is one semiring matrix product, so vectors are absorbed before
-    large tensors meet.  Scalar results come back as 0-wire tensors.
+    Wires with one label are one index, and one label has one dimension.
+    Contraction runs in cost order: each step merges the pair of components
+    sharing an index whose merged tensor has the fewest cells (ties go to
+    the lowest shared label, then to the lowest pair; the component holding
+    that label's lowest-numbered node survives).  A shared index is summed
+    out unless an open wire or a third component holds it; such an index
+    is kept as a batch axis.  A step without batch axes is one semiring
+    matrix product, so vectors are absorbed before large tensors meet.
+    Scalar results come back as 0-wire tensors.
     """
     sr, nodes = network.semiring, network.nodes
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
-    # Wires in edges are numbered in order of first appearance, and a
-    # class's label is the lowest number among its wires.  A wire in no
-    # edge is a class of its own, labelled by the wire itself.
-    number, parent = {}, []
-    find = lambda x: _root(parent, x)
-    for a, b in network.edges:
-        if nodes[a[0]].wires[a[1]].dim != nodes[b[0]].wires[b[1]].dim:
-            raise DimMismatch(f"edge {(a, b)} joins unequal dims")
-        for w in (a, b):
-            if w not in number:
-                number[w] = len(parent)
-                parent.append(len(parent))
-        ra, rb = find(number[a]), find(number[b])
-        parent[max(ra, rb)] = min(ra, rb)
-    wire_at, label = list(number), {w: find(i) for w, i in number.items()}
-    holders = {l: set() for l, p in enumerate(parent) if l == p}
-    dim, arrays, labels = {}, {}, {}
-    for n, t in enumerate(nodes):
+    orders = [t.order for t in nodes]
+    counts = [len(labs) for labs in network.indices]
+    if counts != orders:
+        raise ShapeMismatch(f"label counts {counts} differ from node orders "
+                            f"{orders}")
+    dim, holders, arrays, labels = {}, {}, {}, {}
+    for n, (t, labs) in enumerate(zip(nodes, network.indices)):
         arr = t.array
-        labs = [label.get((n, w), (n, w)) for w in range(arr.ndim)]
-        dim.update(zip(labs, arr.shape))
+        for l, d in zip(labs, arr.shape):
+            if dim.setdefault(l, d) != d:
+                raise DimMismatch(f"label {l} joins unequal dims")
+            holders.setdefault(l, set()).add(n)
         if len(set(labs)) < len(labs):
-            # Wires of one node in one class keep only their diagonal.
+            # Wires of one node with one label keep only their diagonal.
             uniq = list(dict.fromkeys(labs))
             arr = np.einsum(arr, [uniq.index(l) for l in labs],
                             list(range(len(uniq))))
             labs = uniq
         arrays[n], labels[n] = arr, labs
-        for l in labs:
-            if l in holders:
-                holders[l].add(n)
-    out = [label.get(w, w) for w in network.open_wires]
-    open_labels = set(out)
-    if not open_labels <= dim.keys():
+    if not all(0 <= n < len(nodes) and 0 <= w < orders[n]
+               for n, w in network.open_wires):
         raise DimMismatch(f"open wires {network.open_wires} name a wire "
                           f"outside the network")
-    holders = {l: c for l, c in holders.items() if len(c) > 1}
+    out = [network.indices[n][w] for n, w in network.open_wires]
+    open_labels = set(out)
+    holders = {l: holders[l] for l in sorted(holders) if len(holders[l]) > 1}
+    owner = {l: min(c) for l, c in holders.items()}
     comp = list(range(len(nodes)))  # union-find; a root names a component
     cells = lambda labs: math.prod(dim[l] for l in labs)
     kept = lambda l: l in open_labels or len(holders[l]) > 2
@@ -276,7 +270,7 @@ def evaluate(network: TensorNetwork) -> Tensor:
         del keys[pair]
         shared = shares[pair]
         ca, cb = pair
-        if _root(comp, wire_at[first][0]) != ca:
+        if _root(comp, owner[first]) != ca:
             ca, cb = cb, ca
         la, lb = labels[ca], labels.pop(cb)
         batch = [l for l in shared if kept(l)]

@@ -30,6 +30,7 @@ True
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -175,17 +176,15 @@ class Derivation:
     """A witness of grammaticality: contraction links over a token row.
 
     ``links`` pair flattened simple-type indices ``(i, j)``, ``i < j``;
-    ``residual`` lists the surviving indices left to right.
+    the unlinked indices, left to right, are the :attr:`residual`.
     """
 
     token_types: tuple[PregroupType, ...]
     links: frozenset[tuple[int, int]]
-    residual: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "token_types", tuple(self.token_types))
         object.__setattr__(self, "links", frozenset(self.links))
-        object.__setattr__(self, "residual", tuple(self.residual))
         self.validate()
 
     @cached_property
@@ -200,12 +199,18 @@ class Derivation:
             acc += len(t)
         return tuple(out)
 
+    @cached_property
+    def residual(self) -> tuple[int, ...]:
+        linked = {i for pair in self.links for i in pair}
+        return tuple(p for p in range(len(self.flattened))
+                     if p not in linked)
+
     def token_wire(self, flat_index: int) -> tuple[int, int]:
         """Map a flattened index to ``(token, wire-within-token)``."""
-        for tok in range(len(self.token_types) - 1, -1, -1):
-            if self.offsets[tok] <= flat_index:
-                return tok, flat_index - self.offsets[tok]
-        raise IndexError(flat_index)
+        if not 0 <= flat_index < len(self.flattened):
+            raise IndexError(flat_index)
+        tok = bisect_right(self.offsets, flat_index) - 1
+        return tok, flat_index - self.offsets[tok]
 
     def residual_type(self) -> PregroupType:
         flat = self.flattened
@@ -231,10 +236,6 @@ class Derivation:
             if a.base != b.base or b.z != a.z + 1:
                 raise InvalidDerivation(
                     f"link ({i}, {j}) pairs {a} with {b}")
-        expected = tuple(p for p in range(n) if partner[p] is None)
-        if self.residual != expected:
-            raise InvalidDerivation(
-                f"residual {self.residual} != unlinked indices {expected}")
         opened = []
         for p, q in enumerate(partner):
             if q is None:
@@ -336,13 +337,6 @@ def _derivations(flat, target):
             frames.append(child)
 
 
-def _as_derivation(token_types, link_list) -> Derivation:
-    linked = {i for pair in link_list for i in pair}
-    n = sum(len(t) for t in token_types)
-    residual = tuple(p for p in range(n) if p not in linked)
-    return Derivation(tuple(token_types), frozenset(link_list), residual)
-
-
 def reduce(tokens, target: PregroupType):
     """The canonical derivation reducing ``tokens`` to ``target``, or None.
 
@@ -362,7 +356,7 @@ def reduce(tokens, target: PregroupType):
         raise EmptyType("cannot reduce an empty token sequence")
     flat = tuple(s for t in tokens for s in t)
     for link_list in _derivations(flat, target):
-        return _as_derivation(tokens, link_list)
+        return Derivation(tokens, link_list)
     return None
 
 
@@ -382,5 +376,5 @@ def enumerate_reductions(tokens, target: PregroupType, cap: int):
     if not tokens:
         raise EmptyType("cannot reduce an empty token sequence")
     flat = tuple(s for t in tokens for s in t)
-    return [_as_derivation(tokens, link_list)
+    return [Derivation(tokens, link_list)
             for link_list in islice(_derivations(flat, target), cap)]

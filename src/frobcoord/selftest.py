@@ -91,18 +91,13 @@ def suite_frobenius(rng, dims, trials, mu):
                         ctx("copy-then-delete"))
                 # The two-sided condition, evaluated as tensor networks.
                 spider = _spider(d, sr)
+                nodes = [u, v, spider, spider]
                 left = evaluate(TensorNetwork(
-                    [u, v, spider, spider],
-                    [((1, 0), (3, 0)), ((3, 1), (2, 0)), ((0, 0), (2, 1))],
-                    [(2, 2), (3, 2)]))
+                    nodes, [[0], [1], [2, 0, 3], [1, 2, 4]], [(2, 2), (3, 2)]))
                 middle = evaluate(TensorNetwork(
-                    [u, v, spider, spider],
-                    [((0, 0), (2, 0)), ((1, 0), (2, 1)), ((2, 2), (3, 0))],
-                    [(3, 1), (3, 2)]))
+                    nodes, [[0], [1], [0, 1, 2], [2, 3, 4]], [(3, 1), (3, 2)]))
                 right = evaluate(TensorNetwork(
-                    [u, v, spider, spider],
-                    [((0, 0), (3, 0)), ((3, 1), (2, 0)), ((1, 0), (2, 2))],
-                    [(3, 2), (2, 1)]))
+                    nodes, [[0], [1], [2, 3, 1], [0, 2, 4]], [(3, 2), (2, 1)]))
                 direct = np.zeros((d, d), dtype=sr.dtype)
                 np.fill_diagonal(direct, sr.mul(u.array, v.array))
                 good = (sr.allclose(left.array, direct)
@@ -174,11 +169,11 @@ def suite_contraction_order(rng, dims, trials):
             derivation = reduce([x, coordinator_type(x), x], x)
             net = build_network(derivation, [x1, conj, x2], spaces)
             base = evaluate(net)
-            order = rng.permutation(len(net.edges))
-            shuffled = TensorNetwork(net.nodes,
-                                     [net.edges[k] for k in order],
-                                     net.open_wires)
-            s.check(base.isclose(evaluate(shuffled)),
+            order = rng.permutation(len(set().union(*net.indices))).tolist()
+            relabelled = TensorNetwork(
+                net.nodes, [[order[l] for l in labs] for labs in net.indices],
+                net.open_wires)
+            s.check(base.isclose(evaluate(relabelled)),
                     lambda: f"type={x} semiring={sr.name} order={order}")
     return s.result
 

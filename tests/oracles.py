@@ -30,30 +30,25 @@ def contract_loops(arr, i, j):
     return out
 
 
-def network_loops(arrays, edges, open_axes):
+def network_loops(arrays, indices, open_axes):
     """Evaluate a tensor network by brute-force enumeration.
 
-    ``edges`` are ((node, axis), (node, axis)) pairs, ``open_axes`` the
-    ordered surviving (node, axis) pairs.  Sums over every joint index
-    assignment; exponential, for small fixtures only.
+    ``indices[n]`` labels the axes of ``arrays[n]``; axes with one label
+    take one value.  ``open_axes`` are the ordered surviving (node, axis)
+    pairs.  Sums over every joint assignment of the labels; exponential,
+    for small fixtures only.
     """
-    shape = tuple(arrays[n].shape[a] for (n, a) in open_axes)
-    out = np.zeros(shape, dtype=np.result_type(*arrays) if arrays else float)
-    all_axes = [(n, a) for n, arr in enumerate(arrays)
-                for a in range(arr.ndim)]
-    bound_to = {}
-    for (na, wa), (nb, wb) in edges:
-        bound_to[(nb, wb)] = (na, wa)
-    free = [ax for ax in all_axes if ax not in bound_to]
-    dims = [arrays[n].shape[a] for (n, a) in free]
-    for assignment in np.ndindex(*dims):
-        value = {ax: v for ax, v in zip(free, assignment)}
-        for tgt, src in bound_to.items():
-            value[tgt] = value[src]
+    dims = {}
+    for arr, labs in zip(arrays, indices):
+        dims.update(zip(labs, arr.shape))
+    labels = sorted(dims)
+    out = np.zeros([arrays[n].shape[a] for n, a in open_axes])
+    for assignment in np.ndindex(*[dims[l] for l in labels]):
+        value = dict(zip(labels, assignment))
         term = 1.0
-        for n, arr in enumerate(arrays):
-            term *= arr[tuple(value[(n, a)] for a in range(arr.ndim))]
-        out[tuple(value[ax] for ax in open_axes)] += term
+        for arr, labs in zip(arrays, indices):
+            term *= float(arr[tuple(value[l] for l in labs)])
+        out[tuple(value[indices[n][a]] for n, a in open_axes)] += term
     return out
 
 

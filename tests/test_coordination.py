@@ -240,6 +240,17 @@ def test_ditransitive_argument_validation():
     with pytest.raises(ValueError):
         ditransitive_coordination(bank, verb, verb, loan, bank, bank,
                                   mode="sideways")
+    # Verbs and objects on n:3 against a subject on n:2.
+    sp3 = spaces(3, 2)
+    verb3 = random_tensor(sp3.wires(dt), rng)
+    loan3 = random_tensor(sp3.wires(noun), rng)
+    with pytest.raises(errors.ShapeMismatch,
+                       match="inconsistent dimensions for base 'n'"):
+        ditransitive_coordination(bank, verb3, verb3, loan3, loan3, loan3)
+    # Intransitive verbs take no per-conjunct objects.
+    iv = random_tensor(sp.wires(parse_type("n.r s")), rng)
+    with pytest.raises(errors.ShapeMismatch, match="do not reduce to s"):
+        ditransitive_coordination(bank, iv, iv, loan, bank, bank)
 
 
 def test_ditransitive_boolean_relations_intersect():

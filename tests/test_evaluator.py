@@ -36,7 +36,7 @@ def test_build_network_john_sleeps():
     derivation = reduce(types, parse_type("s"))
     john, sleep = rt(rng, "n"), rt(rng, "n.r s")
     net = build_network(derivation, [john, sleep], SP)
-    assert net.edges == [((0, 0), (1, 0))]
+    assert net.indices == [[0], [0, 1]]
     assert net.open_wires == [(1, 1)]
     got = evaluate(net)
     assert np.allclose(got.array, john.array @ sleep.array)
@@ -75,7 +75,7 @@ def test_single_token_network():
     rng = np.random.default_rng(3)
     v = rt(rng, "n")
     net = build_network(derivation, [v], SP)
-    assert net.edges == []
+    assert net.indices == [[0]]
     assert evaluate(net).isclose(v)
 
 
@@ -85,11 +85,11 @@ def test_transitive_sentence_against_loop_oracle():
     derivation = reduce(types, parse_type("s"))
     tensors = [rt(rng, "n"), rt(rng, "n.r s n.l"), rt(rng, "n")]
     net = build_network(derivation, tensors, SP)
-    assert len(net.edges) == 2
+    assert net.indices == [[0], [0, 1, 2], [2]]
     assert [w for w in net.open_wires] == [(1, 1)]
     got = evaluate(net)
-    want = network_loops([t.array for t in tensors], net.edges,
-                         net.open_wires)
+    want = network_loops([t.array for t in tensors], [[0], [0, 1, 2], [2]],
+                         [(1, 1)])
     assert np.allclose(got.array, want)
 
 
@@ -144,11 +144,13 @@ def test_contraction_order_independence(sr):
                coordinator_tensor(x, SP, sr), rt(rng, "n.r s", sr)]
     net = build_network(derivation, tensors, SP)
     base = evaluate(net)
+    count = len(set().union(*net.indices))
     for _ in range(12):
-        order = rng.permutation(len(net.edges))
-        shuffled = TensorNetwork(net.nodes, [net.edges[k] for k in order],
-                                 net.open_wires)
-        assert evaluate(shuffled).isclose(base)
+        order = rng.permutation(count).tolist()
+        relabelled = TensorNetwork(
+            net.nodes, [[order[l] for l in labs] for labs in net.indices],
+            net.open_wires)
+        assert evaluate(relabelled).isclose(base)
 
 
 LEX = """
@@ -325,6 +327,58 @@ def test_explicit_vp_coordination_multiplies_spiders(matmul_shapes):
     assert got.isclose(closed)
 
 
+VP_CHAIN_LEX = """
+#type n 2
+#type s 2
+john : n = @random(1)
+v1 : n.r s = @random(2)
+v2 : n.r s = @random(3)
+v3 : n.r s = @random(4)
+v4 : n.r s = @random(5)
+v5 : n.r s = @random(6)
+and : s.r n.r.r n.r s s.l n = @conj
+"""
+
+SVO_LEX = """
+#type n 3
+#type s 2
+men : n = @random(1)
+women : n = @random(2)
+football : n = @random(3)
+watch : n.r s n.l = @random(4)
+knit : n.r s = @random(5)
+and_n : n.r n n.l = @conj
+and_s : s.r s s.l = @conj
+"""
+
+
+@pytest.mark.parametrize("text,sentence,plans", [
+    (VP_CHAIN_LEX, "john v1 and v2 and v3 and v4 and v5", {
+        "explicit": [(1, 2, 4), (2, 2, 2), (2, 2, 4), (2, 2, 4), (2, 2, 4),
+                     (2, 2, 4), (4, 2, 2), (2, 4, 2), (4, 2, 2), (2, 4, 2),
+                     (4, 2, 2), (2, 4, 2), (2, 4, 1)],
+        "closed-form": []}),
+    (SVO_LEX, "men watch football and_s women knit", {
+        "explicit": [(1, 3, 2), (4, 2, 1), (1, 3, 6), (2, 3, 1), (1, 2, 2)],
+        "closed-form": [(1, 3, 2), (1, 3, 6), (2, 3, 1)]}),
+    (SVO_LEX, "men and_n women watch football", {
+        "explicit": [(6, 3, 1), (1, 3, 9), (3, 3, 1), (1, 3, 2)],
+        "closed-form": [(1, 3, 6), (2, 3, 1)]}),
+    (LEX, "john sleeps and snores and sleeps", {
+        "explicit": [(1, 2, 4), (3, 2, 2), (3, 2, 4), (3, 2, 6), (9, 3, 2),
+                     (3, 6, 3), (1, 9, 3)],
+        "closed-form": []}),
+], ids=["vp-chain", "s-and-s", "coordinated-subject", "nested"])
+def test_contraction_plans_are_pinned(matmul_shapes, text, sentence, plans):
+    # Every matmul's (m, k, n), in order.  A change to the step rule
+    # changes these lists and must update them on purpose.
+    lex = parse_lexicon(text)
+    for mode, want in plans.items():
+        matmul_shapes.clear()
+        evaluate_sentence(sentence.split(), lex, "s", mode=mode)
+        assert matmul_shapes == want, mode
+
+
 def _refuse_dense_coordinator(monkeypatch):
     def no_coordinator(*args):
         raise AssertionError("built the dense coordinator")
@@ -389,16 +443,14 @@ def test_build_network_spiders_need_a_coordinator_type():
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_wire_in_two_edges_is_a_copy_spider(sr):
-    # u's wire sits in an edge to v and in one to w: the three wires are
+    # u's wire shares its label with v's and with w's: the three wires are
     # one index, as if joined through an explicit three-legged spider.
     rng = np.random.default_rng(9)
     u, v, w = rt(rng, "n", sr), rt(rng, "n", sr), rt(rng, "n.r s", sr)
-    hyper = evaluate(TensorNetwork(
-        [u, v, w], [((0, 0), (1, 0)), ((0, 0), (2, 0))], [(2, 1)]))
+    hyper = evaluate(TensorNetwork([u, v, w], [[0], [0], [0, 1]], [(2, 1)]))
     spider = coordinator_tensor(parse_type("n"), SP, sr)
     explicit = evaluate(TensorNetwork(
-        [u, v, w, spider],
-        [((0, 0), (3, 0)), ((1, 0), (3, 1)), ((2, 0), (3, 2))], [(2, 1)]))
+        [u, v, w, spider], [[0], [1], [2, 3], [0, 1, 2]], [(2, 1)]))
     assert hyper.isclose(explicit)
     uv = sr.mul(u.array, v.array)
     assert sr.allclose(hyper.array,
@@ -409,14 +461,27 @@ def test_wire_in_two_edges_is_a_copy_spider(sr):
 def test_open_wire_in_an_edge_keeps_its_index(sr):
     rng = np.random.default_rng(10)
     u, v = rt(rng, "n", sr), rt(rng, "n", sr)
-    merged = evaluate(TensorNetwork([u, v], [((0, 0), (1, 0))], [(0, 0)]))
+    merged = evaluate(TensorNetwork([u, v], [[0], [0]], [(0, 0)]))
     assert sr.allclose(merged.array, sr.mul(u.array, v.array))
-    # Two open wires of one class carry copies of the same index.
-    copied = evaluate(TensorNetwork([u, v], [((0, 0), (1, 0))],
-                                    [(0, 0), (1, 0)]))
+    # Two open wires with one label carry copies of the same index.
+    copied = evaluate(TensorNetwork([u, v], [[0], [0]], [(0, 0), (1, 0)]))
     want = np.zeros((2, 2), dtype=sr.dtype)
     np.fill_diagonal(want, sr.mul(u.array, v.array))
     assert sr.allclose(copied.array, want)
+
+
+def test_malformed_networks_are_rejected():
+    rng = np.random.default_rng(14)
+    u, w = rt(rng, "n"), rt(rng, "n.r s")  # dims 2; 2 and 3
+    with pytest.raises(errors.DimMismatch):  # one label, dims 2 and 3
+        evaluate(TensorNetwork([u, w], [[1], [0, 1]], [(1, 1)]))
+    for outside in ((1, 2), (2, 0), (-1, 0)):
+        with pytest.raises(errors.DimMismatch):
+            evaluate(TensorNetwork([u, w], [[0], [0, 1]], [outside]))
+    with pytest.raises(errors.ShapeMismatch):  # two wires, one label
+        evaluate(TensorNetwork([u, w], [[0], [0]], [(0, 0)]))
+    with pytest.raises(errors.ShapeMismatch):  # two nodes, one label tuple
+        evaluate(TensorNetwork([u, w], [[0]], []))
 
 
 def _ditransitive_at_eight(monkeypatch, sr, mode):
@@ -475,53 +540,27 @@ def test_closed_form_with_surviving_coordinator_legs(sr, words, target):
     assert closed.isclose(explicit)
 
 
-def hyperedge_loops(arrays, edges, open_wires):
-    """Brute-force sum over one index per class of edge-joined wires."""
-    parent = {(n, w): (n, w) for n, a in enumerate(arrays)
-              for w in range(a.ndim)}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(b)] = find(a)
-    classes = sorted({find(x) for x in parent})
-    dims = [arrays[n].shape[w] for n, w in classes]
-    out = np.zeros([arrays[n].shape[w] for n, w in open_wires])
-    for assignment in np.ndindex(*dims):
-        value = dict(zip(classes, assignment))
-        term = 1.0
-        for n, a in enumerate(arrays):
-            term *= float(a[tuple(value[find((n, w))]
-                                  for w in range(a.ndim))])
-        out[tuple(value[find(x)] for x in open_wires)] += term
-    return out
-
-
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_random_hyperedge_networks_against_loops(sr):
-    # Random classes of wires spread over up to four nodes, joined by
-    # random spanning edges: self-loops, wires in several edges, wires in
-    # no edge and open wires repeated or shared with edges all occur.
+    # Random labels spread over up to four nodes, numbered sparsely and out
+    # of order: a label twice on one node, a label on several nodes, a
+    # label on one wire only and open wires repeated or sharing a label
+    # all occur.
     rng = np.random.default_rng(12)
     for _ in range(150):
         class_dims = rng.integers(1, 4, size=rng.integers(1, 6))
-        nodes, members = [], {}
+        names = (3 * rng.permutation(len(class_dims)) + 1).tolist()
+        nodes, indices = [], []
         for n in range(rng.integers(1, 5)):
             cls = rng.integers(0, len(class_dims), size=rng.integers(0, 4))
-            for w, c in enumerate(cls):
-                members.setdefault(c, []).append((n, w))
+            indices.append([names[c] for c in cls])
             nodes.append(random_tensor(
                 [Wire("n", 0, int(class_dims[c])) for c in cls], rng, sr))
-        edges = [(wires[int(rng.integers(0, k))], wires[k])
-                 for wires in members.values() for k in range(1, len(wires))]
-        edges = [edges[k] for k in rng.permutation(len(edges))]
-        every = [x for wires in members.values() for x in wires]
+        every = [(n, w) for n, labs in enumerate(indices)
+                 for w in range(len(labs))]
         open_wires = [every[k] for k in
                       rng.integers(0, len(every), size=rng.integers(0, 4))] \
             if every else []
-        got = evaluate(TensorNetwork(nodes, edges, open_wires))
-        want = hyperedge_loops([t.array for t in nodes], edges, open_wires)
+        got = evaluate(TensorNetwork(nodes, indices, open_wires))
+        want = network_loops([t.array for t in nodes], indices, open_wires)
         assert sr.allclose(got.array, want if sr is REAL else want > 0)

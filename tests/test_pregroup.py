@@ -138,30 +138,34 @@ def test_ternary_reduction_always_grammatical(pairs):
 def test_derivation_validation():
     types = (parse_type("n"), parse_type("n.r s n.l"), parse_type("n"))
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(0, 2)}, (1, 3, 4))  # n against s
+        Derivation(types, {(0, 2)})  # n against s
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(0, 1)}, (2, 3))  # residual omits an index
+        Derivation(types, {(1, 0)})  # backwards link
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(1, 0)}, (2, 3, 4))  # backwards link
+        Derivation(types, {(3, 5)})  # past the row's end
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(3, 5)}, (0, 1, 2, 4))  # past the row's end
-    with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(0, 1), (1, 4)}, (2, 3))  # index 1 reused
-    good = Derivation(types, {(0, 1), (3, 4)}, (2,))
+        Derivation(types, {(0, 1), (1, 4)})  # index 1 reused
+    good = Derivation(types, {(0, 1), (3, 4)})
+    assert good.residual == (2,)
     assert good.residual_type() == parse_type("s")
-    assert good.token_wire(3) == (1, 2)
+    # The first and last wire of each token, and nothing past the row.
+    assert [good.token_wire(i) for i in (0, 1, 3, 4)] == \
+        [(0, 0), (1, 0), (1, 2), (2, 0)]
+    for outside in (-1, len(good.flattened)):
+        with pytest.raises(IndexError):
+            good.token_wire(outside)
 
 
 def test_crossing_links_rejected():
     types = (parse_type("n n"), parse_type("n.r n.r"))
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(0, 2), (1, 3)}, ())
+        Derivation(types, {(0, 2), (1, 3)})
 
 
 def test_residual_under_link_rejected():
     types = (parse_type("n.l n n"),)
     with pytest.raises(errors.InvalidDerivation):
-        Derivation(types, {(0, 2)}, (1,))
+        Derivation(types, {(0, 2)})
 
 
 def _random_row(rng, max_len):
