@@ -6,7 +6,8 @@ line between derivations), ``eval`` (meaning tensor, explicit or
 closed-form mode, optional mode comparison), ``selftest`` (the randomized
 verification suites).  Exit codes: 0 success, 1 semantic failure
 (ungrammatical input or a failing suite), 2 environmental failure (I/O,
-lexicon or lookup errors); only :func:`main` maps errors to them.
+lexicon or lookup errors, a real result past float64); only :func:`main`
+maps errors to them.
 """
 
 from __future__ import annotations

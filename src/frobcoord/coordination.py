@@ -61,7 +61,7 @@ def _spaces_for(tensors) -> SpaceAssignment:
 
 
 def _type_of(tensor: Tensor) -> PregroupType:
-    return PregroupType(tuple(SimpleType(w.base, w.z) for w in tensor.wires))
+    return PregroupType(SimpleType(w.base, w.z) for w in tensor.wires)
 
 
 def _coordinated(tensors, x: PregroupType, mode: str,

@@ -29,6 +29,10 @@ class OutOfMemory(FrobcoordError):
     """A tensor the computation needs does not fit in memory."""
 
 
+class Overflow(FrobcoordError):
+    """A real-carrier result is not finite: float64 arithmetic overflowed."""
+
+
 class BadPermutation(FrobcoordError):
     """The argument is not a permutation of the wire indices."""
 

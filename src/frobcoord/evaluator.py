@@ -23,12 +23,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (DimMismatch, MissingSpace, OutOfMemory,
+from .errors import (DimMismatch, MissingSpace, OutOfMemory, Overflow,
                      SemiringMismatch, ShapeMismatch, UngrammaticalSentence,
                      WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
-from .semiring import Semiring
+from .semiring import REAL, Semiring
 from .tensor import Tensor, Wire, frobenius_zeta
 
 
@@ -333,12 +333,17 @@ def _row_meaning(types, tensors, target: PregroupType,
                  spaces: SpaceAssignment, semiring: Semiring, mode: str,
                  refusal) -> Tensor:
     """Reduce ``types`` to ``target`` (else raise ``refusal()``), contract
-    the network in ``mode`` and type the result by the residual."""
+    the network in ``mode`` and type the result by the residual.  A real
+    result that is not finite raises :class:`Overflow`."""
     derivation = reduce(types, target)
     if derivation is None:
         raise refusal()
-    result = evaluate(build_network(derivation, tensors, spaces, semiring,
-                                    mode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(build_network(derivation, tensors, spaces,
+                                        semiring, mode))
+    if semiring is REAL and not np.isfinite(result.array).all():
+        raise Overflow("the meaning is not finite: float64 arithmetic "
+                       "overflowed")
     return Tensor(spaces.wires(derivation.residual_type()), result.array,
                   semiring, copy=False)
 

@@ -251,7 +251,7 @@ def _builder(word, ptype, wires, spec, spaces, semiring, line):
 def parse_lexicon(text: str) -> Lexicon:
     """Parse lexicon text; see the module docstring for the format."""
     dims: dict[str, int] = {}
-    semiring = REAL
+    semiring = None
     raw_entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -263,6 +263,8 @@ def parse_lexicon(text: str) -> Lexicon:
                 if len(parts) != 2 or parts[1] not in BY_NAME:
                     raise ParseError(f"bad semiring directive {line!r}",
                                      lineno)
+                if semiring is not None:
+                    raise ParseError("duplicate semiring directive", lineno)
                 semiring = BY_NAME[parts[1]]
             elif parts[:1] == ["type"]:
                 if (len(parts) != 3 or not parts[2].isascii()
@@ -270,6 +272,9 @@ def parse_lexicon(text: str) -> Lexicon:
                     raise ParseError(f"bad type directive {line!r}", lineno)
                 if parts[1] in dims:
                     raise ParseError(f"duplicate type {parts[1]!r}", lineno)
+                if not parts[2].strip("0"):
+                    raise ParseError(f"type {parts[1]!r} has dimension 0",
+                                     lineno)
                 dims[parts[1]] = int(parts[2])
             else:
                 raise ParseError(f"unknown directive {line!r}", lineno)
@@ -281,6 +286,7 @@ def parse_lexicon(text: str) -> Lexicon:
         raw_entries.append((lineno, *m.groups()))
 
     spaces = SpaceAssignment(dims)
+    semiring = semiring or REAL
     bases = set(dims)
     typed = {}  # type text -> (type, wires); each text parsed once
     entries = {}

@@ -1,11 +1,12 @@
 """Pregroup types and contraction-only reduction.
 
-Types are sequences of simple types, each a base symbol with an integer
-adjoint order ``z`` (``n.l`` has z = -1, ``n.r.r`` has z = +2, adjoints
-cancel: ``n.l.r`` is plain ``n``).  A sequence of word types is
-grammatical for a target when some set of contraction links — pairwise
-disjoint, non-crossing, each pairing ``(b, z)`` with ``(b, z+1)`` and
-enclosing no surviving wire — leaves exactly the target.
+Types are tuples of simple types, each a named tuple ``(base, z)`` of a
+base symbol and an integer adjoint order ``z`` (``n.l`` has z = -1,
+``n.r.r`` has z = +2, adjoints cancel: ``n.l.r`` is plain ``n``), so
+hashing, equality and pickling are those of ``tuple``.  A sequence of word
+types is grammatical for a target when some set of contraction links —
+pairwise disjoint, non-crossing, each pairing ``(b, z)`` with
+``(b, z+1)`` and enclosing no surviving wire — leaves exactly the target.
 
 Reduction walks the flattened row of n simple types left to right with a
 stack of open links, trying at each position the moves close the
@@ -31,16 +32,16 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import (EmptyType, InvalidDerivation, TypeSyntaxError,
                      UnknownBaseSymbol)
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(NamedTuple):
     """A base symbol with an iterated-adjoint order."""
 
     base: str
@@ -61,51 +62,31 @@ class SimpleType:
         return f"{self.base}{marks}"
 
 
-@dataclass(frozen=True)
-class PregroupType:
+class PregroupType(tuple):
     """An ordered product of simple types; the empty product is the unit."""
 
-    simples: tuple[SimpleType, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "simples", tuple(self.simples))
-        # The dataclass hash, computed once: evaluation hashes every token.
-        object.__setattr__(self, "_hash", hash((self.simples,)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: rebuild, do not copy.
-        return PregroupType, (self.simples,)
-
-    def __len__(self):
-        return len(self.simples)
-
-    def __iter__(self):
-        return iter(self.simples)
+    __slots__ = ()
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return PregroupType(self.simples[key])
-        return self.simples[key]
-
-    def __bool__(self):
-        return bool(self.simples)
+        got = tuple.__getitem__(self, key)
+        return PregroupType(got) if isinstance(key, slice) else got
 
     def __matmul__(self, other: "PregroupType") -> "PregroupType":
-        return PregroupType(self.simples + other.simples)
+        return PregroupType(self + other)
 
     def adjoint_left(self) -> "PregroupType":
         """Left adjoint; reverses the factor order."""
-        return PregroupType(tuple(s.l for s in reversed(self.simples)))
+        return PregroupType(s.l for s in reversed(self))
 
     def adjoint_right(self) -> "PregroupType":
         """Right adjoint; reverses the factor order."""
-        return PregroupType(tuple(s.r for s in reversed(self.simples)))
+        return PregroupType(s.r for s in reversed(self))
 
     def __str__(self):
-        return " ".join(str(s) for s in self.simples) if self.simples else "1"
+        return " ".join(map(str, self)) if self else "1"
+
+    def __repr__(self):
+        return f"PregroupType({tuple.__repr__(self)})"
 
 
 _TOKEN = re.compile(r"\S+")
@@ -129,7 +110,7 @@ def parse_type(text: str, bases=None) -> PregroupType:
         if bases is not None and base not in bases:
             raise UnknownBaseSymbol(base, token.start())
         simples.append(SimpleType(base, r - l))
-    return PregroupType(tuple(simples))
+    return PregroupType(simples)
 
 
 def coordinator_type(x: PregroupType) -> PregroupType:
@@ -214,7 +195,7 @@ class Derivation:
 
     def residual_type(self) -> PregroupType:
         flat = self.flattened
-        return PregroupType(tuple(flat[i] for i in self.residual))
+        return PregroupType(flat[i] for i in self.residual)
 
     def validate(self):
         """Check every structural invariant; raise :class:`InvalidDerivation`.
@@ -268,20 +249,18 @@ def _derivations(flat, target):
     open end keeps the mask of positions where closing it still leaves a
     completable state, derived from the mask of the end below it.
     """
-    n, sig = len(flat), [(s.base, s.z) for s in flat]
-    goal = [(s.base, s.z) for s in target]
-    m = len(goal)
+    n, m = len(flat), len(target)
     at, wanted = {}, {}
-    for p, s in enumerate(sig):
+    for p, s in enumerate(flat):
         at[s] = at.get(s, 0) | 1 << p
-    for t, s in enumerate(goal):
+    for t, s in enumerate(target):
         wanted[s] = wanted.get(s, 0) | 1 << t
-    closers = [at.get((b, z + 1), 0) for b, z in sig]
+    closers = [at.get((b, z + 1), 0) for b, z in flat]
     unit = [0] * n + [1 << n]
     reach = [0] * n + [1 << m]  # reach[i]: the t for which i is in tail[t]
     for i in range(n - 1, -1, -1):
         u = 1 << i
-        r = wanted.get(sig[i], 0) & (reach[i + 1] >> 1)
+        r = wanted.get(flat[i], 0) & (reach[i + 1] >> 1)
         ends = closers[i] & unit[i + 1]
         while ends:
             k = (ends & -ends).bit_length()  # one past a closer of i
@@ -328,7 +307,7 @@ def _derivations(flat, target):
                     ends = keep
                 if ends:
                     child = (p + 1, (p, ends, opened), t, links, 0)
-            elif (opened is None and t < m and sig[p] == goal[t]
+            elif (opened is None and t < m and flat[p] == target[t]
                   and tail[t + 1] >> (p + 1) & 1):
                 child = (p + 1, None, t + 1, links, 0)
             move += 1

@@ -1,10 +1,12 @@
 """Built-in randomized verification suites.
 
 Each suite draws seeded random tensors, evaluates a law both through the
-library and through straight-line arithmetic, and counts agreements.  The
-suites back the ``selftest`` CLI command; ``inject_fault=True`` corrupts
-the merge operation (one flipped entry) as a negative control, which must
-make the run fail with a counterexample.
+library and through straight-line arithmetic, and yields one ``(ok,
+describe)`` pair per check; :func:`run_selftest` counts them and calls
+``describe()`` for the first failure only.  The suites back the
+``selftest`` CLI command; ``inject_fault=True`` corrupts the merge
+operation (one flipped entry) as a negative control, which must make the
+run fail with a counterexample.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .coordination import (coordinate_closed_form, coordinator_tensor,
                            ditransitive_coordination, stripping_sentence)
 from .evaluator import SpaceAssignment, TensorNetwork, build_network, evaluate
-from .pregroup import PregroupType, coordinator_type, parse_type, reduce
+from .pregroup import coordinator_type, parse_type, reduce
 from .semiring import BOOLEAN, REAL
 from .tensor import (Tensor, Wire, contract, eta_cap, frobenius_delta,
                      frobenius_mu, frobenius_mu_matrix, frobenius_zeta,
@@ -57,38 +59,23 @@ def _spider(dim, sr):
     return coordinator_tensor(parse_type("n"), SpaceAssignment({"n": dim}), sr)
 
 
-class _Suite:
-    """Counts trials and remembers the first counterexample."""
-
-    def __init__(self, name):
-        self.result = SuiteResult(name, 0, 0)
-
-    def check(self, ok: bool, describe):
-        self.result.total += 1
-        if ok:
-            self.result.passed += 1
-        elif self.result.counterexample is None:
-            self.result.counterexample = describe()
-
-
 def suite_frobenius(rng, dims, trials, mu):
-    s = _Suite("frobenius-axioms")
     for sr in (REAL, BOOLEAN):
         for d in dims:
             for t in range(trials):
                 u, v, w = (_vec(rng, d, sr) for _ in range(3))
                 ctx = lambda law: (lambda: f"law={law} semiring={sr.name} "
                                    f"d={d} u={_show(u)} v={_show(v)}")
-                s.check(mu(mu(u, v), w).isclose(mu(u, mu(v, w))),
-                        ctx("associativity"))
-                s.check(mu(u, v).isclose(mu(v, u)), ctx("commutativity"))
-                s.check(frobenius_mu_matrix(frobenius_delta(v)).isclose(v),
-                        ctx("specialness"))
-                s.check(mu(frobenius_zeta("n", d, semiring=sr), v).isclose(v),
-                        ctx("merge-unit"))
+                yield (mu(mu(u, v), w).isclose(mu(u, mu(v, w))),
+                       ctx("associativity"))
+                yield (mu(u, v).isclose(mu(v, u)), ctx("commutativity"))
+                yield (frobenius_mu_matrix(frobenius_delta(v)).isclose(v),
+                       ctx("specialness"))
+                yield (mu(frobenius_zeta("n", d, semiring=sr), v).isclose(v),
+                       ctx("merge-unit"))
                 copied = frobenius_delta(v)
-                s.check(sr.allclose(sr.sum(copied.array, axis=1), v.array),
-                        ctx("copy-then-delete"))
+                yield (sr.allclose(sr.sum(copied.array, axis=1), v.array),
+                       ctx("copy-then-delete"))
                 # The two-sided condition, evaluated as tensor networks.
                 spider = _spider(d, sr)
                 nodes = [u, v, spider, spider]
@@ -103,12 +90,10 @@ def suite_frobenius(rng, dims, trials, mu):
                 good = (sr.allclose(left.array, direct)
                         and sr.allclose(middle.array, direct)
                         and sr.allclose(right.array, direct))
-                s.check(good, ctx("frobenius-condition"))
-    return s.result
+                yield (good, ctx("frobenius-condition"))
 
 
 def suite_snake(rng, dims, trials):
-    s = _Suite("snake-equations")
     for sr in (REAL, BOOLEAN):
         for d in dims:
             for t in range(trials):
@@ -121,8 +106,7 @@ def suite_snake(rng, dims, trials):
                                   1, 2)
                 ok = (sr.allclose(bent_l.array, v.array)
                       and sr.allclose(bent_r.array, v.array))
-                s.check(ok, lambda: f"semiring={sr.name} d={d} v={_show(v)}")
-    return s.result
+                yield (ok, lambda: f"semiring={sr.name} d={d} v={_show(v)}")
 
 
 _CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l")
@@ -139,7 +123,6 @@ def _explicit_coordination(x, x1, conj, x2, spaces):
 
 
 def suite_coordinator_equivalence(rng, dims, trials, mu):
-    s = _Suite("coordinator-equivalence")
     for sr in (REAL, BOOLEAN):
         for type_text in _CONJUNCT_TYPES:
             x = parse_type(type_text)
@@ -150,15 +133,13 @@ def suite_coordinator_equivalence(rng, dims, trials, mu):
                 x2 = random_tensor(spaces.wires(x), rng, sr)
                 got = _explicit_coordination(x, x1, conj, x2, spaces)
                 want = mu(x1, x2)
-                s.check(sr.allclose(got.array, want.array),
-                        lambda: f"type={type_text!r} semiring={sr.name} "
-                                f"spaces={spaces!r} x1={_show(x1)} "
-                                f"x2={_show(x2)}")
-    return s.result
+                yield (sr.allclose(got.array, want.array),
+                       lambda: f"type={type_text!r} semiring={sr.name} "
+                               f"spaces={spaces!r} x1={_show(x1)} "
+                               f"x2={_show(x2)}")
 
 
 def suite_contraction_order(rng, dims, trials):
-    s = _Suite("contraction-order")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
             spaces = _sample_spaces(rng, dims)
@@ -173,9 +154,8 @@ def suite_contraction_order(rng, dims, trials):
             relabelled = TensorNetwork(
                 net.nodes, [[order[l] for l in labs] for labs in net.indices],
                 net.open_wires)
-            s.check(base.isclose(evaluate(relabelled)),
-                    lambda: f"type={x} semiring={sr.name} order={order}")
-    return s.result
+            yield (base.isclose(evaluate(relabelled)),
+                   lambda: f"type={x} semiring={sr.name} order={order}")
 
 
 def _sentence_spaces(rng, dims):
@@ -184,7 +164,6 @@ def _sentence_spaces(rng, dims):
 
 
 def suite_sentence_identities(rng, dims, trials):
-    s = _Suite("sentence-identities")
     vp, tv = parse_type("n.r s"), parse_type("n.r s n.l")
     noun = parse_type("n")
     for sr in (REAL, BOOLEAN):
@@ -202,9 +181,9 @@ def suite_sentence_identities(rng, dims, trials):
                                          spaces))
             want = sr.sum(sr.mul(john.array[:, None],
                                  sr.mul(sleep.array, snore.array)), axis=0)
-            s.check(sr.allclose(got.array, want),
-                    lambda: f"vp-coordination semiring={sr.name} "
-                            f"spaces={spaces!r}")
+            yield (sr.allclose(got.array, want),
+                   lambda: f"vp-coordination semiring={sr.name} "
+                           f"spaces={spaces!r}")
 
             # Two full sentences joined by a sentence coordinator.
             men, watch, football = rt(noun), rt(tv), rt(noun)
@@ -220,9 +199,9 @@ def suite_sentence_identities(rng, dims, trials):
                 sr.mul(men.array[:, None, None], watch.array),
                 football.array[None, None, :]), axis=(0, 2))
             second = sr.sum(sr.mul(women.array[:, None], knit.array), axis=0)
-            s.check(sr.allclose(got.array, sr.mul(first, second)),
-                    lambda: f"sentence-coordination semiring={sr.name} "
-                            f"spaces={spaces!r}")
+            yield (sr.allclose(got.array, sr.mul(first, second)),
+                   lambda: f"sentence-coordination semiring={sr.name} "
+                           f"spaces={spaces!r}")
 
             # Ditransitive clauses sharing subject and final object.
             bank, mary, johnn, loan = rt(noun), rt(noun), rt(noun), rt(noun)
@@ -238,14 +217,12 @@ def suite_sentence_identities(rng, dims, trials):
             for mode in ("closed-form", "explicit"):
                 got = ditransitive_coordination(bank, grant, deny, loan,
                                                 mary, johnn, mode=mode)
-                s.check(sr.allclose(got.array, want),
-                        lambda: f"ditransitive mode={mode} "
-                                f"semiring={sr.name} spaces={spaces!r}")
-    return s.result
+                yield (sr.allclose(got.array, want),
+                       lambda: f"ditransitive mode={mode} "
+                               f"semiring={sr.name} spaces={spaces!r}")
 
 
 def suite_subject_copying(rng, dims, trials):
-    s = _Suite("subject-copying")
     vp, noun = parse_type("n.r s"), parse_type("n")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
@@ -262,13 +239,11 @@ def suite_subject_copying(rng, dims, trials):
                 got = evaluate(build_network(
                     derivation, [subject, sleep, conj_vp, snore], spaces))
                 want = sr.mul(sleep.array[i, :], snore.array[i, :])
-                s.check(sr.allclose(got.array, want),
-                        lambda: f"semiring={sr.name} i={i} spaces={spaces!r}")
-    return s.result
+                yield (sr.allclose(got.array, want),
+                       lambda: f"semiring={sr.name} i={i} spaces={spaces!r}")
 
 
 def suite_stripping(rng, dims, trials):
-    s = _Suite("stripping-equality")
     noun, tv = parse_type("n"), parse_type("n.r s n.l")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
@@ -280,14 +255,12 @@ def suite_stripping(rng, dims, trials):
             want = sr.sum(sr.mul(sr.mul(john.array[:, None, None],
                                         likes.array),
                                  merged[None, None, :]), axis=(0, 2))
-            s.check(sr.allclose(got.array, want),
-                    lambda: f"semiring={sr.name} spaces={spaces!r} "
-                            f"john={_show(john)}")
-    return s.result
+            yield (sr.allclose(got.array, want),
+                   lambda: f"semiring={sr.name} spaces={spaces!r} "
+                           f"john={_show(john)}")
 
 
 def suite_rel_intersection(rng, dims, trials):
-    s = _Suite("rel-intersection")
     sr = BOOLEAN
     for t in range(trials):
         du = int(rng.integers(1, 7))
@@ -300,12 +273,12 @@ def suite_rel_intersection(rng, dims, trials):
         set_b = {i for i in range(du) if b.array[i]}
         merged = coordinate_closed_form(a, b)
         got_set = {i for i in range(du) if merged.array[i]}
-        s.check(got_set == set_a & set_b,
-                lambda: f"nouns a={_show(a)} b={_show(b)}")
+        yield (got_set == set_a & set_b,
+               lambda: f"nouns a={_show(a)} b={_show(b)}")
         conj = coordinator_tensor(noun, spaces, sr)
         explicit = _explicit_coordination(noun, a, conj, b, spaces)
-        s.check(sr.allclose(explicit.array, merged.array),
-                lambda: f"noun-explicit a={_show(a)} b={_show(b)}")
+        yield (sr.allclose(explicit.array, merged.array),
+               lambda: f"noun-explicit a={_show(a)} b={_show(b)}")
 
         tv = parse_type("n.r s n.l")
         r = random_tensor(spaces.wires(tv), rng, sr)
@@ -313,9 +286,8 @@ def suite_rel_intersection(rng, dims, trials):
         rel = lambda m: {idx for idx in np.ndindex(*m.dims) if m.array[idx]}
         conj_tv = coordinator_tensor(tv, spaces, sr)
         merged_rel = _explicit_coordination(tv, r, conj_tv, q, spaces)
-        s.check(rel(merged_rel) == rel(r) & rel(q),
-                lambda: f"relations r={_show(r)} q={_show(q)}")
-    return s.result
+        yield (rel(merged_rel) == rel(r) & rel(q),
+               lambda: f"relations r={_show(r)} q={_show(q)}")
 
 
 def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
@@ -323,21 +295,31 @@ def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
     """Run every suite; results report per-suite pass counts and times."""
     dims = tuple(int(d) for d in dims)
     mu = _faulty_mu if inject_fault else frobenius_mu
-    suites = [
-        lambda rng: suite_frobenius(rng, dims, trials, mu),
-        lambda rng: suite_snake(rng, dims, trials),
-        lambda rng: suite_coordinator_equivalence(
-            rng, dims, max(1, trials // 2), mu),
-        lambda rng: suite_contraction_order(rng, dims, trials),
-        lambda rng: suite_sentence_identities(rng, dims, max(1, trials // 2)),
-        lambda rng: suite_subject_copying(rng, dims, max(1, trials // 2)),
-        lambda rng: suite_stripping(rng, dims, trials),
-        lambda rng: suite_rel_intersection(rng, dims, trials),
-    ]
+    half = max(1, trials // 2)
+    suites = {
+        "frobenius-axioms": lambda rng: suite_frobenius(rng, dims, trials, mu),
+        "snake-equations": lambda rng: suite_snake(rng, dims, trials),
+        "coordinator-equivalence":
+            lambda rng: suite_coordinator_equivalence(rng, dims, half, mu),
+        "contraction-order":
+            lambda rng: suite_contraction_order(rng, dims, trials),
+        "sentence-identities":
+            lambda rng: suite_sentence_identities(rng, dims, half),
+        "subject-copying": lambda rng: suite_subject_copying(rng, dims, half),
+        "stripping-equality": lambda rng: suite_stripping(rng, dims, trials),
+        "rel-intersection":
+            lambda rng: suite_rel_intersection(rng, dims, trials),
+    }
     results = []
-    for k, suite in enumerate(suites):
+    for k, (name, suite) in enumerate(suites.items()):
+        result = SuiteResult(name, 0, 0)
         start = time.perf_counter()
-        result = suite(np.random.default_rng([seed, k]))
+        for ok, describe in suite(np.random.default_rng([seed, k])):
+            result.total += 1
+            if ok:
+                result.passed += 1
+            elif result.counterexample is None:
+                result.counterexample = describe()
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

@@ -23,30 +23,28 @@ safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import (ArityError, BadPermutation, DimMismatch, ShapeMismatch,
                      SemiringMismatch, TypeMismatch)
+from .pregroup import SimpleType
 from .semiring import REAL, Semiring
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(namedtuple("Wire", "base z dim")):
     """One tensor factor: an atomic symbol, adjoint order and dimension."""
 
-    base: str
-    z: int = 0
-    dim: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimMismatch(f"wire dimension must be >= 1, got {self.dim}")
+    def __new__(cls, base: str, z: int = 0, dim: int = 1):
+        if dim < 1:
+            raise DimMismatch(f"wire dimension must be >= 1, got {dim}")
+        return super().__new__(cls, base, z, dim)
 
     def __str__(self):
-        marks = ".l" * -self.z if self.z < 0 else ".r" * self.z
-        return f"{self.base}{marks}"
+        return str(SimpleType(self.base, self.z))
 
 
 class Tensor:

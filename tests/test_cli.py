@@ -287,6 +287,23 @@ def test_eval_rejects_non_finite_literal(tmp_path):
     assert proc.stdout == ""
 
 
+def test_overflowing_meaning_is_an_error_exit(tmp_path):
+    path = tmp_path / "huge.lex"
+    path.write_text("#type n 2\n#type s 1\n"
+                    "john : n = [1e308, 1e308]\n"
+                    "sleeps : n.r s = [1e308, -1e308]\n"
+                    "snores : n.r s = [1e308, 1e308]\n"
+                    "and : s.r n.r.r n.r s s.l n = @conj\n", encoding="utf-8")
+    for words in (["john", "sleeps"],
+                  ["john", "sleeps", "and", "snores", "--compare"]):
+        proc = run("eval", str(path), *words)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_identity_past_numpy_size_limit_is_a_parse_error(tmp_path):
     # np.eye refuses 10**10 rows with "array is too big", a ValueError.
     # Only the first command that reads the tensor builds it.

@@ -82,6 +82,14 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon("#type n 2\na : n = @bogus\n")
     with pytest.raises(errors.ParseError):
         parse_lexicon("#type s 2\nand : s.r s s.r = @conj\n")
+    # A second #semiring would re-type every entry; a zero dimension
+    # would fail later without a line.
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon("#semiring real\n#type n 2\n#semiring bool\n")
+    assert exc.value.line == 3
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon("#type n 0\n#type s 1\n")
+    assert exc.value.line == 1
 
 
 @pytest.mark.parametrize("literal", ["[NaN, 1]", "[1, Infinity]",

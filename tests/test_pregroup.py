@@ -26,6 +26,9 @@ def test_parse_fixtures():
     assert parse_type("n.l.r") == parse_type("n")
     assert sigs(parse_type("n.r.r")) == (("n", 2),)
     assert len(parse_type("")) == 0
+    # Types are tuples of (base, z) named tuples.
+    assert parse_type("n.r s") == (SimpleType("n", 1), SimpleType("s", 0))
+    assert tuple(SimpleType("n", 1)) == ("n", 1)
 
 
 def test_parse_errors():
@@ -72,6 +75,7 @@ def test_type_adjoints_reverse_and_cancel(pairs):
     assert t.adjoint_right().adjoint_left() == t
     if len(t) >= 2:
         a, b = t[:1], t[1:]
+        assert type(a) is PregroupType and type(a @ b) is PregroupType
         assert (a @ b).adjoint_right() == b.adjoint_right() @ a.adjoint_right()
 
 
@@ -278,7 +282,7 @@ def _ptype(pairs):
 
 def _check_against_oracle(row, target, cap=50):
     """reduce and enumerate_reductions against the backtracking search."""
-    want = list(islice(_derivation_search(row.simples, target), cap))
+    want = list(islice(_derivation_search(tuple(row), target), cap))
     d = reduce([row], target)
     assert (d and tuple(sorted(d.links))) == (want[0] if want else None)
     got = enumerate_reductions([row], target, cap=cap)

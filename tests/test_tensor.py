@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,11 @@ def vec(data, base="n", z=0, sr=REAL):
 def test_wire_validation():
     with pytest.raises(errors.DimMismatch):
         Wire("n", 0, 0)
+    with pytest.raises(errors.DimMismatch):
+        Wire("n", dim=0)
+    wire = Wire("n", -2, 3)
+    assert pickle.loads(pickle.dumps(wire)) == wire
+    assert str(wire) == "n.l.l"
 
 
 def test_tensor_accepts_flat_row_major():
