@@ -12,14 +12,28 @@ A network gives each wire of each node one integer label, einsum's sublist
 form: wires with one label share one index, a copy spider, which
 :func:`evaluate` sums out unless an open wire holds it.  The result does
 not depend on how the labels are numbered.
+
+Contraction is compiled, then replayed.  :func:`plan_contraction` checks a
+network's structure and chooses every step: pairwise matrix products in
+cost order, a long hyperedge folded in as a star.  It returns an immutable
+:class:`ContractionPlan` of transposes, reshapes and shapes, with the
+largest array the contraction will allocate.  Plans are cached (a bounded
+LRU; ``plan_contraction.cache_info()`` and ``cache_clear()``) on the
+structure alone: labels, node shapes and open wires.  Words and carrier
+are not part of the key, and the mode already shows in the labels, so
+every sentence of one type row replays one plan.  :func:`evaluate` looks
+the plan up and runs it: transposes, reshapes and semiring products,
+nothing else.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,132 +215,272 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
+# Plans kept by plan_contraction: a workload has few distinct row shapes.
+_PLAN_CACHE_SIZE = 256
+# A label on at most this many nodes offers every pair of its components;
+# one on more folds in as a star (see plan_contraction).
+_PAIRED_HOLDERS = 8
+
+
+class Step(NamedTuple):
+    """One pairwise contraction: slot ``a`` absorbs slot ``b``.
+
+    Each operand is transposed by its ``perm`` and reshaped to its
+    ``shape``: ``(m, k)`` and ``(k, n)`` for one semiring matrix product,
+    or ``(B, m, k, 1)`` and ``(B, 1, k, n)`` for a batch step, whose
+    broadcast product is summed over its ``k`` axis.  The result is
+    reshaped to ``shape``, one axis per label of the merged component.
+    """
+
+    a: int
+    b: int
+    perm_a: tuple
+    perm_b: tuple
+    shape_a: tuple
+    shape_b: tuple
+    shape: tuple
+    batch: bool
+
+
+class ContractionPlan(NamedTuple):
+    """Everything :func:`evaluate` does to a network's arrays, in order.
+
+    ``diagonals`` are ``(node, subscripts, output)`` einsum calls for the
+    nodes with a label on two wires.  ``outer`` lists each component left
+    after the steps as ``(slot, shape)``: the running product is reshaped
+    to ``shape`` before it multiplies that slot (the first is taken as it
+    is).  The product is transposed by ``perm`` and summed over
+    ``sum_axes``; ``copy`` is ``(shape, subscripts)`` when open wires
+    repeat a label, else None.  ``max_cells`` is the largest array that
+    the plan allocates, a batch step's broadcast product included.
+    """
+
+    diagonals: tuple
+    steps: tuple
+    outer: tuple
+    perm: tuple
+    sum_axes: tuple
+    copy: tuple | None
+    max_cells: int
+
+
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract the network and return the tensor on the open wires.
 
-    Wires with one label are one index, and one label has one dimension.
-    Contraction runs in cost order: each step merges the pair of components
-    sharing an index whose merged tensor has the fewest cells (ties go to
-    the lowest shared label, then to the lowest pair; the component holding
-    that label's lowest-numbered node survives).  A shared index is summed
-    out unless an open wire or a third component holds it; such an index
-    is kept as a batch axis.  A step without batch axes is one semiring
-    matrix product, so vectors are absorbed before large tensors meet.
+    The nodes must share one semiring, checked on every call.  The
+    contraction order comes from :func:`plan_contraction`, which depends
+    on the network's structure alone (labels, node shapes, open wires),
+    never on its words or carrier (the mode shows in the labels), so
+    sentences of one type row replay one cached plan.  Execution only transposes, reshapes and calls
+    the semiring's ``matmul`` (or ``mul`` and ``sum`` for a batch step).
     Scalar results come back as 0-wire tensors.
     """
     sr, nodes = network.semiring, network.nodes
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
-    orders = [t.order for t in nodes]
-    counts = [len(labs) for labs in network.indices]
+    # The key is built from lists: tuple() of a generator or map object
+    # resizes as it fills, and that churn alone raised peak RSS by about
+    # 1 MB over 1 500 in-process rounds of the vp-chains workload.
+    plan = plan_contraction(tuple([tuple(labs) for labs in network.indices]),
+                            tuple([t.array.shape for t in nodes]),
+                            tuple([tuple(w) for w in network.open_wires]))
+    arrays = [t.array for t in nodes]
+    for n, sub, out in plan.diagonals:
+        arrays[n] = np.einsum(arrays[n], sub, out)
+    for s in plan.steps:
+        a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
+        b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
+        arrays[s.b] = None
+        merged = sr.sum(sr.mul(a, b), axis=2) if s.batch else sr.matmul(a, b)
+        arrays[s.a] = merged.reshape(s.shape)
+    (first, _), *rest = plan.outer
+    arr = arrays[first]
+    for c, shape in rest:
+        arr = sr.mul(arr.reshape(shape), arrays[c])
+    arr = sr.sum(arr.transpose(plan.perm), axis=plan.sum_axes)
+    if plan.copy is not None:
+        shape, sub = plan.copy
+        copied = np.zeros(shape, dtype=sr.dtype)
+        np.einsum(copied, sub, tuple(range(arr.ndim)))[...] = arr
+        arr = copied
+    out_wires = tuple([nodes[n].wires[w] for n, w in network.open_wires])
+    return Tensor(out_wires, arr, sr, copy=False)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def plan_contraction(indices: tuple, shapes: tuple,
+                     open_wires: tuple) -> ContractionPlan:
+    """Check a network's structure and choose its contraction order.
+
+    ``indices`` holds each node's labels, ``shapes`` each node's array
+    shape and ``open_wires`` the ``(node, wire)`` pairs, all as tuples.
+    Wires with one label are one index, and one label has one dimension.
+    Contraction runs in cost order: each step merges the pair of
+    components sharing an index whose merged tensor has the fewest cells
+    (ties go to the lowest shared label, then to the lowest pair; the
+    component holding that label's lowest-numbered node survives).  A
+    shared index is summed out unless an open wire or a third component
+    holds it; such an index is kept as a batch axis.  A step without
+    batch axes is one semiring matrix product, so vectors are absorbed
+    before large tensors meet.  The pairs on offer are those of
+    components that share a label, except that a label on more than
+    ``_PAIRED_HOLDERS`` nodes (a long hyperedge, such as the subject wire
+    of a closed-form verb-phrase chain) offers only one pair at a time:
+    the component of its lowest-numbered node with that of its next node
+    in order, so the edge folds in as a star and planning stays near
+    linear in its length.  Plans are cached by their arguments; a network
+    that fails a check raises and is not cached.
+    """
+    counts, orders = list(map(len, indices)), list(map(len, shapes))
     if counts != orders:
         raise ShapeMismatch(f"label counts {counts} differ from node orders "
                             f"{orders}")
-    dim, holders, arrays, labels = {}, {}, {}, {}
-    for n, (t, labs) in enumerate(zip(nodes, network.indices)):
-        arr = t.array
-        for l, d in zip(labs, arr.shape):
+    # holders: label -> its nodes in ascending order.
+    dim, holders, labels, size, diagonals = {}, {}, [], [], []
+    max_cells = 0
+    for n, labs in enumerate(indices):
+        for l, d in zip(labs, shapes[n]):
             if dim.setdefault(l, d) != d:
                 raise DimMismatch(f"label {l} joins unequal dims")
-            holders.setdefault(l, set()).add(n)
-        if len(set(labs)) < len(labs):
+            nodes = holders.get(l)
+            if nodes is None:
+                holders[l] = [n]
+            elif nodes[-1] != n:
+                nodes.append(n)
+        uniq = list(dict.fromkeys(labs))
+        labels.append(uniq)
+        if len(uniq) < len(labs):
             # Wires of one node with one label keep only their diagonal.
-            uniq = list(dict.fromkeys(labs))
-            arr = np.einsum(arr, [uniq.index(l) for l in labs],
-                            list(range(len(uniq))))
-            labs = uniq
-        arrays[n], labels[n] = arr, labs
-    if not all(0 <= n < len(nodes) and 0 <= w < orders[n]
-               for n, w in network.open_wires):
-        raise DimMismatch(f"open wires {network.open_wires} name a wire "
-                          f"outside the network")
-    out = [network.indices[n][w] for n, w in network.open_wires]
+            diagonals.append((n, tuple([uniq.index(l) for l in labs]),
+                              tuple(range(len(uniq)))))
+            size.append(math.prod([dim[l] for l in uniq]))
+            max_cells = max(max_cells, size[-1])
+        else:
+            size.append(math.prod(shapes[n]))
+    out = []
+    for n, w in open_wires:
+        if not (0 <= n < len(shapes) and 0 <= w < orders[n]):
+            raise DimMismatch(f"open wires {list(open_wires)} name a wire "
+                              f"outside the network")
+        out.append(indices[n][w])
     open_labels = set(out)
-    holders = {l: holders[l] for l in sorted(holders) if len(holders[l]) > 1}
-    owner = {l: min(c) for l, c in holders.items()}
-    comp = list(range(len(nodes)))  # union-find; a root names a component
-    cells = lambda labs: math.prod(dim[l] for l in labs)
-    kept = lambda l: l in open_labels or len(holders[l]) > 2
+    # members: label -> the components holding it, for the labels that two
+    # or more hold; stars: label -> the position in its holders of the
+    # first node not yet merged into its lowest node's component.
+    members, stars = {}, {}
+    for l, nodes in holders.items():
+        if len(nodes) > 1:
+            members[l] = set(nodes)
+            if len(nodes) > _PAIRED_HOLDERS:
+                stars[l] = 1
+    comp = list(range(len(shapes)))  # union-find; a root names a component
+    # A heap entry (cost, first shared label, pair, step, shared labels) is
+    # current while both components of the pair are roots unchanged since
+    # that step.  A shared label is kept while an open wire or a third
+    # component holds it.
+    changed, heap = [0] * len(shapes), []
 
-    def cost(a, b, shared):
-        size = arrays[a].size * arrays[b].size
+    def push(a, b, step):
+        if b < a:
+            a, b = b, a
+        lb = labels[b]
+        shared = sorted([l for l in labels[a] if l in lb])
+        cost = size[a] * size[b]
         for l in shared:
-            size //= dim[l] if kept(l) else dim[l] ** 2
-        return size
+            d = dim[l]
+            cost //= d if l in open_labels or len(members[l]) > 2 else d * d
+        heapq.heappush(heap, (cost, shared[0], a, b, step, shared))
 
-    # Each pair of components that shares an index has its shared labels
-    # in ascending order and a key (cost, first shared label, pair); a step
-    # takes the pair of least key.  A merge changes only the keys of the
-    # merged components' pairs: those of the surviving component are
-    # redone, and those of the merged-away one dropped (its partners are
-    # all partners of the survivor now).
-    shares = {}
-    for l in holders:  # in ascending order
-        for pair in combinations(sorted(holders[l]), 2):
-            shares.setdefault(pair, []).append(l)
-    keys = {p: (cost(*p, s), s[0], p) for p, s in shares.items()}
-    while keys:
-        _, first, pair = min(keys.values())
-        del keys[pair]
-        shared = shares[pair]
-        ca, cb = pair
-        if _root(comp, owner[first]) != ca:
+    def star_pair(l):
+        nodes = holders[l]
+        centre = _root(comp, nodes[0])
+        while _root(comp, nodes[stars[l]]) == centre:
+            stars[l] += 1
+        return centre, _root(comp, nodes[stars[l]])
+
+    for l in members:
+        for pair in ([star_pair(l)] if l in stars
+                     else combinations(holders[l], 2)):
+            push(*pair, 0)
+    steps, step = [], 0
+    while heap:
+        _, first, ca, cb, born, shared = heapq.heappop(heap)
+        if (comp[ca] != ca or comp[cb] != cb or changed[ca] > born
+                or changed[cb] > born):
+            continue
+        if _root(comp, holders[first][0]) != ca:
             ca, cb = cb, ca
-        la, lb = labels[ca], labels.pop(cb)
-        batch = [l for l in shared if kept(l)]
-        summed = [l for l in shared if l not in batch]
+        la, lb = labels[ca], labels[cb]
+        batch, summed, nb, k = [], [], 1, 1
+        for l in shared:
+            if l in open_labels or len(members[l]) > 2:
+                batch.append(l)
+                nb *= dim[l]
+            else:
+                summed.append(l)
+                k *= dim[l]
         free_a = [l for l in la if l not in shared]
         free_b = [l for l in lb if l not in shared]
-        a = np.transpose(arrays[ca],
-                         [la.index(l) for l in batch + free_a + summed])
-        b = np.transpose(arrays.pop(cb),
-                         [lb.index(l) for l in batch + summed + free_b])
-        k = cells(summed)
-        if batch:
-            merged = sr.sum(sr.mul(
-                a.reshape(cells(batch), -1, k, 1),
-                b.reshape(cells(batch), 1, k, -1)), axis=2)
-        else:
-            merged = sr.matmul(a.reshape(-1, k), b.reshape(k, -1))
-        labels[ca] = batch + free_a + free_b
-        arrays[ca] = merged.reshape([dim[l] for l in labels[ca]])
-        comp[cb] = ca
-        for l in la + lb:
-            if l in holders:
-                holders[l].discard(cb)
-                holders[l].add(ca)
-                if len(holders[l]) < 2:
-                    del holders[l]
-        fresh = {}
-        for l in sorted(l for l in labels[ca] if l in holders):
-            for other in holders[l]:
-                if other != ca:
-                    p = (ca, other) if ca < other else (other, ca)
-                    fresh.setdefault(p, []).append(l)
-        for p, s in fresh.items():
-            other = p[0] if p[1] == ca else p[1]
-            keys.pop((cb, other) if cb < other else (other, cb), None)
-            shares[p], keys[p] = s, (cost(*p, s), s[0], p)
+        m, n = size[ca] // (nb * k), size[cb] // (nb * k)
+        labels[ca], labels[cb] = batch + free_a + free_b, None
+        steps.append(Step(
+            ca, cb, tuple([la.index(l) for l in batch + free_a + summed]),
+            tuple([lb.index(l) for l in batch + summed + free_b]),
+            (nb, m, k, 1) if batch else (m, k),
+            (nb, 1, k, n) if batch else (k, n),
+            tuple([dim[l] for l in labels[ca]]), bool(batch)))
+        size[ca] = nb * m * n
+        max_cells = max(max_cells, size[ca] * (k if batch else 1))
+        step += 1
+        comp[cb], changed[ca] = ca, step
+        # Only the pairs with the survivor change; a star's pair without it
+        # is still current.
+        partners = set()
+        for l in labels[ca]:
+            comps = members.get(l)
+            if comps is None:
+                continue
+            if cb in comps:
+                comps.discard(cb)
+                comps.add(ca)
+                if len(comps) < 2:
+                    del members[l]
+                    continue
+            if l in stars:
+                pair = star_pair(l)
+                if ca in pair:
+                    partners.update(pair)
+            else:
+                partners.update(comps)
+        for l in summed:
+            del members[l]
+        partners.discard(ca)
+        for other in partners:
+            push(ca, other, step)
 
-    first, *rest = arrays
-    arr, labs = arrays[first], list(labels[first])
-    for c in rest:
-        arr = sr.mul(arr.reshape(arr.shape + (1,) * arrays[c].ndim),
-                     arrays[c])
+    roots = [c for c in range(len(shapes)) if comp[c] == c]
+    labs, outer = list(labels[roots[0]]), [(roots[0], ())]
+    shape = [dim[l] for l in labs]
+    for c in roots[1:]:
+        outer.append((c, tuple(shape) + (1,) * len(labels[c])))
         labs += labels[c]
+        shape += [dim[l] for l in labels[c]]
+    if len(roots) > 1:
+        max_cells = max(max_cells, math.prod(shape))
     # Classes that hold no open wire and no wire elsewhere are summed out.
     uniq = list(dict.fromkeys(out))
-    arr = sr.sum(np.transpose(arr, [labs.index(l) for l in uniq] + [
-        k for k, l in enumerate(labs) if l not in open_labels]),
-        axis=tuple(range(len(uniq), len(labs))))
+    copy = None
     if len(uniq) < len(out):
         # Open wires of one class carry copies of its index.
-        copied = np.zeros([dim[l] for l in out], dtype=sr.dtype)
-        np.einsum(copied, [uniq.index(l) for l in out],
-                  list(range(len(uniq))))[...] = arr
-        arr = copied
-    out_wires = tuple(nodes[n].wires[w] for (n, w) in network.open_wires)
-    return Tensor(out_wires, arr, sr, copy=False)
+        copy = (tuple([dim[l] for l in out]),
+                tuple([uniq.index(l) for l in out]))
+        max_cells = max(max_cells, math.prod(copy[0]))
+    return ContractionPlan(
+        tuple(diagonals), tuple(steps), tuple(outer),
+        tuple([labs.index(l) for l in uniq]
+              + [k for k, l in enumerate(labs) if l not in open_labels]),
+        tuple(range(len(uniq), len(labs))), copy,
+        max(max_cells, math.prod([dim[l] for l in uniq])))
 
 
 def _row_meaning(types, tensors, target: PregroupType,

@@ -275,7 +275,12 @@ def parse_lexicon(text: str) -> Lexicon:
                 if not parts[2].strip("0"):
                     raise ParseError(f"type {parts[1]!r} has dimension 0",
                                      lineno)
-                dims[parts[1]] = int(parts[2])
+                try:
+                    dims[parts[1]] = int(parts[2])
+                except ValueError:  # past the interpreter's digit limit
+                    raise ParseError(
+                        f"type {parts[1]!r} has a dimension of "
+                        f"{len(parts[2])} digits", lineno) from None
             else:
                 raise ParseError(f"unknown directive {line!r}", lineno)
             continue

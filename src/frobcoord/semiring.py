@@ -102,13 +102,15 @@ class _Boolean(Semiring):
         return np.any(arr, axis=axis)
 
     def matmul(self, a, b):
-        """Or-of-ands as a float64 BLAS product of 0/1 copies, then ``> 0``.
+        """Or-of-ands as a float32 BLAS product of 0/1 copies, then ``> 0``.
 
-        Exact: an output entry counts at most ``shared`` (= ``a.shape[1]``)
-        unit products, and ``shared`` is no larger than ``a.size``, an array
-        already in memory, so every count is an integer below 2**53.
+        Exact under any rounding and any summation order: every term is 0
+        or 1, so an output entry is a sum of non-negative terms, which is
+        above 0 exactly when some term is 1.  The count cannot overflow
+        either: it is at most the shared dimension, an axis length of an
+        array in memory, far below float32's largest value.
         """
-        return (a.astype(np.float64) @ b.astype(np.float64)) > 0
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
     def allclose(self, a, b) -> bool:
         a = np.asarray(a, dtype=self.dtype)

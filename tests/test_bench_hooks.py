@@ -9,6 +9,8 @@ import pytest
 
 import frobcoord
 import frobcoord.cli
+from frobcoord.evaluator import evaluate_sentence
+from frobcoord.lexicon import parse_lexicon
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -18,6 +20,16 @@ john : n = [1, 0]
 sleeps : n.r s = @random(1)
 snores : n.r s = @random(2)
 and : s.r n.r.r n.r s s.l n = @conj
+"""
+
+SVO_LEX = """#type n 3
+#type s 2
+men : n = @random(1)
+women : n = @random(2)
+football : n = @random(3)
+watch : n.r s n.l = @random(4)
+knit : n.r s = @random(5)
+and_s : s.r s s.l = @conj
 """
 
 
@@ -55,3 +67,33 @@ def test_cli_calls_go_through_the_patch_points(tracing, lex_path, capsys,
     assert names.count("pregroup.reduce") == 1
     assert names.count("lexicon.load_lexicon") == 1
     assert names.count("evaluator.evaluate_sentence") == (command == "eval")
+
+
+@pytest.mark.parametrize("semiring", ["real", "bool"])
+@pytest.mark.parametrize("text,sentence,mode,calls", [
+    (LEX, "john sleeps and snores and sleeps", "explicit", 7),
+    (LEX, "john sleeps and snores and sleeps", "closed-form", 0),
+    (SVO_LEX, "men watch football and_s women knit", "explicit", 5),
+    (SVO_LEX, "men watch football and_s women knit", "closed-form", 3),
+], ids=["vp-explicit", "vp-closed-form", "svo-explicit", "svo-closed-form"])
+def test_evaluate_hands_matmul_two_matrices(tracing, monkeypatch, semiring,
+                                            text, sentence, mode, calls):
+    # The tracer's semiring.matmul measure unpacks two 2-D shapes, and the
+    # benchmark compares matmul call counts across versions: both hold
+    # only while evaluate calls matmul on matrices, as often as before.
+    lex = parse_lexicon(f"#semiring {semiring}\n" + text)
+    sr, shapes = lex.semiring, []
+    plain = type(sr).matmul
+
+    def checked(a, b):
+        shapes.append((a.ndim, b.ndim))
+        return plain(sr, a, b)
+
+    monkeypatch.setattr(sr, "matmul", checked)
+    tracer = tracing.Tracer(tracing.patch_points(frobcoord))
+    with tracer.installed(0):
+        evaluate_sentence(sentence.split(), lex, "s", mode=mode)
+    assert shapes == [(2, 2)] * calls
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("semiring.matmul") == calls
+    assert names.count("evaluator.evaluate") == 1

@@ -540,18 +540,17 @@ def test_closed_form_with_surviving_coordinator_legs(sr, words, target):
     assert closed.isclose(explicit)
 
 
-@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
-def test_random_hyperedge_networks_against_loops(sr):
-    # Random labels spread over up to four nodes, numbered sparsely and out
-    # of order: a label twice on one node, a label on several nodes, a
-    # label on one wire only and open wires repeated or sharing a label
-    # all occur.
-    rng = np.random.default_rng(12)
-    for _ in range(150):
+def _random_networks_against_loops(sr, seed, trials, node_range):
+    # Random labels spread over a number of nodes in range(*node_range),
+    # numbered sparsely and out of order: a label twice on one node, a
+    # label on several nodes, a label on one wire only and open wires
+    # repeated or sharing a label all occur.
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
         class_dims = rng.integers(1, 4, size=rng.integers(1, 6))
         names = (3 * rng.permutation(len(class_dims)) + 1).tolist()
         nodes, indices = [], []
-        for n in range(rng.integers(1, 5)):
+        for n in range(rng.integers(*node_range)):
             cls = rng.integers(0, len(class_dims), size=rng.integers(0, 4))
             indices.append([names[c] for c in cls])
             nodes.append(random_tensor(
@@ -564,3 +563,111 @@ def test_random_hyperedge_networks_against_loops(sr):
         got = evaluate(TensorNetwork(nodes, indices, open_wires))
         want = network_loops([t.array for t in nodes], indices, open_wires)
         assert sr.allclose(got.array, want if sr is REAL else want > 0)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_random_hyperedge_networks_against_loops(sr):
+    _random_networks_against_loops(sr, 12, 150, (1, 5))
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_random_star_networks_against_loops(sr):
+    # 12 to 20 nodes over at most five labels: labels on more than
+    # _PAIRED_HOLDERS nodes, which fold in as stars, are common.
+    assert evaluator._PAIRED_HOLDERS < 12
+    _random_networks_against_loops(sr, 16, 60, (12, 21))
+
+
+def _bits(tensor):
+    return tensor.array.dtype, tensor.array.shape, tensor.array.tobytes()
+
+
+def test_plan_cache_is_keyed_by_structure_not_words(lexicon):
+    plans = evaluator.plan_contraction
+    plans.cache_clear()
+    evaluate_sentence(["john", "sleeps", "and", "snores"], lexicon, "s",
+                      mode="closed-form")
+    assert plans.cache_info().misses == 1
+    got = evaluate_sentence(["mary", "knit", "and", "sleeps"], lexicon, "s",
+                            mode="closed-form")
+    info = plans.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    grab = lambda w: lexicon[w].tensor.array
+    assert np.allclose(got.array,
+                       grab("mary") @ (grab("knit") * grab("sleeps")))
+    # The other mode is another structure, so another plan.
+    evaluate_sentence(["mary", "knit", "and", "sleeps"], lexicon, "s",
+                      mode="explicit")
+    assert plans.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("sr", ["real", "bool"])
+@pytest.mark.parametrize("mode", ["explicit", "closed-form"])
+def test_cached_plan_replays_bit_for_bit(sr, mode):
+    lex = parse_lexicon(PLAN_LEX.replace("#type n 8", f"#semiring {sr}\n"
+                                         "#type n 8"))
+    sentences = ["a v b", "a and_n b v c", "a v b and_s c w a",
+                 "a sleeps and_vp snores and_vp sleeps", "b w a and_n c"]
+    for words in sentences:
+        evaluator.plan_contraction.cache_clear()
+        cold = evaluate_sentence(words.split(), lex, "s", mode=mode)
+        warm = evaluate_sentence(words.split(), lex, "s", mode=mode)
+        assert evaluator.plan_contraction.cache_info().hits == 1
+        assert _bits(warm) == _bits(cold), words
+
+
+def test_malformed_networks_are_never_cached():
+    rng = np.random.default_rng(15)
+    u, w = rt(rng, "n"), rt(rng, "n.r s")  # dims 2; 2 and 3
+    plans = evaluator.plan_contraction
+    plans.cache_clear()
+    bad = [(errors.ShapeMismatch, [[0], [0]], [(0, 0)]),
+           (errors.DimMismatch, [[1], [0, 1]], [(1, 1)]),
+           (errors.DimMismatch, [[0], [0, 1]], [(1, 2)])]
+    for error, indices, open_wires in bad:
+        for _ in range(2):
+            with pytest.raises(error):
+                evaluate(TensorNetwork([u, w], indices, open_wires))
+    assert plans.cache_info().currsize == 0
+    # The semiring check runs before the cache, on every call.
+    good = TensorNetwork([u, w], [[0], [0, 1]], [(1, 1)])
+    evaluate(good)
+    mixed = TensorNetwork([u, rt(rng, "n.r s", BOOLEAN)], good.indices,
+                          good.open_wires)
+    for _ in range(2):
+        with pytest.raises(errors.SemiringMismatch):
+            evaluate(mixed)
+    assert plans.cache_info().currsize == 1
+
+
+def test_plan_cache_stays_within_its_bound():
+    plans = evaluator.plan_contraction
+    plans.cache_clear()
+    bound = plans.cache_info().maxsize
+    for d in range(1, bound + 20):
+        v = Tensor([Wire("n", 0, d)], np.ones(d))
+        assert evaluate(TensorNetwork([v, v], [[0], [0]], [])).item() == d
+        assert plans.cache_info().currsize <= bound
+    assert plans.cache_info().currsize == bound
+
+
+def test_240_conjunct_vp_chain_folds_its_hyperedges():
+    # Closed form joins 241 subject wires into one index and 240 sentence
+    # wires into another; explicit mode has 478 spiders instead.
+    verbs = {"v0": [1.001, 0.998, 0.999, 1.002],
+             "v1": [0.997, 1.003, 1.0, 0.999],
+             "v2": [1.002, 1.0, 0.998, 1.001]}
+    lex = parse_lexicon("#type n 2\n#type s 2\njohn : n = [0.5, 2.0]\n"
+                        + "".join(f"{v} : n.r s = {cells}\n"
+                                  for v, cells in verbs.items())
+                        + "and : s.r n.r.r n.r s s.l n = @conj\n")
+    words = ["john", "v0"] + [w for i in range(1, 240)
+                              for w in ("and", f"v{i % 3}")]
+    explicit = evaluate_sentence(words, lex, "s", mode="explicit")
+    closed = evaluate_sentence(words, lex, "s", mode="closed-form")
+    assert explicit.isclose(closed)
+    merged = np.ones((2, 2))
+    for i in range(240):
+        merged = merged * np.reshape(verbs[f"v{i % 3}"], (2, 2))
+    assert np.allclose(closed.array, np.array([0.5, 2.0]) @ merged,
+                       rtol=1e-10)

@@ -90,6 +90,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(errors.ParseError) as exc:
         parse_lexicon("#type n 0\n#type s 1\n")
     assert exc.value.line == 1
+    # A dimension past int()'s 4 300-digit limit is no ValueError.
+    with pytest.raises(errors.ParseError) as exc:
+        parse_lexicon("#type s 2\n#type n " + "9" * 5000 + "\n")
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("literal", ["[NaN, 1]", "[1, Infinity]",

@@ -56,6 +56,22 @@ def test_matmul_against_loops(sr):
         assert sr.allclose(got, want)
 
 
+def test_boolean_matmul_against_int64_counts():
+    # The float32 product must say "some term is 1" exactly: an int64 count
+    # of the unit terms is the reference, over empty, sparse, dense and
+    # full operands, an empty shared axis and shared axes past 2**12.
+    rng = np.random.default_rng(17)
+    for k in (0, 1, 2, 5, 64, 4099):
+        for density in (0.0, 0.001, 0.5, 1.0):
+            n, m = rng.integers(0, 6, size=2)
+            a = rng.random((n, k)) < density
+            b = rng.random((k, m)) < density
+            got = BOOLEAN.matmul(a, b)
+            want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+            assert got.dtype == np.bool_ and got.shape == (n, m)
+            assert np.array_equal(got, want), (k, density)
+
+
 def test_from_unit():
     assert REAL.from_unit(0.25) == 0.25
     assert BOOLEAN.from_unit(0.49) is False
