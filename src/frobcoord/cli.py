@@ -6,8 +6,8 @@ line between derivations), ``eval`` (meaning tensor, explicit or
 closed-form mode, optional mode comparison), ``selftest`` (the randomized
 verification suites).  Exit codes: 0 success, 1 semantic failure
 (ungrammatical input or a failing suite), 2 environmental failure (I/O,
-lexicon or lookup errors, a real result past float64); only :func:`main`
-maps errors to them.
+lexicon or lookup errors, a real result past float64, memory); only
+:func:`main` maps errors to them.
 """
 
 from __future__ import annotations
@@ -84,12 +84,15 @@ def _diagram(words, derivation) -> str:
 
 def cmd_check(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    types = [entry.type for entry in lexicon.row(args.words)]
+    row = lexicon.row(args.words)
+    types = [entry.type for entry in row]
+    coordinators = [k for k, entry in enumerate(row) if entry.is_coordinator]
     target = parse_type(args.target, lexicon.spaces.bases())
     if args.all:
-        derivations = enumerate_reductions(types, target, args.cap)
+        derivations = enumerate_reductions(types, target, args.cap,
+                                           coordinators=coordinators)
     else:
-        derivation = reduce(types, target)
+        derivation = reduce(types, target, coordinators=coordinators)
         derivations = [] if derivation is None else [derivation]
     if not derivations:
         print("ungrammatical")
@@ -245,6 +248,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, FrobcoordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

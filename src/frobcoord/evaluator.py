@@ -14,16 +14,21 @@ form: wires with one label share one index, a copy spider, which
 not depend on how the labels are numbered.
 
 Contraction is compiled, then replayed.  :func:`plan_contraction` checks a
-network's structure and chooses every step: pairwise matrix products in
-cost order, a long hyperedge folded in as a star.  It returns an immutable
-:class:`ContractionPlan` of transposes, reshapes and shapes, with the
-largest array the contraction will allocate.  Plans are cached (a bounded
-LRU; ``plan_contraction.cache_info()`` and ``cache_clear()``) on the
-structure alone: labels, node shapes and open wires.  Words and carrier
-are not part of the key, and the mode already shows in the labels, so
-every sentence of one type row replays one plan.  :func:`evaluate` looks
-the plan up and runs it: transposes, reshapes and semiring products,
-nothing else.
+network's structure and chooses every array operation: one einsum per node
+that keeps a diagonal or sums a label no other node holds, then pairwise
+steps in cost order (a long hyperedge folded in as a star), then outer
+products of the components that share nothing.  Each step is one product:
+a semiring matrix product of two matrices, or one einsum over the batch
+entries of indices a third component or an open wire still holds (an
+entry-wise product when nothing is summed, the merge of the closed form).
+It returns an immutable :class:`ContractionPlan` of transposes, reshapes
+and shapes, with the largest array the contraction makes.  Plans are
+cached (a bounded LRU; ``plan_contraction.cache_info()`` and
+``cache_clear()``) on the structure alone: labels, node shapes and open
+wires.  Words and carrier are not part of the key, and the mode already
+shows in the labels, so every sentence of one type row replays one plan.
+:func:`evaluate` looks the plan up and runs it: transposes, reshapes,
+semiring matrix products and einsum calls, nothing else.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (DimMismatch, MissingSpace, OutOfMemory, Overflow,
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
 from .semiring import REAL, Semiring
-from .tensor import Tensor, Wire, frobenius_zeta
+from .tensor import MAX_AXES, Tensor, Wire, frobenius_zeta
 
 
 class SpaceAssignment:
@@ -220,6 +225,8 @@ _PLAN_CACHE_SIZE = 256
 # A label on at most this many nodes offers every pair of its components;
 # one on more folds in as a star (see plan_contraction).
 _PAIRED_HOLDERS = 8
+# np.einsum takes the integer subscripts 0 to 51 only.
+_EINSUM_SUBSCRIPTS = 52
 
 
 class Step(NamedTuple):
@@ -227,9 +234,11 @@ class Step(NamedTuple):
 
     Each operand is transposed by its ``perm`` and reshaped to its
     ``shape``: ``(m, k)`` and ``(k, n)`` for one semiring matrix product,
-    or ``(B, m, k, 1)`` and ``(B, 1, k, n)`` for a batch step, whose
-    broadcast product is summed over its ``k`` axis.  The result is
-    reshaped to ``shape``, one axis per label of the merged component.
+    or ``(nb, m, k)`` and ``(nb, k, n)`` for a batch step, one einsum
+    product over the ``nb`` shared batch entries that allocates only its
+    ``(nb, m, n)`` result.  Components that share no label meet in a batch
+    step of ``(1, m, 1)`` and ``(1, 1, n)``, an outer product.  The result
+    is reshaped to ``shape``, one axis per label of the merged component.
     """
 
     a: int
@@ -245,21 +254,22 @@ class Step(NamedTuple):
 class ContractionPlan(NamedTuple):
     """Everything :func:`evaluate` does to a network's arrays, in order.
 
-    ``diagonals`` are ``(node, subscripts, output)`` einsum calls for the
-    nodes with a label on two wires.  ``outer`` lists each component left
-    after the steps as ``(slot, shape)``: the running product is reshaped
-    to ``shape`` before it multiplies that slot (the first is taken as it
-    is).  The product is transposed by ``perm`` and summed over
-    ``sum_axes``; ``copy`` is ``(shape, subscripts)`` when open wires
-    repeat a label, else None.  ``max_cells`` is the largest array that
-    the plan allocates, a batch step's broadcast product included.
+    ``prep`` holds ``(node, subscripts, output)`` einsum calls, one for
+    each node with a label on two of its wires or a private label (one
+    that no other node and no open wire holds): the call keeps the
+    diagonal and sums the private labels out.  After the ``steps``, slot
+    ``result`` holds the product, every axis of which is an open label; it
+    is transposed by ``perm``.  ``copy`` is ``(shape, subscripts)`` when
+    open wires repeat a label, else None.  ``max_cells`` is the largest
+    array that a prep call, a step or the copy makes (0 when none runs).
+    Nothing else allocates, except a reshape of a transposed operand,
+    which copies an input or an earlier result of the same size.
     """
 
-    diagonals: tuple
+    prep: tuple
     steps: tuple
-    outer: tuple
+    result: int
     perm: tuple
-    sum_axes: tuple
     copy: tuple | None
     max_cells: int
 
@@ -271,9 +281,11 @@ def evaluate(network: TensorNetwork) -> Tensor:
     contraction order comes from :func:`plan_contraction`, which depends
     on the network's structure alone (labels, node shapes, open wires),
     never on its words or carrier (the mode shows in the labels), so
-    sentences of one type row replay one cached plan.  Execution only transposes, reshapes and calls
-    the semiring's ``matmul`` (or ``mul`` and ``sum`` for a batch step).
-    Scalar results come back as 0-wire tensors.
+    sentences of one type row replay one cached plan.  Execution only
+    transposes, reshapes and calls the semiring's ``matmul`` on two
+    matrices or ``np.einsum`` once per prep call or batch step (on boolean
+    arrays einsum computes or-of-ands).  Scalar results come back as
+    0-wire tensors.
     """
     sr, nodes = network.semiring, network.nodes
     if any(t.semiring is not sr for t in nodes):
@@ -285,19 +297,16 @@ def evaluate(network: TensorNetwork) -> Tensor:
                             tuple([t.array.shape for t in nodes]),
                             tuple([tuple(w) for w in network.open_wires]))
     arrays = [t.array for t in nodes]
-    for n, sub, out in plan.diagonals:
+    for n, sub, out in plan.prep:
         arrays[n] = np.einsum(arrays[n], sub, out)
     for s in plan.steps:
         a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
         b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
         arrays[s.b] = None
-        merged = sr.sum(sr.mul(a, b), axis=2) if s.batch else sr.matmul(a, b)
+        merged = (np.einsum(a, (0, 1, 2), b, (0, 2, 3), (0, 1, 3))
+                  if s.batch else sr.matmul(a, b))
         arrays[s.a] = merged.reshape(s.shape)
-    (first, _), *rest = plan.outer
-    arr = arrays[first]
-    for c, shape in rest:
-        arr = sr.mul(arr.reshape(shape), arrays[c])
-    arr = sr.sum(arr.transpose(plan.perm), axis=plan.sum_axes)
+    arr = arrays[plan.result].transpose(plan.perm)
     if plan.copy is not None:
         shape, sub = plan.copy
         copied = np.zeros(shape, dtype=sr.dtype)
@@ -315,7 +324,8 @@ def plan_contraction(indices: tuple, shapes: tuple,
     ``indices`` holds each node's labels, ``shapes`` each node's array
     shape and ``open_wires`` the ``(node, wire)`` pairs, all as tuples.
     Wires with one label are one index, and one label has one dimension.
-    Contraction runs in cost order: each step merges the pair of
+    Each node first keeps its diagonals and sums out its private labels.
+    Contraction then runs in cost order: each step merges the pair of
     components sharing an index whose merged tensor has the fewest cells
     (ties go to the lowest shared label, then to the lowest pair; the
     component holding that label's lowest-numbered node survives).  A
@@ -328,16 +338,18 @@ def plan_contraction(indices: tuple, shapes: tuple,
     of a closed-form verb-phrase chain) offers only one pair at a time:
     the component of its lowest-numbered node with that of its next node
     in order, so the edge folds in as a star and planning stays near
-    linear in its length.  Plans are cached by their arguments; a network
-    that fails a check raises and is not cached.
+    linear in its length.  Components left sharing nothing then meet in
+    outer products, in the order of their lowest nodes.  An array past
+    numpy's axis limit, or an einsum call past its subscript limit, raises
+    :class:`OutOfMemory` before anything runs.  Plans are cached by their
+    arguments; a network that fails a check raises and is not cached.
     """
     counts, orders = list(map(len, indices)), list(map(len, shapes))
     if counts != orders:
         raise ShapeMismatch(f"label counts {counts} differ from node orders "
                             f"{orders}")
     # holders: label -> its nodes in ascending order.
-    dim, holders, labels, size, diagonals = {}, {}, [], [], []
-    max_cells = 0
+    dim, holders = {}, {}
     for n, labs in enumerate(indices):
         for l, d in zip(labs, shapes[n]):
             if dim.setdefault(l, d) != d:
@@ -347,16 +359,6 @@ def plan_contraction(indices: tuple, shapes: tuple,
                 holders[l] = [n]
             elif nodes[-1] != n:
                 nodes.append(n)
-        uniq = list(dict.fromkeys(labs))
-        labels.append(uniq)
-        if len(uniq) < len(labs):
-            # Wires of one node with one label keep only their diagonal.
-            diagonals.append((n, tuple([uniq.index(l) for l in labs]),
-                              tuple(range(len(uniq)))))
-            size.append(math.prod([dim[l] for l in uniq]))
-            max_cells = max(max_cells, size[-1])
-        else:
-            size.append(math.prod(shapes[n]))
     out = []
     for n, w in open_wires:
         if not (0 <= n < len(shapes) and 0 <= w < orders[n]):
@@ -364,6 +366,18 @@ def plan_contraction(indices: tuple, shapes: tuple,
                               f"outside the network")
         out.append(indices[n][w])
     open_labels = set(out)
+    # made: (what, shape, einsum subscripts) for every array the plan makes.
+    labels, size, prep, made = [], [], [], []
+    for n, labs in enumerate(indices):
+        uniq = list(dict.fromkeys(labs))
+        kept = [l for l in uniq if len(holders[l]) > 1 or l in open_labels]
+        if kept != list(labs):
+            prep.append((n, tuple([uniq.index(l) for l in labs]),
+                         tuple([uniq.index(l) for l in kept])))
+            made.append((f"the prep einsum of node {n}",
+                         tuple([dim[l] for l in kept]), len(uniq)))
+        labels.append(kept)
+        size.append(math.prod([dim[l] for l in kept]))
     # members: label -> the components holding it, for the labels that two
     # or more hold; stars: label -> the position in its holders of the
     # first node not yet merged into its lowest node's component.
@@ -426,11 +440,10 @@ def plan_contraction(indices: tuple, shapes: tuple,
         steps.append(Step(
             ca, cb, tuple([la.index(l) for l in batch + free_a + summed]),
             tuple([lb.index(l) for l in batch + summed + free_b]),
-            (nb, m, k, 1) if batch else (m, k),
-            (nb, 1, k, n) if batch else (k, n),
+            (nb, m, k) if batch else (m, k),
+            (nb, k, n) if batch else (k, n),
             tuple([dim[l] for l in labels[ca]]), bool(batch)))
         size[ca] = nb * m * n
-        max_cells = max(max_cells, size[ca] * (k if batch else 1))
         step += 1
         comp[cb], changed[ca] = ca, step
         # Only the pairs with the survivor change; a star's pair without it
@@ -458,38 +471,47 @@ def plan_contraction(indices: tuple, shapes: tuple,
         for other in partners:
             push(ca, other, step)
 
-    roots = [c for c in range(len(shapes)) if comp[c] == c]
-    labs, outer = list(labels[roots[0]]), [(roots[0], ())]
-    shape = [dim[l] for l in labs]
-    for c in roots[1:]:
-        outer.append((c, tuple(shape) + (1,) * len(labels[c])))
-        labs += labels[c]
-        shape += [dim[l] for l in labels[c]]
-    if len(roots) > 1:
-        max_cells = max(max_cells, math.prod(shape))
-    # Classes that hold no open wire and no wire elsewhere are summed out.
+    result, *rest = [c for c in range(len(shapes)) if comp[c] == c]
+    for c in rest:
+        la, lb = labels[result], labels[c]
+        labels[result] = la + lb
+        steps.append(Step(result, c, tuple(range(len(la))),
+                          tuple(range(len(lb))), (1, size[result], 1),
+                          (1, 1, size[c]),
+                          tuple([dim[l] for l in labels[result]]), True))
+        size[result] *= size[c]
+    made += [(f"contraction step {i}", s.shape, 0)
+             for i, s in enumerate(steps)]
     uniq = list(dict.fromkeys(out))
     copy = None
     if len(uniq) < len(out):
         # Open wires of one class carry copies of its index.
         copy = (tuple([dim[l] for l in out]),
                 tuple([uniq.index(l) for l in out]))
-        max_cells = max(max_cells, math.prod(copy[0]))
+        made.append(("the copy onto repeated open wires", copy[0],
+                     len(uniq)))
+    for what, shape, subscripts in made:
+        if len(shape) > MAX_AXES:
+            raise OutOfMemory(f"{what} would make an array of {len(shape)} "
+                              f"axes; numpy allows {MAX_AXES}")
+        if subscripts > _EINSUM_SUBSCRIPTS:
+            raise OutOfMemory(f"{what} needs {subscripts} subscripts; numpy "
+                              f"allows {_EINSUM_SUBSCRIPTS}")
     return ContractionPlan(
-        tuple(diagonals), tuple(steps), tuple(outer),
-        tuple([labs.index(l) for l in uniq]
-              + [k for k, l in enumerate(labs) if l not in open_labels]),
-        tuple(range(len(uniq), len(labs))), copy,
-        max(max_cells, math.prod([dim[l] for l in uniq])))
+        tuple(prep), tuple(steps), result,
+        tuple([labels[result].index(l) for l in uniq]), copy,
+        max([math.prod(shape) for _, shape, _ in made], default=0))
 
 
 def _row_meaning(types, tensors, target: PregroupType,
                  spaces: SpaceAssignment, semiring: Semiring, mode: str,
                  refusal) -> Tensor:
-    """Reduce ``types`` to ``target`` (else raise ``refusal()``), contract
-    the network in ``mode`` and type the result by the residual.  A real
-    result that is not finite raises :class:`Overflow`."""
-    derivation = reduce(types, target)
+    """Reduce ``types`` to ``target`` (else raise ``refusal()``), with the
+    None tensors as the coordinators, contract the network in ``mode`` and
+    type the result by the residual.  A real result that is not finite
+    raises :class:`Overflow`."""
+    derivation = reduce(types, target, coordinators=[
+        k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:
         raise refusal()
     with np.errstate(over="ignore", invalid="ignore"):

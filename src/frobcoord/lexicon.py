@@ -24,9 +24,10 @@ numbers), ``@conj`` (the coordinator for a type shaped
 ``@identity`` (square order-2 types only).  Dimensions and seeds are
 ASCII digits.  Parsing checks every spec against its entry's type and
 allocates no tensor: each entry's tensor is built on first access to it
-(see :class:`LexiconEntry`), so a tensor too large for memory is a
-:class:`ParseError` at its first use.  Real entries are saved with 17
-significant digits, so save/load round-trips exactly.
+(see :class:`LexiconEntry`), so a tensor too large for memory, or with
+more wires than numpy allows an array axes, is a :class:`ParseError` at
+its first use.  Real entries are saved with 17 significant digits, so
+save/load round-trips exactly.
 
 :meth:`Lexicon.row` is the one word lookup from a sentence to its entries:
 it raises :class:`UnknownWord` and realises no tensor.
@@ -48,7 +49,7 @@ from .errors import (DimMismatch, ParseError, UndeclaredSymbol,
 from .evaluator import SpaceAssignment
 from .pregroup import PregroupType, conjunct_type, parse_type
 from .semiring import BY_NAME, REAL, Semiring
-from .tensor import Tensor
+from .tensor import MAX_AXES, Tensor
 
 _MASK = (1 << 64) - 1
 _GAMMA_INT = 0x9E3779B97F4A7C15
@@ -118,7 +119,8 @@ class LexiconEntry:
     literal data.  Each entry is made from a spec checked against its type
     and a ``build`` function that ``tensor`` calls on first access, keeping
     the result and dropping the function.  An allocation failing there is
-    a :class:`ParseError` naming the entry, its ``cells`` and ``line``.
+    a :class:`ParseError` naming the entry, its ``cells`` (or its wires,
+    past numpy's axis limit) and ``line``.
     """
 
     __slots__ = ("word", "type", "spec", "line", "cells", "_tensor",
@@ -136,9 +138,12 @@ class LexiconEntry:
             try:
                 self._tensor = self._build()
             except (MemoryError, ValueError):
-                # numpy refuses an array past its size limit with a ValueError.
-                raise ParseError(f"entry {self.word!r}: its {self.cells} "
-                                 f"cells do not fit in memory",
+                # numpy refuses an array past its size or axis limit with a
+                # ValueError.
+                why = (f"its {len(self.type)} wires are past numpy's limit "
+                       f"of {MAX_AXES} axes" if len(self.type) > MAX_AXES
+                       else f"its {self.cells} cells do not fit in memory")
+                raise ParseError(f"entry {self.word!r}: {why}",
                                  self.line) from None
             self._build = None
         return self._tensor

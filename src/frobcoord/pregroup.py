@@ -34,7 +34,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .errors import (EmptyType, InvalidDerivation, TypeSyntaxError,
@@ -233,7 +233,7 @@ class Derivation:
                         f"links ({q}, {p}) and ({k}, {partner[k]}) cross")
 
 
-def _derivations(flat, target):
+def _derivations(tokens, target, coordinators):
     """Yield link lists in the walk order of the moves close, open, survive.
 
     A walk state is (position, stack of open link ends, target progress).
@@ -247,8 +247,12 @@ def _derivations(flat, target):
     the unit, and ``tail[t]`` the starts ``i`` for which ``flat[i:]``
     reduces to ``target[t:]`` with survivors at top level only.  Each
     open end keeps the mask of positions where closing it still leaves a
-    completable state, derived from the mask of the end below it.
+    completable state, derived from the mask of the end below it.  No
+    wire of a token at a position in ``coordinators`` closes on another
+    wire of that token: its closer masks leave them out before the tables
+    are built.
     """
+    flat = tuple(s for t in tokens for s in t)
     n, m = len(flat), len(target)
     at, wanted = {}, {}
     for p, s in enumerate(flat):
@@ -256,6 +260,12 @@ def _derivations(flat, target):
     for t, s in enumerate(target):
         wanted[s] = wanted.get(s, 0) | 1 << t
     closers = [at.get((b, z + 1), 0) for b, z in flat]
+    offsets = [0, *accumulate(map(len, tokens))]
+    for c in coordinators:
+        lo, hi = offsets[c], offsets[c + 1]
+        own = (1 << hi) - (1 << lo)
+        for p in range(lo, hi):
+            closers[p] &= ~own
     unit = [0] * n + [1 << n]
     reach = [0] * n + [1 << m]  # reach[i]: the t for which i is in tail[t]
     for i in range(n - 1, -1, -1):
@@ -316,13 +326,16 @@ def _derivations(flat, target):
             frames.append(child)
 
 
-def reduce(tokens, target: PregroupType):
+def reduce(tokens, target: PregroupType, *, coordinators=()):
     """The canonical derivation reducing ``tokens`` to ``target``, or None.
 
     The canonical derivation is the one the walk over the flattened row
     makes when it takes, at each position, the first move that can still
     be completed, in the order close the innermost open link, open a new
     link, survive.  That realises the leftmost-innermost linking policy.
+    ``coordinators`` holds the positions of the row's coordinator tokens:
+    no link joins two wires of one of them, because a coordinator's wires
+    are the legs of copy spiders that merge the conjuncts around it.
     ``None`` means ungrammatical.  For n simple types this costs O(n**2)
     operations on n-bit integers, with no recursion, so any row length
     that fits in memory reduces.
@@ -333,14 +346,15 @@ def reduce(tokens, target: PregroupType):
     """
     if not tokens:
         raise EmptyType("cannot reduce an empty token sequence")
-    flat = tuple(s for t in tokens for s in t)
-    for link_list in _derivations(flat, target):
+    for link_list in _derivations(tokens, target, coordinators):
         return Derivation(tokens, link_list)
     return None
 
 
-def enumerate_reductions(tokens, target: PregroupType, cap: int):
-    """Up to ``cap`` derivations, in the walk order of :func:`reduce`.
+def enumerate_reductions(tokens, target: PregroupType, cap: int, *,
+                         coordinators=()):
+    """Up to ``cap`` derivations, in the walk order of :func:`reduce`, with
+    the same ``coordinators``.
 
     A depth-first search over the walk's moves, tried in the order close,
     open, survive, that enters only states that can still be completed:
@@ -354,6 +368,5 @@ def enumerate_reductions(tokens, target: PregroupType, cap: int):
         raise ValueError(f"cap must be >= 1, got {cap}")
     if not tokens:
         raise EmptyType("cannot reduce an empty token sequence")
-    flat = tuple(s for t in tokens for s in t)
-    return [Derivation(tokens, link_list)
-            for link_list in islice(_derivations(flat, target), cap)]
+    return [Derivation(tokens, link_list) for link_list in
+            islice(_derivations(tokens, target, coordinators), cap)]

@@ -109,7 +109,10 @@ def suite_snake(rng, dims, trials):
                 yield (ok, lambda: f"semiring={sr.name} d={d} v={_show(v)}")
 
 
-_CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l")
+# The coordinator types of adjectives (n n.l) and sentence adverbs (s.r s)
+# hold a contractible pair: only the coordinator position passed to reduce
+# keeps the coordinator's legs from linking to each other.
+_CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l", "n n.l", "s.r s")
 
 
 def _sample_spaces(rng, dims):
@@ -117,9 +120,12 @@ def _sample_spaces(rng, dims):
                             "s": int(rng.choice(dims))})
 
 
-def _explicit_coordination(x, x1, conj, x2, spaces):
-    derivation = reduce([x, coordinator_type(x), x], x)
-    return evaluate(build_network(derivation, [x1, conj, x2], spaces))
+def _coordination(x, x1, conj, x2, spaces, mode="explicit"):
+    """``x1 and x2`` with the dense coordinator ``conj``, or with None for
+    it, its copy spiders in ``mode``."""
+    derivation = reduce([x, coordinator_type(x), x], x, coordinators=[1])
+    return evaluate(build_network(derivation, [x1, conj, x2], spaces,
+                                  x1.semiring, mode))
 
 
 def suite_coordinator_equivalence(rng, dims, trials, mu):
@@ -131,12 +137,16 @@ def suite_coordinator_equivalence(rng, dims, trials, mu):
                 conj = coordinator_tensor(x, spaces, sr)
                 x1 = random_tensor(spaces.wires(x), rng, sr)
                 x2 = random_tensor(spaces.wires(x), rng, sr)
-                got = _explicit_coordination(x, x1, conj, x2, spaces)
                 want = mu(x1, x2)
-                yield (sr.allclose(got.array, want.array),
-                       lambda: f"type={type_text!r} semiring={sr.name} "
-                               f"spaces={spaces!r} x1={_show(x1)} "
-                               f"x2={_show(x2)}")
+                for route, tensor, mode in (
+                        ("dense", conj, "explicit"),
+                        ("spiders", None, "explicit"),
+                        ("closed-form", None, "closed-form")):
+                    got = _coordination(x, x1, tensor, x2, spaces, mode)
+                    yield (sr.allclose(got.array, want.array),
+                           lambda: f"type={type_text!r} route={route} "
+                                   f"semiring={sr.name} spaces={spaces!r} "
+                                   f"x1={_show(x1)} x2={_show(x2)}")
 
 
 def suite_contraction_order(rng, dims, trials):
@@ -276,7 +286,7 @@ def suite_rel_intersection(rng, dims, trials):
         yield (got_set == set_a & set_b,
                lambda: f"nouns a={_show(a)} b={_show(b)}")
         conj = coordinator_tensor(noun, spaces, sr)
-        explicit = _explicit_coordination(noun, a, conj, b, spaces)
+        explicit = _coordination(noun, a, conj, b, spaces)
         yield (sr.allclose(explicit.array, merged.array),
                lambda: f"noun-explicit a={_show(a)} b={_show(b)}")
 
@@ -285,7 +295,7 @@ def suite_rel_intersection(rng, dims, trials):
         q = random_tensor(spaces.wires(tv), rng, sr)
         rel = lambda m: {idx for idx in np.ndindex(*m.dims) if m.array[idx]}
         conj_tv = coordinator_tensor(tv, spaces, sr)
-        merged_rel = _explicit_coordination(tv, r, conj_tv, q, spaces)
+        merged_rel = _coordination(tv, r, conj_tv, q, spaces)
         yield (rel(merged_rel) == rel(r) & rel(q),
                lambda: f"relations r={_show(r)} q={_show(q)}")
 

@@ -32,6 +32,9 @@ from .errors import (ArityError, BadPermutation, DimMismatch, ShapeMismatch,
 from .pregroup import SimpleType
 from .semiring import REAL, Semiring
 
+# numpy's limit on the axes of one array: 32 before numpy 2.0, 64 since.
+MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
 
 class Wire(namedtuple("Wire", "base z dim")):
     """One tensor factor: an atomic symbol, adjoint order and dimension."""

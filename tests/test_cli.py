@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from frobcoord.lexicon import parse_lexicon
+from frobcoord.tensor import MAX_AXES
 
 LEX = """#semiring real
 #type n 2
@@ -475,3 +476,68 @@ def test_commands_that_never_build_a_coordinator(lex_path, monkeypatch,
         assert sorted(realised) == ["john", "sleeps", "snores"]
     else:
         assert realised == []
+
+
+def test_coordinated_adjectives_through_the_cli(tmp_path):
+    # check and eval both take the coordinator positions from the lexicon,
+    # so check prints the one derivation that eval contracts.
+    path = tmp_path / "adjectives.lex"
+    path.write_text("#type n 2\n#type s 2\nred : n n.l = [1, 2, 3, 4]\n"
+                    "blue : n n.l = [5, 6, 7, 8]\n"
+                    "and : n n.r n n.l n.l.l n.l = @conj\n"
+                    "car : n = [1, 1]\nsleeps : n.r s = [1, 0, 0, 1]\n",
+                    encoding="utf-8")
+    words = [str(path), "red", "and", "blue", "car", "sleeps"]
+    proc = run("check", *words, "--all")
+    assert proc.returncode == 0
+    assert proc.stdout == ("(0.0–1.1) (0.1–1.0) (1.2–4.0) (1.3–3.0) "
+                           "(1.4–2.1) (1.5–2.0)\n")
+    for mode in ("explicit", "closed-form"):
+        proc = run("eval", *words, "--mode", mode)
+        assert (proc.returncode, proc.stdout) == (0, "17 53\n")
+
+
+def test_result_past_numpy_axis_limit_is_an_error_exit(tmp_path):
+    # MAX_AXES + 1 unlinked nouns: the plan refuses the last outer product
+    # before any array is made.
+    path = tmp_path / "nouns.lex"
+    path.write_text("#type n 1\njohn : n = [1]\n", encoding="utf-8")
+    for count, code in ((MAX_AXES, 0), (MAX_AXES + 1, 2)):
+        proc = run("eval", str(path), *["john"] * count,
+                   "--target", " ".join(["n"] * count))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"error: contraction step {MAX_AXES - 1} would "
+                           f"make an array of {MAX_AXES + 1} axes; numpy "
+                           f"allows {MAX_AXES}\n")
+
+
+def test_entry_past_numpy_axis_limit_is_a_parse_error(tmp_path):
+    wires = " ".join(["n"] * (MAX_AXES + 1))
+    path = tmp_path / "wide.lex"
+    path.write_text(f"#type n 1\nw : {wires} = [1]\n", encoding="utf-8")
+    assert run("check", str(path), "w", "--target", wires).returncode == 0
+    proc = run("eval", str(path), "w", "--target", wires)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: line 2: entry 'w': its {MAX_AXES + 1} "
+                           f"wires are past numpy's limit of {MAX_AXES} "
+                           f"axes\n")
+
+
+def test_memory_error_is_an_error_exit():
+    # A 2 GiB address-space limit on the child alone: the 20000**2-cell
+    # copy in the frobenius suite cannot be allocated, so nothing is
+    # touched.  numpy raises MemoryError, which main maps to exit 2.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "FROBCOORD_SEED"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobcoord", "selftest", "--dims", "20000",
+         "--trials", "1"], capture_output=True, text=True, timeout=120,
+        env=env, preexec_fn=limit)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"

@@ -8,8 +8,11 @@ from frobcoord.coordination import (coordinate_closed_form,
                                     coordinator_tensor,
                                     ditransitive_coordination,
                                     stripping_sentence)
-from frobcoord.evaluator import SpaceAssignment, build_network, evaluate
-from frobcoord.pregroup import coordinator_type, parse_type, reduce
+from frobcoord.evaluator import (SpaceAssignment, build_network, evaluate,
+                                 evaluate_sentence)
+from frobcoord.lexicon import parse_lexicon
+from frobcoord.pregroup import (PregroupType, SimpleType, coordinator_type,
+                                enumerate_reductions, parse_type, reduce)
 from frobcoord.semiring import BOOLEAN, REAL
 from frobcoord.tensor import (Tensor, Wire, frobenius_mu, frobenius_zeta,
                               permute_wires, random_tensor, tensor_product)
@@ -366,3 +369,66 @@ def test_boolean_coordination_is_idempotent():
     wires = (Wire("n", 0, 5),)
     a = random_tensor(wires, rng, BOOLEAN)
     assert coordinate_closed_form(a, a).isclose(a)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_random_conjunct_types_coordinate_to_the_merge(sr):
+    # x (and x)^k means the entry-wise merge of its conjuncts for every
+    # conjunct type x, in both modes.  Without the coordinator positions
+    # the walk links two wires of a coordinator to each other for about one
+    # random type in twelve, adjectives (n n.l) among them.
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        x = PregroupType(
+            SimpleType(str(rng.choice(["n", "s"])), int(rng.integers(-2, 3)))
+            for _ in range(int(rng.integers(1, 4))))
+        k = int(rng.integers(1, 4))
+        lex = parse_lexicon(
+            f"#semiring {sr.name}\n#type n 2\n#type s 3\n"
+            + "".join(f"w{i} : {x} = @random({trial * 10 + i})\n"
+                      for i in range(k + 1))
+            + f"and : {coordinator_type(x)} = @conj\n")
+        want = lex["w0"].tensor.array
+        for i in range(1, k + 1):
+            want = sr.mul(want, lex[f"w{i}"].tensor.array)
+        words = ["w0"] + [w for i in range(1, k + 1) for w in ("and", f"w{i}")]
+        for mode in ("explicit", "closed-form"):
+            got = evaluate_sentence(words, lex, str(x), mode=mode)
+            assert sr.allclose(got.array, want), (str(x), k, mode)
+
+
+RED_AND_BLUE = """#semiring {sr}
+#type n 2
+#type s 2
+red : n n.l = [1, 2, 3, 4]
+blue : n n.l = [5, 6, 7, 8]
+and : n n.r n n.l n.l.l n.l = @conj
+car : n = [1, 1]
+sleeps : n.r s = [1, 0, 0, 1]
+"""
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_coordinated_adjectives_merge(sr):
+    # The coordinator type of an adjective holds the contractible pair
+    # n.l.l n.l; the coordinator's wires still link only to the conjuncts.
+    text = RED_AND_BLUE.format(sr=sr.name)
+    if sr is BOOLEAN:
+        text = text.replace("[1, 2, 3, 4]", "[1, 0, 1, 1]").replace(
+            "[5, 6, 7, 8]", "[1, 1, 0, 1]")
+    lex = parse_lexicon(text)
+    words = "red and blue car sleeps".split()
+    grab = lambda w: lex[w].tensor.array.astype(float)
+    want = np.einsum("ij,ij,j,ik->k", grab("red"), grab("blue"), grab("car"),
+                     grab("sleeps"))
+    for mode in ("explicit", "closed-form"):
+        got = evaluate_sentence(words, lex, "s", mode=mode)
+        assert sr.allclose(got.array, want if sr is REAL else want > 0)
+    if sr is REAL:
+        assert want.tolist() == [17.0, 53.0]
+    types = [lex[w].type for w in words]
+    assert reduce(types, parse_type("s")) != reduce(
+        types, parse_type("s"), coordinators=[1])
+    assert len(enumerate_reductions(types, parse_type("s"), 10)) == 4
+    assert len(enumerate_reductions(types, parse_type("s"), 10,
+                                    coordinators=[1])) == 1

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -540,7 +542,7 @@ def test_closed_form_with_surviving_coordinator_legs(sr, words, target):
     assert closed.isclose(explicit)
 
 
-def _random_networks_against_loops(sr, seed, trials, node_range):
+def _random_networks(sr, seed, trials, node_range):
     # Random labels spread over a number of nodes in range(*node_range),
     # numbered sparsely and out of order: a label twice on one node, a
     # label on several nodes, a label on one wire only and open wires
@@ -560,8 +562,14 @@ def _random_networks_against_loops(sr, seed, trials, node_range):
         open_wires = [every[k] for k in
                       rng.integers(0, len(every), size=rng.integers(0, 4))] \
             if every else []
-        got = evaluate(TensorNetwork(nodes, indices, open_wires))
-        want = network_loops([t.array for t in nodes], indices, open_wires)
+        yield TensorNetwork(nodes, indices, open_wires)
+
+
+def _random_networks_against_loops(sr, seed, trials, node_range):
+    for net in _random_networks(sr, seed, trials, node_range):
+        got = evaluate(net)
+        want = network_loops([t.array for t in net.nodes], net.indices,
+                             net.open_wires)
         assert sr.allclose(got.array, want if sr is REAL else want > 0)
 
 
@@ -671,3 +679,116 @@ def test_240_conjunct_vp_chain_folds_its_hyperedges():
         merged = merged * np.reshape(verbs[f"v{i % 3}"], (2, 2))
     assert np.allclose(closed.array, np.array([0.5, 2.0]) @ merged,
                        rtol=1e-10)
+
+
+def _pinned_sentences(sr):
+    """Runs of the pinned plans' sentences over ``sr``, in both modes."""
+    for text, sentence in ((VP_CHAIN_LEX,
+                            "john v1 and v2 and v3 and v4 and v5"),
+                           (SVO_LEX, "men watch football and_s women knit"),
+                           (SVO_LEX, "men and_n women watch football"),
+                           (LEX, "john sleeps and snores and sleeps")):
+        text = text.replace("#semiring real\n", "")
+        if sr is BOOLEAN:  # LEX's two real literals
+            text = text.replace("[1.0, 0.5]", "[1, 0]").replace(
+                "[0.25, 1.0]", "[0, 1]")
+        lex = parse_lexicon(f"#semiring {sr.name}\n" + text)
+        for mode in ("explicit", "closed-form"):
+            yield lambda lex=lex, words=sentence.split(), mode=mode: \
+                evaluate_sentence(words, lex, "s", mode=mode)
+
+
+def _every_run(sr):
+    """The pinned sentences and the random-network tests' networks."""
+    yield from _pinned_sentences(sr)
+    for net in chain(_random_networks(sr, 12, 150, (1, 5)),
+                     _random_networks(sr, 16, 60, (12, 21))):
+        yield lambda net=net: evaluator.evaluate(net)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
+    # Every array that evaluate makes comes from a prep einsum (possibly a
+    # diagonal view), a step (a matmul or a batch einsum) or the copy's
+    # np.zeros.  Besides those, reshaping a transposed operand may copy
+    # it: such copies are recorded apart, and each is no larger than an
+    # input node or an array counted in max_cells.
+    nets, plans, made, reshaped = [], [], [], []
+    plain = (evaluator.evaluate, evaluator.plan_contraction,
+             type(sr).matmul, np.einsum, np.zeros)
+
+    def evaluate_(net):
+        nets.append(net)
+        return plain[0](net)
+
+    def plan_(*key):
+        plans.append(plain[1](*key))
+        return plans[-1]
+
+    def note(*operands):
+        known = [t.array for t in nets[0].nodes] + made
+        reshaped.extend(a.size for a in operands
+                        if not any(np.may_share_memory(a, k) for k in known))
+
+    def matmul(a, b):
+        note(a, b)
+        made.append(plain[2](sr, a, b))
+        return made[-1]
+
+    def einsum(*args):
+        operands = [a for a in args if isinstance(a, np.ndarray)]
+        if len(operands) == 2:
+            note(*operands)
+        made.append(np.asarray(plain[3](*args)))
+        return made[-1]
+
+    def zeros(*args, **kwargs):
+        # Only evaluate's own: build_network makes copy spiders before.
+        out = plain[4](*args, **kwargs)
+        if nets:
+            made.append(out)
+        return out
+
+    for module, name, fn in ((evaluator, "evaluate", evaluate_),
+                             (evaluator, "plan_contraction", plan_),
+                             (sr, "matmul", matmul), (np, "einsum", einsum),
+                             (np, "zeros", zeros)):
+        monkeypatch.setattr(module, name, fn)
+    copies = 0
+    for run in _every_run(sr):
+        for record in (nets, plans, made, reshaped):
+            record.clear()
+        run()
+        (plan,), (net,) = plans, nets
+        assert plan.max_cells == max([a.size for a in made], default=0)
+        inputs = [t.array.size for t in net.nodes]
+        assert max(reshaped, default=0) <= max(plan.max_cells, *inputs)
+        copies += len(reshaped)
+    assert copies > 0
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_evaluate_makes_no_broadcast_product(monkeypatch, sr):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate called sr.mul or sr.sum")
+
+    monkeypatch.setattr(sr, "mul", refuse)
+    monkeypatch.setattr(sr, "sum", refuse)
+    for run in _every_run(sr):
+        run()
+
+
+def test_prep_past_einsum_subscript_limit_is_refused():
+    # 53 distinct labels on one node, one of them on two wires: the prep
+    # einsum would need 53 subscripts, one past numpy's limit.
+    labels = list(range(53)) + [0]
+    node = Tensor([Wire("n", 0, 1)] * len(labels), np.ones((1,) * 54))
+    with pytest.raises(errors.OutOfMemory, match="the prep einsum of node 0 "
+                       "needs 53 subscripts; numpy allows 52"):
+        evaluate(TensorNetwork([node], [labels], [(0, 1)]))
+    # Private labels alone need a prep call too; with every wire open, no
+    # einsum runs.
+    with pytest.raises(errors.OutOfMemory, match="needs 54 subscripts"):
+        evaluate(TensorNetwork([node], [list(range(54))], [(0, 0)]))
+    assert evaluate(TensorNetwork([node], [list(range(54))], [
+        (0, w) for w in range(54)])).array.shape == (1,) * 54

@@ -334,3 +334,51 @@ def test_long_row_reduces_without_recursion_error():
     assert d.residual == (4998,)
     assert sorted(d.links) == [(i, i + 1) for i in range(0, 4998, 2)]
     assert reduce([n] + [step] * 2499, parse_type("s")) is None
+
+
+def _inside(derivation, token):
+    """Whether a link of the derivation joins two wires of ``token``."""
+    return any(derivation.token_wire(i)[0] == derivation.token_wire(j)[0]
+               == token for i, j in derivation.links)
+
+
+def _unit_pairs(rng, budget):
+    """Random nested pairs ``(b, z) ... (b, z+1)``: a row that contracts to
+    the unit, of at most ``budget`` simple types."""
+    pairs = []
+    while budget >= 2 and rng.random() < 0.7:
+        b, z = str(rng.choice(["n", "s"])), int(rng.integers(-2, 2))
+        inner = _unit_pairs(rng, budget - 2)
+        pairs += [(b, z), *inner, (b, z + 1)]
+        budget -= len(inner) + 2
+    return pairs
+
+
+def test_coordinator_tokens_never_link_to_themselves():
+    # Marking tokens as coordinators removes exactly the derivations with a
+    # link inside one of them and keeps the order of the others, so the
+    # canonical derivation changes only where it held such a link.
+    rng = np.random.default_rng(31)
+    masked = 0
+    for _ in range(300):
+        pairs = _unit_pairs(rng, 12)
+        if len(pairs) < 4:
+            continue
+        if rng.random() < 0.3:  # a point edit, often ungrammatical
+            pairs[int(rng.integers(len(pairs)))] = (
+                str(rng.choice(["n", "s"])), int(rng.integers(-2, 3)))
+        cuts = sorted(set(rng.integers(1, len(pairs), size=3).tolist()))
+        tokens = [_ptype(pairs[i:j])
+                  for i, j in zip([0, *cuts], [*cuts, len(pairs)])]
+        marked = [k for k in range(len(tokens)) if rng.random() < 0.5]
+        every = enumerate_reductions(tokens, _ptype([]), cap=100_000)
+        want = [d for d in every
+                if not any(_inside(d, k) for k in marked)]
+        masked += len(want) < len(every)
+        got = enumerate_reductions(tokens, _ptype([]), cap=100_000,
+                                   coordinators=marked)
+        assert got == want
+        first = reduce(tokens, _ptype([]), coordinators=marked)
+        assert first == (want[0] if want else None)
+        assert reduce(tokens, _ptype([])) == (every[0] if every else None)
+    assert masked > 50, masked
