@@ -65,20 +65,22 @@ def _type_of(tensor: Tensor) -> PregroupType:
 
 
 def _coordinated(tensors, x: PregroupType, mode: str,
-                 spaces: SpaceAssignment = None) -> Tensor:
-    """The sentence meaning of a token row around one coordinator for ``x``.
+                 spaces: SpaceAssignment = None,
+                 target: PregroupType = parse_type("s")) -> Tensor:
+    """The meaning, of type ``target``, of a token row around coordinators
+    for ``x``.
 
-    The coordinator's place in ``tensors`` holds None: explicit mode
+    Each coordinator's place in ``tensors`` holds None: explicit mode
     contracts its copy spiders, closed form identifies their legs, and
     neither builds :func:`coordinator_tensor`.
     """
     spaces = spaces or _spaces_for([t for t in tensors if t is not None])
     types = [coordinator_type(x) if t is None else _type_of(t)
              for t in tensors]
-    return _row_meaning(types, tensors, parse_type("s"), spaces,
-                        tensors[0].semiring, mode, lambda: ShapeMismatch(
+    return _row_meaning(types, tensors, target, spaces, tensors[0].semiring,
+                        mode, lambda: ShapeMismatch(
                             f"token types {' | '.join(map(str, types))} "
-                            f"do not reduce to s"))
+                            f"do not reduce to {target}"))
 
 
 def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
@@ -108,12 +110,13 @@ def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
 
 
 def stripping_sentence(subject: Tensor, verb: Tensor, obj1: Tensor,
-                       obj2: Tensor, spaces: SpaceAssignment = None) -> Tensor:
+                       obj2: Tensor, spaces: SpaceAssignment = None,
+                       mode: str = "closed-form") -> Tensor:
     """Meaning of the elliptical "subject verb obj1, and obj2 as well".
 
     Subject and verb wires pass through unchanged while the two object
     wires are merged through a noun coordinator, so the result equals the
-    spelled-out "subject verb (obj1 and obj2)".
+    spelled-out "subject verb (obj1 and obj2)" in either ``mode``.
     """
     for noun in (subject, obj1, obj2):
         if noun.order != 1:
@@ -121,4 +124,4 @@ def stripping_sentence(subject: Tensor, verb: Tensor, obj1: Tensor,
     if verb.order != 3:
         raise ShapeMismatch(f"expected an order-3 verb, got {verb!r}")
     return _coordinated([subject, verb, obj1, None, obj2], _type_of(obj1),
-                        "closed-form", spaces)
+                        mode, spaces)

@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimMismatch, MissingSpace, OutOfMemory, Overflow,
-                     SemiringMismatch, ShapeMismatch, UngrammaticalSentence,
-                     WireTypeMismatch)
+from .errors import (DimMismatch, EmptyType, InvalidDerivation, MissingSpace,
+                     OutOfMemory, Overflow, SemiringMismatch, ShapeMismatch,
+                     UngrammaticalSentence, WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
 from .semiring import REAL, Semiring
@@ -52,12 +52,14 @@ from .tensor import MAX_AXES, Tensor, Wire, frobenius_zeta
 
 
 class SpaceAssignment:
-    """Maps each base symbol to the dimension of its vector space."""
+    """Maps each base symbol to the dimension of its vector space, a
+    Python ``int`` of at least 1 (not a ``bool``, not a numpy integer)."""
 
     def __init__(self, dims: dict):
         for base, d in dims.items():
-            if not isinstance(d, int) or d < 1:
-                raise DimMismatch(f"space for {base!r} must have dim >= 1")
+            if type(d) is not int or d < 1:
+                raise DimMismatch(f"space for {base!r} must be a Python int "
+                                  f">= 1, got {d!r}")
         self._dims = dict(dims)
         self._wires = {}
 
@@ -133,7 +135,11 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     by default that of the first tensor.  A None tensor is a coordinator of
     type ``x.r x x.l``, one copy spider per factor of ``x`` at
     :func:`coordinator_legs`: a node in ``explicit`` mode, its legs' wires
-    joined into one class in ``closed-form``.  The classes of joined wires
+    joined into one class in ``closed-form``.  A derivation link between two
+    wires of one None token raises :class:`InvalidDerivation`: a
+    coordinator's legs merge the conjuncts around it, so reduce such a row
+    with the coordinator positions (``reduce(..., coordinators=...)``).
+    An empty row raises :class:`EmptyType`.  The classes of joined wires
     are labelled 0, 1, ... in the order of their first node wire along the
     row; then each class that holds none gets the next label and an
     all-ones vector.  Each open wire is the first node wire of its class.
@@ -143,6 +149,8 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     if mode not in ("explicit", "closed-form"):
         raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
     tensors = list(tensors)
+    if not derivation.token_types:
+        raise EmptyType("cannot build a network for an empty token sequence")
     if len(tensors) != len(derivation.token_types):
         raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
                                f"{len(tensors)} tensors")
@@ -151,8 +159,10 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
         if semiring is None:
             raise ValueError("every token is a coordinator: pass semiring")
     flat = derivation.flattened
-    nodes, wire_at = [], [None] * len(flat)
-    joined = list(derivation.links)
+    # owner: flat position -> its token, for the wires of None tokens;
+    # fused: the pairs of spider legs that closed form joins.
+    nodes, fused = [], []
+    wire_at, owner = [None] * len(flat), [None] * len(flat)
     for tok, (ptype, tensor) in enumerate(zip(derivation.token_types,
                                               tensors)):
         expected, off = spaces.wires(ptype), derivation.offsets[tok]
@@ -161,9 +171,10 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
             if isinstance(x, int):
                 raise WireTypeMismatch(tok, x, "a coordinator type x.r x x.l",
                                        ptype)
+            owner[off:off + len(ptype)] = [tok] * len(ptype)
             for legs in coordinator_legs(len(x)):
                 if mode == "closed-form":
-                    joined += [(off + legs[1], off + q) for q in legs[::2]]
+                    fused += [(off + legs[1], off + q) for q in legs[::2]]
                     continue
                 dim = expected[legs[1]].dim
                 try:
@@ -193,7 +204,13 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
             (len(nodes), w) for w in range(len(expected))]
         nodes.append(tensor)
     parent = list(range(len(flat)))
-    for i, j in joined:
+    for i, j in derivation.links:
+        if owner[i] is not None and owner[i] == owner[j]:
+            raise InvalidDerivation(
+                f"link ({i}, {j}) joins two wires of coordinator token "
+                f"{owner[i]}: reduce the row with its coordinator positions")
+        parent[_root(parent, j)] = _root(parent, i)
+    for i, j in fused:
         parent[_root(parent, j)] = _root(parent, i)
     root = [_root(parent, f) for f in range(len(flat))]
     # first: class root -> (label, first node wire), classes in row order
@@ -277,7 +294,8 @@ class ContractionPlan(NamedTuple):
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract the network and return the tensor on the open wires.
 
-    The nodes must share one semiring, checked on every call.  The
+    The nodes, at least one (else :class:`EmptyType`), must share one
+    semiring, checked on every call.  The
     contraction order comes from :func:`plan_contraction`, which depends
     on the network's structure alone (labels, node shapes, open wires),
     never on its words or carrier (the mode shows in the labels), so
@@ -287,7 +305,10 @@ def evaluate(network: TensorNetwork) -> Tensor:
     arrays einsum computes or-of-ands).  Scalar results come back as
     0-wire tensors.
     """
-    sr, nodes = network.semiring, network.nodes
+    nodes = network.nodes
+    if not nodes:
+        raise EmptyType("a network with no nodes has nothing to evaluate")
+    sr = network.semiring
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
     # The key is built from lists: tuple() of a generator or map object
@@ -341,9 +362,12 @@ def plan_contraction(indices: tuple, shapes: tuple,
     linear in its length.  Components left sharing nothing then meet in
     outer products, in the order of their lowest nodes.  An array past
     numpy's axis limit, or an einsum call past its subscript limit, raises
-    :class:`OutOfMemory` before anything runs.  Plans are cached by their
+    :class:`OutOfMemory` before anything runs, and a network with no nodes
+    raises :class:`EmptyType`.  Plans are cached by their
     arguments; a network that fails a check raises and is not cached.
     """
+    if not shapes:
+        raise EmptyType("a network with no nodes has nothing to contract")
     counts, orders = list(map(len, indices)), list(map(len, shapes))
     if counts != orders:
         raise ShapeMismatch(f"label counts {counts} differ from node orders "

@@ -371,12 +371,13 @@ def generate_random_lexicon(grammar, spaces, seed: int,
 
     ``grammar`` maps words to type strings (a dict or pair iterable);
     entries are generated in iteration order from one splitmix64 stream,
-    so equal seeds give bit-identical lexica on every platform.
+    so equal seeds give bit-identical lexica on every platform.  ``seed``
+    is any int, taken modulo 2**64 as :class:`SplitMix64` takes it.
     """
     if not isinstance(spaces, SpaceAssignment):
         spaces = SpaceAssignment(dict(spaces))
     pairs = grammar.items() if isinstance(grammar, dict) else list(grammar)
-    entries, state = {}, seed
+    entries, state = {}, seed & _MASK
     for word, type_text in pairs:
         ptype = parse_type(type_text, bases=spaces.bases())
         wires = spaces.wires(ptype)

@@ -3,7 +3,11 @@
 Each suite draws seeded random tensors, evaluates a law both through the
 library and through straight-line arithmetic, and yields one ``(ok,
 describe)`` pair per check; :func:`run_selftest` counts them and calls
-``describe()`` for the first failure only.  The suites back the
+``describe()`` for the first failure only.  Every sentence goes through
+the pipeline that ``eval`` runs, in both modes, with each coordinator a
+None token (:func:`coordination._coordinated`); only the dense reference
+route of ``coordinator-equivalence`` and the relabelled networks of
+``contraction-order`` are wired by hand.  The suites back the
 ``selftest`` CLI command; ``inject_fault=True`` corrupts the merge
 operation (one flipped entry) as a negative control, which must make the
 run fail with a counterexample.
@@ -16,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordination import (coordinate_closed_form, coordinator_tensor,
-                           ditransitive_coordination, stripping_sentence)
+from .coordination import (_coordinated, coordinate_closed_form,
+                           coordinator_tensor, ditransitive_coordination,
+                           stripping_sentence)
 from .evaluator import SpaceAssignment, TensorNetwork, build_network, evaluate
 from .pregroup import coordinator_type, parse_type, reduce
 from .semiring import BOOLEAN, REAL
@@ -112,7 +117,10 @@ def suite_snake(rng, dims, trials):
 # The coordinator types of adjectives (n n.l) and sentence adverbs (s.r s)
 # hold a contractible pair: only the coordinator position passed to reduce
 # keeps the coordinator's legs from linking to each other.
-_CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l", "n n.l", "s.r s")
+_CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l", "n n.l", "s.r s",
+                   "n.r s n.l")
+# The evaluation modes of eval; every sentence check runs in each.
+_MODES = ("explicit", "closed-form")
 
 
 def _sample_spaces(rng, dims):
@@ -120,29 +128,25 @@ def _sample_spaces(rng, dims):
                             "s": int(rng.choice(dims))})
 
 
-def _coordination(x, x1, conj, x2, spaces, mode="explicit"):
-    """``x1 and x2`` with the dense coordinator ``conj``, or with None for
-    it, its copy spiders in ``mode``."""
-    derivation = reduce([x, coordinator_type(x), x], x, coordinators=[1])
-    return evaluate(build_network(derivation, [x1, conj, x2], spaces,
-                                  x1.semiring, mode))
-
-
 def suite_coordinator_equivalence(rng, dims, trials, mu):
     for sr in (REAL, BOOLEAN):
         for type_text in _CONJUNCT_TYPES:
             x = parse_type(type_text)
+            derivation = reduce([x, coordinator_type(x), x], x,
+                                coordinators=[1])
             for t in range(trials):
                 spaces = _sample_spaces(rng, dims)
-                conj = coordinator_tensor(x, spaces, sr)
                 x1 = random_tensor(spaces.wires(x), rng, sr)
                 x2 = random_tensor(spaces.wires(x), rng, sr)
                 want = mu(x1, x2)
-                for route, tensor, mode in (
-                        ("dense", conj, "explicit"),
-                        ("spiders", None, "explicit"),
-                        ("closed-form", None, "closed-form")):
-                    got = _coordination(x, x1, tensor, x2, spaces, mode)
+                # The paper's reference: the dense coordinator, wired by hand.
+                routes = {"dense": evaluate(build_network(
+                    derivation, [x1, coordinator_tensor(x, spaces, sr), x2],
+                    spaces))}
+                for mode in _MODES:
+                    routes[mode] = _coordinated([x1, None, x2], x, mode,
+                                                spaces, x)
+                for route, got in routes.items():
                     yield (sr.allclose(got.array, want.array),
                            lambda: f"type={type_text!r} route={route} "
                                    f"semiring={sr.name} spaces={spaces!r} "
@@ -154,11 +158,11 @@ def suite_contraction_order(rng, dims, trials):
         for t in range(trials):
             spaces = _sample_spaces(rng, dims)
             x = parse_type(str(rng.choice(_CONJUNCT_TYPES[:3])))
-            conj = coordinator_tensor(x, spaces, sr)
             x1 = random_tensor(spaces.wires(x), rng, sr)
             x2 = random_tensor(spaces.wires(x), rng, sr)
-            derivation = reduce([x, coordinator_type(x), x], x)
-            net = build_network(derivation, [x1, conj, x2], spaces)
+            derivation = reduce([x, coordinator_type(x), x], x,
+                                coordinators=[1])
+            net = build_network(derivation, [x1, None, x2], spaces)
             base = evaluate(net)
             order = rng.permutation(len(set().union(*net.indices))).tolist()
             relabelled = TensorNetwork(
@@ -168,50 +172,38 @@ def suite_contraction_order(rng, dims, trials):
                    lambda: f"type={x} semiring={sr.name} order={order}")
 
 
-def _sentence_spaces(rng, dims):
-    spaces = _sample_spaces(rng, dims)
-    return spaces, spaces.dim("n"), spaces.dim("s")
-
-
 def suite_sentence_identities(rng, dims, trials):
     vp, tv = parse_type("n.r s"), parse_type("n.r s n.l")
     noun = parse_type("n")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
-            spaces, dn, ds = _sentence_spaces(rng, dims)
+            spaces = _sample_spaces(rng, dims)
             rt = lambda typ: random_tensor(spaces.wires(typ), rng, sr)
 
             # Shared-subject verb-phrase coordination.
             john, sleep, snore = rt(noun), rt(vp), rt(vp)
-            conj_vp = coordinator_tensor(vp, spaces, sr)
-            derivation = reduce([noun, vp, coordinator_type(vp), vp],
-                                parse_type("s"))
-            got = evaluate(build_network(derivation,
-                                         [john, sleep, conj_vp, snore],
-                                         spaces))
             want = sr.sum(sr.mul(john.array[:, None],
                                  sr.mul(sleep.array, snore.array)), axis=0)
-            yield (sr.allclose(got.array, want),
-                   lambda: f"vp-coordination semiring={sr.name} "
-                           f"spaces={spaces!r}")
+            for mode in _MODES:
+                got = _coordinated([john, sleep, None, snore], vp, mode,
+                                   spaces)
+                yield (sr.allclose(got.array, want),
+                       lambda: f"vp-coordination mode={mode} "
+                               f"semiring={sr.name} spaces={spaces!r}")
 
             # Two full sentences joined by a sentence coordinator.
             men, watch, football = rt(noun), rt(tv), rt(noun)
             women, knit = rt(noun), rt(vp)
-            conj_s = coordinator_tensor(parse_type("s"), spaces, sr)
-            derivation = reduce(
-                [noun, tv, noun, coordinator_type(parse_type("s")), noun, vp],
-                parse_type("s"))
-            got = evaluate(build_network(
-                derivation,
-                [men, watch, football, conj_s, women, knit], spaces))
             first = sr.sum(sr.mul(
                 sr.mul(men.array[:, None, None], watch.array),
                 football.array[None, None, :]), axis=(0, 2))
             second = sr.sum(sr.mul(women.array[:, None], knit.array), axis=0)
-            yield (sr.allclose(got.array, sr.mul(first, second)),
-                   lambda: f"sentence-coordination semiring={sr.name} "
-                           f"spaces={spaces!r}")
+            for mode in _MODES:
+                got = _coordinated([men, watch, football, None, women, knit],
+                                   parse_type("s"), mode, spaces)
+                yield (sr.allclose(got.array, sr.mul(first, second)),
+                       lambda: f"sentence-coordination mode={mode} "
+                               f"semiring={sr.name} spaces={spaces!r}")
 
             # Ditransitive clauses sharing subject and final object.
             bank, mary, johnn, loan = rt(noun), rt(noun), rt(noun), rt(noun)
@@ -224,7 +216,7 @@ def suite_sentence_identities(rng, dims, trials):
             merged = sr.mul(g3, d3)
             want = sr.sum(sr.mul(sr.mul(bank.array[:, None, None], merged),
                                  loan.array[None, None, :]), axis=(0, 2))
-            for mode in ("closed-form", "explicit"):
+            for mode in _MODES:
                 got = ditransitive_coordination(bank, grant, deny, loan,
                                                 mary, johnn, mode=mode)
                 yield (sr.allclose(got.array, want),
@@ -236,38 +228,40 @@ def suite_subject_copying(rng, dims, trials):
     vp, noun = parse_type("n.r s"), parse_type("n")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
-            spaces, dn, ds = _sentence_spaces(rng, dims)
+            spaces = _sample_spaces(rng, dims)
             sleep = random_tensor(spaces.wires(vp), rng, sr)
             snore = random_tensor(spaces.wires(vp), rng, sr)
-            conj_vp = coordinator_tensor(vp, spaces, sr)
-            derivation = reduce([noun, vp, coordinator_type(vp), vp],
-                                parse_type("s"))
+            dn = spaces.dim("n")
             for i in range(dn):
                 basis = np.zeros(dn, dtype=sr.dtype)
                 basis[i] = sr.one
                 subject = Tensor(spaces.wires(noun), basis, sr)
-                got = evaluate(build_network(
-                    derivation, [subject, sleep, conj_vp, snore], spaces))
                 want = sr.mul(sleep.array[i, :], snore.array[i, :])
-                yield (sr.allclose(got.array, want),
-                       lambda: f"semiring={sr.name} i={i} spaces={spaces!r}")
+                for mode in _MODES:
+                    got = _coordinated([subject, sleep, None, snore], vp,
+                                       mode, spaces)
+                    yield (sr.allclose(got.array, want),
+                           lambda: f"mode={mode} semiring={sr.name} i={i} "
+                                   f"spaces={spaces!r}")
 
 
 def suite_stripping(rng, dims, trials):
     noun, tv = parse_type("n"), parse_type("n.r s n.l")
     for sr in (REAL, BOOLEAN):
         for t in range(trials):
-            spaces, dn, ds = _sentence_spaces(rng, dims)
+            spaces = _sample_spaces(rng, dims)
             rt = lambda typ: random_tensor(spaces.wires(typ), rng, sr)
             john, likes, poe, lovecraft = rt(noun), rt(tv), rt(noun), rt(noun)
-            got = stripping_sentence(john, likes, poe, lovecraft, spaces)
             merged = sr.mul(poe.array, lovecraft.array)
             want = sr.sum(sr.mul(sr.mul(john.array[:, None, None],
                                         likes.array),
                                  merged[None, None, :]), axis=(0, 2))
-            yield (sr.allclose(got.array, want),
-                   lambda: f"semiring={sr.name} spaces={spaces!r} "
-                           f"john={_show(john)}")
+            for mode in _MODES:
+                got = stripping_sentence(john, likes, poe, lovecraft, spaces,
+                                         mode)
+                yield (sr.allclose(got.array, want),
+                       lambda: f"mode={mode} semiring={sr.name} "
+                               f"spaces={spaces!r} john={_show(john)}")
 
 
 def suite_rel_intersection(rng, dims, trials):
@@ -285,19 +279,21 @@ def suite_rel_intersection(rng, dims, trials):
         got_set = {i for i in range(du) if merged.array[i]}
         yield (got_set == set_a & set_b,
                lambda: f"nouns a={_show(a)} b={_show(b)}")
-        conj = coordinator_tensor(noun, spaces, sr)
-        explicit = _coordination(noun, a, conj, b, spaces)
-        yield (sr.allclose(explicit.array, merged.array),
-               lambda: f"noun-explicit a={_show(a)} b={_show(b)}")
+        for mode in _MODES:
+            got = _coordinated([a, None, b], noun, mode, spaces, noun)
+            yield (sr.allclose(got.array, merged.array),
+                   lambda: f"noun-coordination mode={mode} a={_show(a)} "
+                           f"b={_show(b)}")
 
         tv = parse_type("n.r s n.l")
         r = random_tensor(spaces.wires(tv), rng, sr)
         q = random_tensor(spaces.wires(tv), rng, sr)
         rel = lambda m: {idx for idx in np.ndindex(*m.dims) if m.array[idx]}
-        conj_tv = coordinator_tensor(tv, spaces, sr)
-        merged_rel = _coordination(tv, r, conj_tv, q, spaces)
-        yield (rel(merged_rel) == rel(r) & rel(q),
-               lambda: f"relations r={_show(r)} q={_show(q)}")
+        for mode in _MODES:
+            got = _coordinated([r, None, q], tv, mode, spaces, tv)
+            yield (rel(got) == rel(r) & rel(q),
+                   lambda: f"relations mode={mode} r={_show(r)} "
+                           f"q={_show(q)}")
 
 
 def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,

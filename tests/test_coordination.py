@@ -292,10 +292,11 @@ def test_stripping_matches_spelled_out_form():
         likes = random_tensor(sp.wires(tv), rng)
         poe = random_tensor(sp.wires(noun), rng)
         lovecraft = random_tensor(sp.wires(noun), rng)
-        got = stripping_sentence(john, likes, poe, lovecraft, sp)
         want = np.einsum("i,ikl,l->k", john.array, likes.array,
                          poe.array * lovecraft.array)
-        assert np.allclose(got.array, want)
+        for mode in ("closed-form", "explicit"):
+            got = stripping_sentence(john, likes, poe, lovecraft, sp, mode)
+            assert np.allclose(got.array, want)
 
 
 def test_stripping_with_ones_reduces_to_plain_sentence():
@@ -432,3 +433,22 @@ def test_coordinated_adjectives_merge(sr):
     assert len(enumerate_reductions(types, parse_type("s"), 10)) == 4
     assert len(enumerate_reductions(types, parse_type("s"), 10,
                                     coordinators=[1])) == 1
+
+
+@pytest.mark.parametrize("mode", ["explicit", "closed-form"])
+def test_build_network_refuses_a_coordinator_linked_to_itself(mode):
+    # Reduced without the coordinator position, "red and blue car sleeps"
+    # links the coordinator's n.l.l n.l pair, whose contraction means
+    # 11 60, not the merge of the adjectives.
+    lex = parse_lexicon(RED_AND_BLUE.format(sr="real"))
+    words = "red and blue car sleeps".split()
+    types = [lex[w].type for w in words]
+    tensors = [None if w == "and" else lex[w].tensor for w in words]
+    with pytest.raises(errors.InvalidDerivation, match="token 1"):
+        build_network(reduce(types, parse_type("s")), tensors, lex.spaces,
+                      mode=mode)
+    derivation = reduce(types, parse_type("s"), coordinators=[1])
+    got = evaluate(build_network(derivation, tensors, lex.spaces, mode=mode))
+    assert got.array.tolist() == [17.0, 53.0]
+    assert evaluate_sentence(words, lex, "s", mode).array.tolist() == [
+        17.0, 53.0]

@@ -10,7 +10,8 @@ from frobcoord.coordination import (coordinator_tensor,
 from frobcoord.evaluator import (SpaceAssignment, TensorNetwork,
                                  build_network, evaluate, evaluate_sentence)
 from frobcoord.lexicon import parse_lexicon
-from frobcoord.pregroup import coordinator_type, parse_type, reduce
+from frobcoord.pregroup import (Derivation, coordinator_type, parse_type,
+                                reduce)
 from frobcoord.semiring import BOOLEAN, REAL
 from frobcoord.tensor import Tensor, Wire, random_tensor
 
@@ -30,6 +31,24 @@ def test_space_assignment():
         SP.dim("q")
     with pytest.raises(errors.DimMismatch):
         SpaceAssignment({"n": 0})
+
+
+@pytest.mark.parametrize("dim", [True, False, np.int64(2), 2.0, "2"])
+def test_space_assignment_takes_only_python_ints(dim):
+    with pytest.raises(errors.DimMismatch) as exc:
+        SpaceAssignment({"n": dim})
+    assert str(exc.value).endswith(f"must be a Python int >= 1, got {dim!r}")
+
+
+def test_empty_networks_fail_cleanly():
+    with pytest.raises(errors.EmptyType):
+        evaluate(TensorNetwork([], [], []))
+    with pytest.raises(errors.EmptyType):
+        evaluator.plan_contraction((), (), ())
+    empty = Derivation((), ())
+    for semiring in (REAL, None):
+        with pytest.raises(errors.EmptyType):
+            build_network(empty, [], SP, semiring)
 
 
 def test_build_network_john_sleeps():

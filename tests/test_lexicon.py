@@ -198,6 +198,18 @@ def test_generate_random_lexicon_determinism():
     assert a["sleeps"].tensor.wires == a.spaces.wires(parse_type("n.r s"))
 
 
+@pytest.mark.parametrize("seed,same", [(-1, 2 ** 64 - 1), (2 ** 64, 0),
+                                       (-2 ** 64 - 5, 2 ** 64 - 5)])
+def test_generate_random_lexicon_takes_seeds_modulo_2_64(seed, same):
+    grammar = {"a": "n", "b": "n.r s"}
+    sp = {"n": 3, "s": 2}
+    got = generate_random_lexicon(grammar, sp, seed=seed)
+    want = generate_random_lexicon(grammar, sp, seed=same)
+    for word in grammar:
+        assert got[word].tensor.array.tobytes() == \
+            want[word].tensor.array.tobytes()
+
+
 def test_generate_random_lexicon_boolean():
     lex = generate_random_lexicon([("cats", "n")], {"n": 6}, seed=3,
                                   semiring=BOOLEAN)
