@@ -37,7 +37,7 @@ def _format_links(derivation) -> str:
 
 def _diagram(words, derivation) -> str:
     """Tokens above their simple types, cups as nested brackets below."""
-    starts, centers, word_cells, type_cells = [], [], [], []
+    centers, word_cells, type_cells = [], [], []
     col = 0
     flat = derivation.flattened
     for tok, ptype in enumerate(derivation.token_types):
@@ -48,7 +48,6 @@ def _diagram(words, derivation) -> str:
         type_cells.append(body.ljust(width))
         off = col
         for lab in labels:
-            starts.append(off)
             centers.append(off + (len(lab) - 1) // 2)
             off += len(lab) + 1
         col += width + 2
@@ -137,7 +136,10 @@ def cmd_eval(args) -> int:
                 if explicit.array.size else 0.0
         else:
             diff = int(np.count_nonzero(explicit.array != closed.array))
-        print(f"max-abs-diff {diff:.6g}")
+        if args.format == "json":
+            print(json.dumps({"max_abs_diff": diff}))
+        else:
+            print(f"max-abs-diff {diff:.6g}")
         return 0
     _print_tensor(evaluate_sentence(args.words, lexicon, args.target,
                                     mode=args.mode), args.format)
@@ -215,7 +217,8 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mode", choices=("explicit", "closed-form"),
                         default="explicit")
     p_eval.add_argument("--compare", action="store_true",
-                        help="run both modes, print the max difference")
+                        help="run both modes, print the max difference "
+                             "(on booleans, the count of differing entries)")
     p_eval.add_argument("--format", choices=("plain", "json"),
                         default="plain")
     p_eval.set_defaults(func=cmd_eval)

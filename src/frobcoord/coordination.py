@@ -103,7 +103,12 @@ def ditransitive_coordination(subject: Tensor, verb1: Tensor, verb2: Tensor,
         x = _type_of(verb1)[:-1]
         tensors = [subject, verb1, obj1, None, verb2, obj2, shared_object]
     else:
-        near, far = shared_object
+        try:
+            near, far = shared_object
+        except (TypeError, ValueError):
+            raise ShapeMismatch(
+                "without obj1/obj2, shared_object must be a (near, far) "
+                f"pair of tensors, got {shared_object!r}") from None
         x = _type_of(verb1)
         tensors = [subject, verb1, None, verb2, near, far]
     return _coordinated(tensors, x, mode)

@@ -48,7 +48,7 @@ from .errors import (DimMismatch, EmptyType, InvalidDerivation, MissingSpace,
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
 from .semiring import REAL, Semiring
-from .tensor import MAX_AXES, Tensor, Wire, frobenius_zeta
+from .tensor import MAX_AXES, Tensor, Wire, _checked_dim, frobenius_zeta
 
 
 class SpaceAssignment:
@@ -57,9 +57,7 @@ class SpaceAssignment:
 
     def __init__(self, dims: dict):
         for base, d in dims.items():
-            if type(d) is not int or d < 1:
-                raise DimMismatch(f"space for {base!r} must be a Python int "
-                                  f">= 1, got {d!r}")
+            _checked_dim(d, f"space for {base!r}")
         self._dims = dict(dims)
         self._wires = {}
 

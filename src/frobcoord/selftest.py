@@ -3,10 +3,14 @@
 Each suite draws seeded random tensors, evaluates a law both through the
 library and through straight-line arithmetic, and yields one ``(ok,
 describe)`` pair per check; :func:`run_selftest` counts them and calls
-``describe()`` for the first failure only.  Every sentence goes through
-the pipeline that ``eval`` runs, in both modes, with each coordinator a
-None token (:func:`coordination._coordinated`); only the dense reference
-route of ``coordinator-equivalence`` and the relabelled networks of
+``describe()`` for the first failure only.  A check that raises a
+:class:`FrobcoordError` is one failed check, with the error as its
+description, and ends its suite only.  The sentence suites draw each
+trial's carrier and spaces from :func:`_trials` and check every sentence
+in both of ``eval``'s modes with :func:`_per_mode`, through the pipeline
+that ``eval`` runs, with each coordinator a None token
+(:func:`coordination._coordinated`); only the dense reference route of
+``coordinator-equivalence`` and the relabelled networks of
 ``contraction-order`` are wired by hand.  The suites back the
 ``selftest`` CLI command; ``inject_fault=True`` corrupts the merge
 operation (one flipped entry) as a negative control, which must make the
@@ -17,18 +21,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coordination import (_coordinated, coordinate_closed_form,
                            coordinator_tensor, ditransitive_coordination,
                            stripping_sentence)
+from .errors import DimMismatch, FrobcoordError
 from .evaluator import SpaceAssignment, TensorNetwork, build_network, evaluate
-from .pregroup import coordinator_type, parse_type, reduce
-from .semiring import BOOLEAN, REAL
-from .tensor import (Tensor, Wire, contract, eta_cap, frobenius_delta,
-                     frobenius_mu, frobenius_mu_matrix, frobenius_zeta,
-                     random_tensor, tensor_product)
+from .pregroup import PregroupType, coordinator_type, parse_type, reduce
+from .semiring import BOOLEAN, REAL, Semiring
+from .tensor import (Tensor, Wire, _checked_dim, contract, eta_cap,
+                     frobenius_delta, frobenius_mu, frobenius_mu_matrix,
+                     frobenius_zeta, random_tensor, tensor_product)
 
 
 @dataclass
@@ -47,8 +53,8 @@ class SuiteResult:
 def _faulty_mu(a, b):
     out = frobenius_mu(a, b)
     arr = out.array.copy()
-    flat = arr.reshape(-1)
-    flat[0] = not flat[0] if out.semiring is BOOLEAN else flat[0] + 1.0
+    first = arr.flat[0]
+    arr.flat[0] = not first if out.semiring is BOOLEAN else first + 1.0
     return Tensor(out.wires, arr, out.semiring, copy=False)
 
 
@@ -63,6 +69,16 @@ def _vec(rng, dim, sr, z=0):
 def _spider(dim, sr):
     return coordinator_tensor(parse_type("n"), SpaceAssignment({"n": dim}), sr)
 
+
+# The two-sided Frobenius condition as networks on (u, v, spider, spider):
+# the labels and open wires of its left, middle and right side.
+_FROBENIUS_SIDES = (([[0], [1], [2, 0, 3], [1, 2, 4]], [(2, 2), (3, 2)]),
+                    ([[0], [1], [0, 1, 2], [2, 3, 4]], [(3, 1), (3, 2)]),
+                    ([[0], [1], [2, 3, 1], [0, 2, 4]], [(3, 2), (2, 1)]))
+
+
+# Every suite takes (rng, dims, trials, mu): mu is the merge under test,
+# which only the suites checking the merge itself use.
 
 def suite_frobenius(rng, dims, trials, mu):
     for sr in (REAL, BOOLEAN):
@@ -81,34 +97,22 @@ def suite_frobenius(rng, dims, trials, mu):
                 copied = frobenius_delta(v)
                 yield (sr.allclose(sr.sum(copied.array, axis=1), v.array),
                        ctx("copy-then-delete"))
-                # The two-sided condition, evaluated as tensor networks.
                 spider = _spider(d, sr)
-                nodes = [u, v, spider, spider]
-                left = evaluate(TensorNetwork(
-                    nodes, [[0], [1], [2, 0, 3], [1, 2, 4]], [(2, 2), (3, 2)]))
-                middle = evaluate(TensorNetwork(
-                    nodes, [[0], [1], [0, 1, 2], [2, 3, 4]], [(3, 1), (3, 2)]))
-                right = evaluate(TensorNetwork(
-                    nodes, [[0], [1], [2, 3, 1], [0, 2, 4]], [(3, 2), (2, 1)]))
                 direct = np.zeros((d, d), dtype=sr.dtype)
                 np.fill_diagonal(direct, sr.mul(u.array, v.array))
-                good = (sr.allclose(left.array, direct)
-                        and sr.allclose(middle.array, direct)
-                        and sr.allclose(right.array, direct))
-                yield (good, ctx("frobenius-condition"))
+                yield (all(sr.allclose(evaluate(TensorNetwork(
+                    [u, v, spider, spider], *side)).array, direct)
+                    for side in _FROBENIUS_SIDES), ctx("frobenius-condition"))
 
 
-def suite_snake(rng, dims, trials):
+def suite_snake(rng, dims, trials, mu):
     for sr in (REAL, BOOLEAN):
         for d in dims:
             for t in range(trials):
                 v = _vec(rng, d, sr)
-                bent_l = contract(tensor_product(v, eta_cap("n", "left", d,
-                                                            semiring=sr)),
-                                  0, 1)
-                bent_r = contract(tensor_product(eta_cap("n", "right", d,
-                                                         semiring=sr), v),
-                                  1, 2)
+                cap = lambda side: eta_cap("n", side, d, semiring=sr)
+                bent_l = contract(tensor_product(v, cap("left")), 0, 1)
+                bent_r = contract(tensor_product(cap("right"), v), 1, 2)
                 ok = (sr.allclose(bent_l.array, v.array)
                       and sr.allclose(bent_r.array, v.array))
                 yield (ok, lambda: f"semiring={sr.name} d={d} v={_show(v)}")
@@ -119,213 +123,217 @@ def suite_snake(rng, dims, trials):
 # keeps the coordinator's legs from linking to each other.
 _CONJUNCT_TYPES = ("n", "s", "n.r s", "n.r s n.l n.l", "n n.l", "s.r s",
                    "n.r s n.l")
-# The evaluation modes of eval; every sentence check runs in each.
-_MODES = ("explicit", "closed-form")
 
 
-def _sample_spaces(rng, dims):
-    return SpaceAssignment({"n": int(rng.choice(dims)),
-                            "s": int(rng.choice(dims))})
+class _Trial(NamedTuple):
+    """One trial of a sentence suite: its carrier, freshly sampled spaces
+    and the case of the suite it runs."""
+
+    rng: np.random.Generator
+    sr: Semiring
+    spaces: SpaceAssignment
+    case: PregroupType = None
+
+    def rand(self, ptype: PregroupType) -> Tensor:
+        return random_tensor(self.spaces.wires(ptype), self.rng, self.sr)
+
+    def __str__(self):
+        return f"semiring={self.sr.name} spaces={self.spaces!r}"
+
+
+def _trials(rng, dims, trials, semirings=(REAL, BOOLEAN), cases=(None,)):
+    """``trials`` contexts per carrier and case, in that nesting, each with
+    spaces for ``n`` and ``s`` drawn from ``dims``."""
+    for sr in semirings:
+        for case in cases:
+            for _ in range(trials):
+                yield _Trial(rng, sr, SpaceAssignment(
+                    {"n": int(rng.choice(dims)), "s": int(rng.choice(dims))}),
+                    case)
+
+
+def _per_mode(meaning, want, describe):
+    """One check per evaluation mode of ``eval``: ``meaning(mode)`` against
+    the oracle array ``want``; ``describe()`` names the case."""
+    for mode in ("explicit", "closed-form"):
+        got = meaning(mode)
+        yield (got.semiring.allclose(got.array, want),
+               lambda: f"mode={mode} {describe()}")
 
 
 def suite_coordinator_equivalence(rng, dims, trials, mu):
-    for sr in (REAL, BOOLEAN):
-        for type_text in _CONJUNCT_TYPES:
-            x = parse_type(type_text)
-            derivation = reduce([x, coordinator_type(x), x], x,
-                                coordinators=[1])
-            for t in range(trials):
-                spaces = _sample_spaces(rng, dims)
-                x1 = random_tensor(spaces.wires(x), rng, sr)
-                x2 = random_tensor(spaces.wires(x), rng, sr)
-                want = mu(x1, x2)
-                # The paper's reference: the dense coordinator, wired by hand.
-                routes = {"dense": evaluate(build_network(
-                    derivation, [x1, coordinator_tensor(x, spaces, sr), x2],
-                    spaces))}
-                for mode in _MODES:
-                    routes[mode] = _coordinated([x1, None, x2], x, mode,
-                                                spaces, x)
-                for route, got in routes.items():
-                    yield (sr.allclose(got.array, want.array),
-                           lambda: f"type={type_text!r} route={route} "
-                                   f"semiring={sr.name} spaces={spaces!r} "
-                                   f"x1={_show(x1)} x2={_show(x2)}")
+    types = [parse_type(text) for text in _CONJUNCT_TYPES]
+    derivations = {x: reduce([x, coordinator_type(x), x], x, coordinators=[1])
+                   for x in types}
+    for trial in _trials(rng, dims, trials, cases=types):
+        x, sr, spaces = trial.case, trial.sr, trial.spaces
+        x1, x2 = trial.rand(x), trial.rand(x)
+        want = mu(x1, x2).array
+        describe = lambda: f"type={x} {trial} x1={_show(x1)} x2={_show(x2)}"
+        # The paper's reference: the dense coordinator, wired by hand.
+        dense = evaluate(build_network(
+            derivations[x], [x1, coordinator_tensor(x, spaces, sr), x2],
+            spaces))
+        yield (sr.allclose(dense.array, want),
+               lambda: f"route=dense {describe()}")
+        yield from _per_mode(
+            lambda mode: _coordinated([x1, None, x2], x, mode, spaces, x),
+            want, describe)
 
 
-def suite_contraction_order(rng, dims, trials):
-    for sr in (REAL, BOOLEAN):
-        for t in range(trials):
-            spaces = _sample_spaces(rng, dims)
-            x = parse_type(str(rng.choice(_CONJUNCT_TYPES[:3])))
-            x1 = random_tensor(spaces.wires(x), rng, sr)
-            x2 = random_tensor(spaces.wires(x), rng, sr)
-            derivation = reduce([x, coordinator_type(x), x], x,
-                                coordinators=[1])
-            net = build_network(derivation, [x1, None, x2], spaces)
-            base = evaluate(net)
-            order = rng.permutation(len(set().union(*net.indices))).tolist()
-            relabelled = TensorNetwork(
-                net.nodes, [[order[l] for l in labs] for labs in net.indices],
-                net.open_wires)
-            yield (base.isclose(evaluate(relabelled)),
-                   lambda: f"type={x} semiring={sr.name} order={order}")
+def suite_contraction_order(rng, dims, trials, mu):
+    for trial in _trials(rng, dims, trials):
+        x = parse_type(str(rng.choice(_CONJUNCT_TYPES[:3])))
+        x1, x2 = trial.rand(x), trial.rand(x)
+        derivation = reduce([x, coordinator_type(x), x], x, coordinators=[1])
+        net = build_network(derivation, [x1, None, x2], trial.spaces)
+        order = rng.permutation(len(set().union(*net.indices))).tolist()
+        relabelled = TensorNetwork(
+            net.nodes, [[order[l] for l in labs] for labs in net.indices],
+            net.open_wires)
+        yield (evaluate(net).isclose(evaluate(relabelled)),
+               lambda: f"type={x} {trial} order={order}")
 
 
-def suite_sentence_identities(rng, dims, trials):
-    vp, tv = parse_type("n.r s"), parse_type("n.r s n.l")
-    noun = parse_type("n")
-    for sr in (REAL, BOOLEAN):
-        for t in range(trials):
-            spaces = _sample_spaces(rng, dims)
-            rt = lambda typ: random_tensor(spaces.wires(typ), rng, sr)
+def suite_sentence_identities(rng, dims, trials, mu):
+    noun, vp, tv, dt = map(parse_type, ("n", "n.r s", "n.r s n.l",
+                                        "n.r s n.l n.l"))
+    for trial in _trials(rng, dims, trials):
+        sr, spaces, rt = trial.sr, trial.spaces, trial.rand
 
-            # Shared-subject verb-phrase coordination.
-            john, sleep, snore = rt(noun), rt(vp), rt(vp)
-            want = sr.sum(sr.mul(john.array[:, None],
-                                 sr.mul(sleep.array, snore.array)), axis=0)
-            for mode in _MODES:
-                got = _coordinated([john, sleep, None, snore], vp, mode,
-                                   spaces)
-                yield (sr.allclose(got.array, want),
-                       lambda: f"vp-coordination mode={mode} "
-                               f"semiring={sr.name} spaces={spaces!r}")
+        # Shared-subject verb-phrase coordination.
+        john, sleep, snore = rt(noun), rt(vp), rt(vp)
+        want = sr.sum(sr.mul(john.array[:, None],
+                             sr.mul(sleep.array, snore.array)), axis=0)
+        yield from _per_mode(
+            lambda mode: _coordinated([john, sleep, None, snore], vp, mode,
+                                      spaces),
+            want, lambda: f"vp-coordination {trial}")
 
-            # Two full sentences joined by a sentence coordinator.
-            men, watch, football = rt(noun), rt(tv), rt(noun)
-            women, knit = rt(noun), rt(vp)
-            first = sr.sum(sr.mul(
-                sr.mul(men.array[:, None, None], watch.array),
-                football.array[None, None, :]), axis=(0, 2))
-            second = sr.sum(sr.mul(women.array[:, None], knit.array), axis=0)
-            for mode in _MODES:
-                got = _coordinated([men, watch, football, None, women, knit],
-                                   parse_type("s"), mode, spaces)
-                yield (sr.allclose(got.array, sr.mul(first, second)),
-                       lambda: f"sentence-coordination mode={mode} "
-                               f"semiring={sr.name} spaces={spaces!r}")
+        # Two full sentences joined by a sentence coordinator.
+        men, watch, football = rt(noun), rt(tv), rt(noun)
+        women, knit = rt(noun), rt(vp)
+        first = sr.sum(sr.mul(
+            sr.mul(men.array[:, None, None], watch.array),
+            football.array[None, None, :]), axis=(0, 2))
+        second = sr.sum(sr.mul(women.array[:, None], knit.array), axis=0)
+        yield from _per_mode(
+            lambda mode: _coordinated([men, watch, football, None, women,
+                                       knit], parse_type("s"), mode, spaces),
+            sr.mul(first, second), lambda: f"sentence-coordination {trial}")
 
-            # Ditransitive clauses sharing subject and final object.
-            bank, mary, johnn, loan = rt(noun), rt(noun), rt(noun), rt(noun)
-            dt = parse_type("n.r s n.l n.l")
-            grant, deny = rt(dt), rt(dt)
-            g3 = sr.sum(sr.mul(grant.array, mary.array[None, None, None, :]),
-                        axis=3)
-            d3 = sr.sum(sr.mul(deny.array, johnn.array[None, None, None, :]),
-                        axis=3)
-            merged = sr.mul(g3, d3)
-            want = sr.sum(sr.mul(sr.mul(bank.array[:, None, None], merged),
-                                 loan.array[None, None, :]), axis=(0, 2))
-            for mode in _MODES:
-                got = ditransitive_coordination(bank, grant, deny, loan,
-                                                mary, johnn, mode=mode)
-                yield (sr.allclose(got.array, want),
-                       lambda: f"ditransitive mode={mode} "
-                               f"semiring={sr.name} spaces={spaces!r}")
+        # Ditransitive clauses sharing subject and final object.
+        bank, mary, johnn, loan = rt(noun), rt(noun), rt(noun), rt(noun)
+        grant, deny = rt(dt), rt(dt)
+        g3 = sr.sum(sr.mul(grant.array, mary.array[None, None, None, :]),
+                    axis=3)
+        d3 = sr.sum(sr.mul(deny.array, johnn.array[None, None, None, :]),
+                    axis=3)
+        merged = sr.mul(g3, d3)
+        want = sr.sum(sr.mul(sr.mul(bank.array[:, None, None], merged),
+                             loan.array[None, None, :]), axis=(0, 2))
+        yield from _per_mode(
+            lambda mode: ditransitive_coordination(bank, grant, deny, loan,
+                                                   mary, johnn, mode=mode),
+            want, lambda: f"ditransitive {trial}")
 
 
-def suite_subject_copying(rng, dims, trials):
+def suite_subject_copying(rng, dims, trials, mu):
     vp, noun = parse_type("n.r s"), parse_type("n")
-    for sr in (REAL, BOOLEAN):
-        for t in range(trials):
-            spaces = _sample_spaces(rng, dims)
-            sleep = random_tensor(spaces.wires(vp), rng, sr)
-            snore = random_tensor(spaces.wires(vp), rng, sr)
-            dn = spaces.dim("n")
-            for i in range(dn):
-                basis = np.zeros(dn, dtype=sr.dtype)
-                basis[i] = sr.one
-                subject = Tensor(spaces.wires(noun), basis, sr)
-                want = sr.mul(sleep.array[i, :], snore.array[i, :])
-                for mode in _MODES:
-                    got = _coordinated([subject, sleep, None, snore], vp,
-                                       mode, spaces)
-                    yield (sr.allclose(got.array, want),
-                           lambda: f"mode={mode} semiring={sr.name} i={i} "
-                                   f"spaces={spaces!r}")
+    for trial in _trials(rng, dims, trials):
+        sleep, snore = trial.rand(vp), trial.rand(vp)
+        dn = trial.spaces.dim("n")
+        for i in range(dn):
+            subject = Tensor(trial.spaces.wires(noun), np.eye(dn)[i], trial.sr)
+            yield from _per_mode(
+                lambda mode: _coordinated([subject, sleep, None, snore], vp,
+                                          mode, trial.spaces),
+                trial.sr.mul(sleep.array[i], snore.array[i]),
+                lambda: f"i={i} {trial}")
 
 
-def suite_stripping(rng, dims, trials):
+def suite_stripping(rng, dims, trials, mu):
     noun, tv = parse_type("n"), parse_type("n.r s n.l")
-    for sr in (REAL, BOOLEAN):
-        for t in range(trials):
-            spaces = _sample_spaces(rng, dims)
-            rt = lambda typ: random_tensor(spaces.wires(typ), rng, sr)
-            john, likes, poe, lovecraft = rt(noun), rt(tv), rt(noun), rt(noun)
-            merged = sr.mul(poe.array, lovecraft.array)
-            want = sr.sum(sr.mul(sr.mul(john.array[:, None, None],
-                                        likes.array),
-                                 merged[None, None, :]), axis=(0, 2))
-            for mode in _MODES:
-                got = stripping_sentence(john, likes, poe, lovecraft, spaces,
-                                         mode)
-                yield (sr.allclose(got.array, want),
-                       lambda: f"mode={mode} semiring={sr.name} "
-                               f"spaces={spaces!r} john={_show(john)}")
+    for trial in _trials(rng, dims, trials):
+        sr, rt = trial.sr, trial.rand
+        john, likes, poe, lovecraft = rt(noun), rt(tv), rt(noun), rt(noun)
+        merged = sr.mul(poe.array, lovecraft.array)
+        want = sr.sum(sr.mul(sr.mul(john.array[:, None, None], likes.array),
+                             merged[None, None, :]), axis=(0, 2))
+        yield from _per_mode(
+            lambda mode: stripping_sentence(john, likes, poe, lovecraft,
+                                            trial.spaces, mode),
+            want, lambda: f"{trial} john={_show(john)}")
 
 
-def suite_rel_intersection(rng, dims, trials):
-    sr = BOOLEAN
-    for t in range(trials):
-        du = int(rng.integers(1, 7))
-        dv = int(rng.integers(1, 7))
-        spaces = SpaceAssignment({"n": du, "s": dv})
-        noun = parse_type("n")
-        a = random_tensor(spaces.wires(noun), rng, sr)
-        b = random_tensor(spaces.wires(noun), rng, sr)
-        set_a = {i for i in range(du) if a.array[i]}
-        set_b = {i for i in range(du) if b.array[i]}
-        merged = coordinate_closed_form(a, b)
-        got_set = {i for i in range(du) if merged.array[i]}
-        yield (got_set == set_a & set_b,
-               lambda: f"nouns a={_show(a)} b={_show(b)}")
-        for mode in _MODES:
-            got = _coordinated([a, None, b], noun, mode, spaces, noun)
-            yield (sr.allclose(got.array, merged.array),
-                   lambda: f"noun-coordination mode={mode} a={_show(a)} "
-                           f"b={_show(b)}")
+def _intersection(a: Tensor, b: Tensor) -> np.ndarray:
+    """The set-based oracle: the index tuples at which both boolean
+    tensors hold, as an array."""
+    holds = lambda t: {idx for idx in np.ndindex(*t.dims) if t.array[idx]}
+    arr = np.zeros(a.dims, dtype=bool)
+    for idx in holds(a) & holds(b):
+        arr[idx] = True
+    return arr
 
-        tv = parse_type("n.r s n.l")
-        r = random_tensor(spaces.wires(tv), rng, sr)
-        q = random_tensor(spaces.wires(tv), rng, sr)
-        rel = lambda m: {idx for idx in np.ndindex(*m.dims) if m.array[idx]}
-        for mode in _MODES:
-            got = _coordinated([r, None, q], tv, mode, spaces, tv)
-            yield (rel(got) == rel(r) & rel(q),
-                   lambda: f"relations mode={mode} r={_show(r)} "
-                           f"q={_show(q)}")
+
+def suite_rel_intersection(rng, dims, trials, mu):
+    noun, tv = parse_type("n"), parse_type("n.r s n.l")
+    for trial in _trials(rng, dims, trials, (BOOLEAN,)):
+        a, b = trial.rand(noun), trial.rand(noun)
+        want = _intersection(a, b)
+        describe = lambda: f"nouns {trial} a={_show(a)} b={_show(b)}"
+        yield (np.array_equal(coordinate_closed_form(a, b).array, want),
+               lambda: f"closed-form merge of {describe()}")
+        yield from _per_mode(
+            lambda mode: _coordinated([a, None, b], noun, mode, trial.spaces,
+                                      noun),
+            want, describe)
+
+        r, q = trial.rand(tv), trial.rand(tv)
+        yield from _per_mode(
+            lambda mode: _coordinated([r, None, q], tv, mode, trial.spaces,
+                                      tv),
+            _intersection(r, q),
+            lambda: f"relations {trial} r={_show(r)} q={_show(q)}")
+
+
+# Each suite with its share of --trials: the costlier ones run half.
+_SUITES = (
+    ("frobenius-axioms", suite_frobenius, 1),
+    ("snake-equations", suite_snake, 1),
+    ("coordinator-equivalence", suite_coordinator_equivalence, 0.5),
+    ("contraction-order", suite_contraction_order, 1),
+    ("sentence-identities", suite_sentence_identities, 0.5),
+    ("subject-copying", suite_subject_copying, 0.5),
+    ("stripping-equality", suite_stripping, 1),
+    ("rel-intersection", suite_rel_intersection, 1),
+)
 
 
 def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
                  inject_fault=False) -> list[SuiteResult]:
     """Run every suite; results report per-suite pass counts and times."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_checked_dim(d, "selftest dimension") for d in dims)
+    if not dims:
+        raise DimMismatch("selftest needs at least one dimension")
     mu = _faulty_mu if inject_fault else frobenius_mu
-    half = max(1, trials // 2)
-    suites = {
-        "frobenius-axioms": lambda rng: suite_frobenius(rng, dims, trials, mu),
-        "snake-equations": lambda rng: suite_snake(rng, dims, trials),
-        "coordinator-equivalence":
-            lambda rng: suite_coordinator_equivalence(rng, dims, half, mu),
-        "contraction-order":
-            lambda rng: suite_contraction_order(rng, dims, trials),
-        "sentence-identities":
-            lambda rng: suite_sentence_identities(rng, dims, half),
-        "subject-copying": lambda rng: suite_subject_copying(rng, dims, half),
-        "stripping-equality": lambda rng: suite_stripping(rng, dims, trials),
-        "rel-intersection":
-            lambda rng: suite_rel_intersection(rng, dims, trials),
-    }
     results = []
-    for k, (name, suite) in enumerate(suites.items()):
+    for k, (name, suite, share) in enumerate(_SUITES):
         result = SuiteResult(name, 0, 0)
         start = time.perf_counter()
-        for ok, describe in suite(np.random.default_rng([seed, k])):
+        checks = suite(np.random.default_rng([seed, k]), dims,
+                       max(1, int(trials * share)), mu)
+        try:
+            for ok, describe in checks:
+                result.total += 1
+                if ok:
+                    result.passed += 1
+                elif result.counterexample is None:
+                    result.counterexample = describe()
+        except FrobcoordError as exc:
             result.total += 1
-            if ok:
-                result.passed += 1
-            elif result.counterexample is None:
-                result.counterexample = describe()
+            result.counterexample = (result.counterexample
+                                     or f"{type(exc).__name__}: {exc}")
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

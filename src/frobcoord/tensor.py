@@ -36,15 +36,22 @@ from .semiring import REAL, Semiring
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
+def _checked_dim(dim, what: str = "wire dimension") -> int:
+    """``dim`` if it is a dimension: a Python ``int`` of at least 1, not a
+    ``bool`` or a numpy integer.  Anything else raises :class:`DimMismatch`
+    naming ``what``, the rule and the value."""
+    if type(dim) is not int or dim < 1:
+        raise DimMismatch(f"{what} must be a Python int >= 1, got {dim!r}")
+    return dim
+
+
 class Wire(namedtuple("Wire", "base z dim")):
     """One tensor factor: an atomic symbol, adjoint order and dimension."""
 
     __slots__ = ()
 
     def __new__(cls, base: str, z: int = 0, dim: int = 1):
-        if dim < 1:
-            raise DimMismatch(f"wire dimension must be >= 1, got {dim}")
-        return super().__new__(cls, base, z, dim)
+        return super().__new__(cls, base, z, _checked_dim(dim))
 
     def __str__(self):
         return str(SimpleType(self.base, self.z))
@@ -63,9 +70,12 @@ class Tensor:
         else:
             arr = np.asarray(data, dtype=semiring.dtype)
         if arr.shape != shape:
-            if arr.size != math.prod(shape):
+            # Only flat row-major data is reshaped: data of another shape
+            # would be read as a different tensor.
+            if arr.ndim != 1 or arr.size != math.prod(shape):
                 raise ShapeMismatch(
-                    f"data of size {arr.size} cannot fill wires {shape}")
+                    f"data of shape {arr.shape} fits neither wires {shape} "
+                    f"nor their {math.prod(shape)} cells flat")
             arr = arr.reshape(shape)
         arr.setflags(write=False)
         self.wires = wires
@@ -154,8 +164,6 @@ def eta_cap(base: str, side: str, dim: int, z: int = 0,
     ``side="left"`` types them ``(base^{z}, base^{z-1})``.  The data is
     the same either way.
     """
-    if dim < 1:
-        raise DimMismatch(f"cap dimension must be >= 1, got {dim}")
     if side == "right":
         wires = (Wire(base, z + 1, dim), Wire(base, z, dim))
     elif side == "left":
@@ -211,10 +219,9 @@ def frobenius_iota(v: Tensor):
 def frobenius_zeta(base: str, dim: int, z: int = 0,
                    semiring: Semiring = REAL) -> Tensor:
     """The all-ones vector, the unit of the merge operation."""
-    if dim < 1:
-        raise DimMismatch(f"zeta dimension must be >= 1, got {dim}")
+    wire = Wire(base, z, dim)
     ones = np.full(dim, semiring.one, dtype=semiring.dtype)
-    return Tensor((Wire(base, z, dim),), ones, semiring, copy=False)
+    return Tensor((wire,), ones, semiring, copy=False)
 
 
 def permute_wires(t: Tensor, perm) -> Tensor:

@@ -142,6 +142,22 @@ def test_eval_modes_and_compare(lex_path):
     assert float(value) < 1e-10
 
 
+@pytest.mark.parametrize("sr", ["real", "bool"])
+def test_eval_compare_prints_json(tmp_path, sr):
+    text = LEX.replace("#semiring real", f"#semiring {sr}")
+    if sr == "bool":
+        text = text.replace("1.0", "1").replace("0.0", "0").replace(
+            "[0.5, 0.5]", "[1, 1]")
+    path = tmp_path / f"{sr}.lex"
+    path.write_text(text, encoding="utf-8")
+    proc = run("eval", str(path), "john", "sleeps", "and", "snores",
+               "--compare", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    diff = json.loads(proc.stdout)["max_abs_diff"]
+    # On booleans the difference is the count of differing entries.
+    assert diff == 0 and type(diff) is (float if sr == "real" else int)
+
+
 def test_eval_json_round_trips_as_lexicon_literal(lex_path):
     proc = run("eval", lex_path, "john", "sleeps", "--format", "json")
     assert proc.returncode == 0

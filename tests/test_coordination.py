@@ -256,6 +256,11 @@ def test_ditransitive_argument_validation():
     iv = random_tensor(sp.wires(parse_type("n.r s")), rng)
     with pytest.raises(errors.ShapeMismatch, match="do not reduce to s"):
         ditransitive_coordination(bank, iv, iv, loan, bank, bank)
+    # Bare verbs take the shared objects as one (near, far) pair.
+    for shared in (loan, (loan,)):
+        with pytest.raises(errors.ShapeMismatch,
+                           match=r"must be a \(near, far\) pair"):
+            ditransitive_coordination(bank, verb, verb, shared)
 
 
 def test_ditransitive_boolean_relations_intersect():

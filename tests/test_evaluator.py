@@ -90,6 +90,28 @@ def test_build_network_rejects_mixed_semirings():
                       SP)
 
 
+@pytest.mark.parametrize("case", ["tensor-count", "all-coordinators",
+                                  "wire-count"])
+def test_build_network_refuses_malformed_rows(case):
+    john_sleeps = reduce([parse_type("n"), parse_type("n.r s")],
+                         parse_type("s"))
+    rng = np.random.default_rng(15)
+    john = rt(rng, "n")
+    if case == "tensor-count":
+        with pytest.raises(errors.WireTypeMismatch,
+                           match="one tensor per token, got 1 tensors"):
+            build_network(john_sleeps, [john], SP)
+    elif case == "all-coordinators":
+        x = coordinator_type(parse_type("n"))
+        with pytest.raises(ValueError, match="every token is a coordinator"):
+            build_network(reduce([x], x), [None], SP)
+    else:
+        short = random_tensor([Wire("n", 1, 2)], rng)  # n.r s without s
+        with pytest.raises(errors.WireTypeMismatch,
+                           match="expected 2 wires, got 1 wires"):
+            build_network(john_sleeps, [john, short], SP)
+
+
 def test_single_token_network():
     types = [parse_type("n")]
     derivation = reduce(types, parse_type("n"))

@@ -1,8 +1,14 @@
 """The selftest suites, run in this process."""
 
+import json
 import sys
 
-from frobcoord import selftest
+import numpy as np
+import pytest
+
+from frobcoord import cli, errors, evaluator, selftest
+from frobcoord.semiring import BOOLEAN
+from frobcoord.tensor import Tensor, frobenius_mu
 
 
 def _suite_calling():
@@ -62,3 +68,90 @@ def test_only_the_reference_route_wires_a_sentence_by_hand(monkeypatch):
     assert callers("evaluate") == {"suite_frobenius",
                                    "suite_coordinator_equivalence",
                                    "suite_contraction_order"}
+
+
+def _drop_coordinator_positions(monkeypatch):
+    # Without them, reduce links a coordinator's legs to each other, which
+    # build_network refuses with InvalidDerivation.
+    real = evaluator.reduce
+    monkeypatch.setattr(evaluator, "reduce", lambda types, target, **kw:
+                        real(types, target))
+
+
+def test_a_check_that_raises_fails_its_suite_only(monkeypatch):
+    _drop_coordinator_positions(monkeypatch)
+    results = selftest.run_selftest(dims=(1, 2), trials=3)
+    assert len(results) == 8
+    failed = {r.name: r for r in results if not r.ok}
+    equivalence = failed["coordinator-equivalence"]
+    assert equivalence.passed == equivalence.total - 1
+    assert equivalence.counterexample.startswith("InvalidDerivation: link")
+    assert {"frobenius-axioms", "snake-equations"}.isdisjoint(failed)
+
+
+def test_selftest_json_survives_a_check_that_raises(monkeypatch, capsys):
+    _drop_coordinator_positions(monkeypatch)
+    assert cli.main(["selftest", "--trials", "3", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"]
+    assert len(payload["suites"]) == 8
+
+
+def test_memory_error_in_a_check_still_ends_the_run(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(selftest, "_coordinated", out_of_memory)
+    assert cli.main(["selftest", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("dims", [(2.7,), (True,), (np.int64(2),), (0,)])
+def test_selftest_dimensions_follow_the_dimension_rule(dims):
+    with pytest.raises(errors.DimMismatch) as exc:
+        selftest.run_selftest(dims=dims, trials=1)
+    assert str(exc.value) == (f"selftest dimension must be a Python int "
+                              f">= 1, got {dims[0]!r}")
+
+
+def test_selftest_needs_a_dimension():
+    with pytest.raises(errors.DimMismatch, match="at least one dimension"):
+        selftest.run_selftest(dims=(), trials=1)
+
+
+_SENTENCE_SUITES = ("coordinator-equivalence", "sentence-identities",
+                    "subject-copying", "stripping-equality",
+                    "rel-intersection")
+
+
+def test_every_sentence_suite_names_the_failing_mode(monkeypatch):
+    def flipped(real):
+        def wrapper(*args, **kwargs):
+            got = real(*args, **kwargs)
+            arr = got.array.copy()
+            arr.flat[0] = (not arr.flat[0] if got.semiring is BOOLEAN
+                           else arr.flat[0] + 1.0)
+            return Tensor(got.wires, arr, got.semiring)
+        return wrapper
+
+    for name in ("_coordinated", "ditransitive_coordination",
+                 "stripping_sentence"):
+        monkeypatch.setattr(selftest, name,
+                            flipped(getattr(selftest, name)))
+    results = {r.name: r for r in selftest.run_selftest(dims=(1, 2),
+                                                        trials=3)}
+    assert {name for name, r in results.items()
+            if not r.ok} == set(_SENTENCE_SUITES)
+    for name in _SENTENCE_SUITES:
+        assert "mode=explicit " in results[name].counterexample
+    # Every failing check of those suites describes itself, not only the
+    # first one that run_selftest reports.
+    described = []
+    for name, suite, _ in selftest._SUITES:
+        if name in _SENTENCE_SUITES:
+            described += [describe() for ok, describe in suite(
+                np.random.default_rng(0), (1, 2), 2, frobenius_mu) if not ok]
+    assert all(text.startswith("mode=") for text in described)
+    for case in ("vp-coordination", "sentence-coordination", "ditransitive",
+                 "i=0", "john=", "nouns", "relations", "type=n.r s"):
+        assert any(case in text for text in described), case

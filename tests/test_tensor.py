@@ -38,6 +38,29 @@ def test_tensor_accepts_flat_row_major():
         Tensor([Wire("n", 0, 2)], [1, 2, 3])
 
 
+def test_tensor_refuses_data_of_another_shape():
+    # Reshaped, this 3 x 2 matrix would be read as a different 2 x 3 one.
+    with pytest.raises(errors.ShapeMismatch):
+        Tensor([Wire("n", 0, 2), Wire("n", 0, 3)], np.arange(6).reshape(3, 2))
+    with pytest.raises(errors.ShapeMismatch):
+        Tensor([Wire("n", 0, 2), Wire("n", 0, 3)], np.zeros((1, 6)))
+    with pytest.raises(errors.ShapeMismatch):
+        Tensor([Wire("n", 0, 1)], 5.0)
+    t = Tensor([Wire("n", 0, 2), Wire("n", 0, 3)], np.arange(6).reshape(2, 3))
+    assert t.array.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.0, np.int64(2), 0, -1, "2"])
+def test_dimensions_are_python_ints_everywhere(dim):
+    rule = f"must be a Python int >= 1, got {dim!r}"
+    for make in (lambda: Wire("n", 0, dim),
+                 lambda: frobenius_zeta("n", dim),
+                 lambda: eta_cap("n", "left", dim)):
+        with pytest.raises(errors.DimMismatch) as exc:
+            make()
+        assert str(exc.value) == f"wire dimension {rule}"
+
+
 def test_tensor_is_immutable():
     t = vec([1.0, 2.0])
     with pytest.raises(ValueError):
