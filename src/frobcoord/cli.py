@@ -17,14 +17,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import FrobcoordError, UngrammaticalSentence
-from .evaluator import evaluate_sentence
+from .evaluator import MODES, evaluate_sentence
 from .lexicon import load_lexicon
 from .pregroup import enumerate_reductions, parse_type, reduce
 from .selftest import run_selftest
-from .semiring import REAL
 
 
 def _format_links(derivation) -> str:
@@ -106,11 +103,8 @@ def cmd_check(args) -> int:
 
 
 def _print_tensor(tensor, fmt):
+    entries = [tensor.semiring.to_python(v) for v in tensor.flat]
     if fmt == "json":
-        if tensor.semiring is REAL:
-            entries = [float(v) for v in tensor.flat]
-        else:
-            entries = [int(v) for v in tensor.flat]
         print(json.dumps({
             "semiring": tensor.semiring.name,
             "wires": [{"base": w.base, "z": w.z, "dim": w.dim}
@@ -118,24 +112,16 @@ def _print_tensor(tensor, fmt):
             "entries": entries,
         }))
     else:
-        if tensor.semiring is REAL:
-            print(" ".join(format(float(v), ".12g") for v in tensor.flat))
-        else:
-            print(" ".join("1" if v else "0" for v in tensor.flat))
+        print(" ".join(format(v, ".12g") for v in entries))
 
 
 def cmd_eval(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     if args.compare:
-        explicit = evaluate_sentence(args.words, lexicon, args.target,
-                                     mode="explicit")
-        closed = evaluate_sentence(args.words, lexicon, args.target,
-                                   mode="closed-form")
-        if explicit.semiring is REAL:
-            diff = float(np.max(np.abs(explicit.array - closed.array))) \
-                if explicit.array.size else 0.0
-        else:
-            diff = int(np.count_nonzero(explicit.array != closed.array))
+        explicit, closed = [evaluate_sentence(args.words, lexicon,
+                                              args.target, mode=mode)
+                            for mode in MODES]
+        diff = explicit.semiring.distance(explicit.array, closed.array)
         if args.format == "json":
             print(json.dumps({"max_abs_diff": diff}))
         else:
@@ -169,15 +155,22 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, want: str):
+    """The argparse type of an integer argument of at least ``low``;
+    ``want`` names the rule in the usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value {text!r}: expected {want}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _dims(text: str) -> tuple:
@@ -214,8 +207,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eval.add_argument("lexicon")
     p_eval.add_argument("words", nargs="+", metavar="word")
     p_eval.add_argument("--target", default="s")
-    p_eval.add_argument("--mode", choices=("explicit", "closed-form"),
-                        default="explicit")
+    p_eval.add_argument("--mode", choices=MODES, default="explicit")
     p_eval.add_argument("--compare", action="store_true",
                         help="run both modes, print the max difference "
                              "(on booleans, the count of differing entries)")
@@ -227,12 +219,14 @@ def _parser() -> argparse.ArgumentParser:
     p_self.add_argument("--dims", type=_dims, default="1,2,3,4",
                         help="comma-separated positive dimensions to sample")
     p_self.add_argument("--trials", type=_positive_int, default=100)
-    # A string default goes through ``type=int`` only when selftest runs
+    # A string default goes through ``type`` only when selftest runs
     # without --seed, so a malformed FROBCOORD_SEED is a usage error (exit
     # 2) for selftest alone.
-    p_self.add_argument("--seed", type=int,
+    p_self.add_argument("--seed",
+                        type=_int_at_least(0, "a non-negative integer"),
                         default=os.environ.get("FROBCOORD_SEED", "0"),
-                        help="RNG seed (default: $FROBCOORD_SEED, else 0)")
+                        help="RNG seed, at least 0 "
+                             "(default: $FROBCOORD_SEED, else 0)")
     p_self.add_argument("--format", choices=("plain", "json"),
                         default="plain",
                         help="json: one object with the seed and each suite")

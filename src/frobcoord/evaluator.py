@@ -47,8 +47,12 @@ from .errors import (DimMismatch, EmptyType, InvalidDerivation, MissingSpace,
                      UngrammaticalSentence, WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
-from .semiring import REAL, Semiring
+from .semiring import Semiring
 from .tensor import MAX_AXES, Tensor, Wire, _checked_dim, frobenius_zeta
+
+MODES = ("explicit", "closed-form")
+"""The evaluation modes: each coordinator's copy spiders as nodes, or its
+legs' wires identified."""
 
 
 class SpaceAssignment:
@@ -144,7 +148,7 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     In closed form an open wire may differ from its residual type in
     adjoint order.
     """
-    if mode not in ("explicit", "closed-form"):
+    if mode not in MODES:
         raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
     tensors = list(tensors)
     if not derivation.token_types:
@@ -530,8 +534,8 @@ def _row_meaning(types, tensors, target: PregroupType,
                  refusal) -> Tensor:
     """Reduce ``types`` to ``target`` (else raise ``refusal()``), with the
     None tensors as the coordinators, contract the network in ``mode`` and
-    type the result by the residual.  A real result that is not finite
-    raises :class:`Overflow`."""
+    type the result by the residual.  A result that is not finite (a real
+    one past float64) raises :class:`Overflow`."""
     derivation = reduce(types, target, coordinators=[
         k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:
@@ -539,7 +543,7 @@ def _row_meaning(types, tensors, target: PregroupType,
     with np.errstate(over="ignore", invalid="ignore"):
         result = evaluate(build_network(derivation, tensors, spaces,
                                         semiring, mode))
-    if semiring is REAL and not np.isfinite(result.array).all():
+    if not np.isfinite(result.array).all():
         raise Overflow("the meaning is not finite: float64 arithmetic "
                        "overflowed")
     return Tensor(spaces.wires(derivation.residual_type()), result.array,

@@ -39,7 +39,6 @@ import json
 import math
 import os
 import re
-import sys
 
 import numpy as np
 
@@ -59,7 +58,6 @@ _GAMMA = np.uint64(_GAMMA_INT)
 _MIX = ((np.array(30, np.uint64), np.uint64(0xBF58476D1CE4E5B9)),
         (np.array(27, np.uint64), np.uint64(0x94D049BB133111EB)))
 _SHIFT_31, _SHIFT_11 = np.array(31, np.uint64), np.array(11, np.uint64)
-_TOP_BIT = np.uint64(1 << 63)
 _BLOCK = 1 << 15  # words mixed at a time: two blocks stay in cache
 
 
@@ -102,12 +100,9 @@ def _random_array(seed: int, shape, semiring: Semiring):
             z ^= np.right_shift(z, shift, out=tmp)
             z *= mult
         z ^= np.right_shift(z, _SHIFT_31, out=tmp)
-        if semiring is REAL:
-            np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53,
-                        out=part)
-        else:
-            # A unit is at least 0.5 exactly when the word's top bit is set.
-            np.greater_equal(z, _TOP_BIT, out=part)
+        units = np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53,
+                            out=tmp.view(np.float64))
+        part[...] = semiring.from_unit(units)
     out.setflags(write=False)
     return out.reshape(shape)
 
@@ -195,16 +190,6 @@ _ENTRY = re.compile(r"(\S+)\s*:\s*(.*?)\s*=\s*(.*)")
 _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
 
 
-def _literal_value_ok(value, semiring: Semiring) -> bool:
-    """Real literals take finite numbers; boolean literals take the
-    integers 0 and 1.  JSON ``true`` and ``false`` are neither."""
-    if semiring is REAL:
-        # False for NaN, the infinities and integers past the float range.
-        return (type(value) in (int, float)
-                and abs(value) <= sys.float_info.max)
-    return type(value) is int and value in (0, 1)
-
-
 def _builder(word, ptype, wires, spec, spaces, semiring, line):
     """Check ``spec`` against its entry's type; return the tensor's maker."""
     m = _RANDOM.match(spec)
@@ -230,11 +215,9 @@ def _builder(word, ptype, wires, spec, spaces, semiring, line):
                 f"{len(data) if isinstance(data, list) else '?'} "
                 f"does not fill {size} cells")
         for value in data:
-            if not _literal_value_ok(value, semiring):
-                raise ParseError(
-                    f"entry {word!r}: literal value {value!r} is not "
-                    f"{'a finite number' if semiring is REAL else '0 or 1'}",
-                    line)
+            if not semiring.literal_ok(value):
+                raise ParseError(f"entry {word!r}: literal value {value!r} "
+                                 f"is not {semiring.literal_rule}", line)
         return lambda: Tensor(wires, data, semiring)
     if spec == "@conj":
         x = conjunct_type(ptype)
@@ -339,13 +322,8 @@ def load_lexicon(path) -> Lexicon:
     return parse_lexicon(text)
 
 
-def _format_element(value, semiring: Semiring) -> str:
-    if semiring is REAL:
-        return format(float(value), ".17g")
-    return "1" if value else "0"
-
-
 def dumps_lexicon(lexicon: Lexicon) -> str:
+    to_python = lexicon.semiring.to_python
     lines = [f"#semiring {lexicon.semiring.name}"]
     for base, dim in lexicon.spaces.as_dict().items():
         lines.append(f"#type {base} {dim}")
@@ -353,7 +331,7 @@ def dumps_lexicon(lexicon: Lexicon) -> str:
         if entry.spec is not None:
             spec = entry.spec
         else:
-            cells = ", ".join(_format_element(v, lexicon.semiring)
+            cells = ", ".join(format(to_python(v), ".17g")
                               for v in entry.tensor.flat)
             spec = f"[{cells}]"
         lines.append(f"{entry.word} : {entry.type} = {spec}")

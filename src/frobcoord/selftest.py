@@ -29,9 +29,10 @@ from .coordination import (_coordinated, coordinate_closed_form,
                            coordinator_tensor, ditransitive_coordination,
                            stripping_sentence)
 from .errors import DimMismatch, FrobcoordError
-from .evaluator import SpaceAssignment, TensorNetwork, build_network, evaluate
+from .evaluator import (MODES, SpaceAssignment, TensorNetwork, build_network,
+                        evaluate)
 from .pregroup import PregroupType, coordinator_type, parse_type, reduce
-from .semiring import BOOLEAN, REAL, Semiring
+from .semiring import BOOLEAN, BY_NAME, Semiring
 from .tensor import (Tensor, Wire, _checked_dim, contract, eta_cap,
                      frobenius_delta, frobenius_mu, frobenius_mu_matrix,
                      frobenius_zeta, random_tensor, tensor_product)
@@ -81,7 +82,7 @@ _FROBENIUS_SIDES = (([[0], [1], [2, 0, 3], [1, 2, 4]], [(2, 2), (3, 2)]),
 # which only the suites checking the merge itself use.
 
 def suite_frobenius(rng, dims, trials, mu):
-    for sr in (REAL, BOOLEAN):
+    for sr in BY_NAME.values():
         for d in dims:
             for t in range(trials):
                 u, v, w = (_vec(rng, d, sr) for _ in range(3))
@@ -106,7 +107,7 @@ def suite_frobenius(rng, dims, trials, mu):
 
 
 def suite_snake(rng, dims, trials, mu):
-    for sr in (REAL, BOOLEAN):
+    for sr in BY_NAME.values():
         for d in dims:
             for t in range(trials):
                 v = _vec(rng, d, sr)
@@ -141,7 +142,7 @@ class _Trial(NamedTuple):
         return f"semiring={self.sr.name} spaces={self.spaces!r}"
 
 
-def _trials(rng, dims, trials, semirings=(REAL, BOOLEAN), cases=(None,)):
+def _trials(rng, dims, trials, semirings=BY_NAME.values(), cases=(None,)):
     """``trials`` contexts per carrier and case, in that nesting, each with
     spaces for ``n`` and ``s`` drawn from ``dims``."""
     for sr in semirings:
@@ -155,7 +156,7 @@ def _trials(rng, dims, trials, semirings=(REAL, BOOLEAN), cases=(None,)):
 def _per_mode(meaning, want, describe):
     """One check per evaluation mode of ``eval``: ``meaning(mode)`` against
     the oracle array ``want``; ``describe()`` names the case."""
-    for mode in ("explicit", "closed-form"):
+    for mode in MODES:
         got = meaning(mode)
         yield (got.semiring.allclose(got.array, want),
                lambda: f"mode={mode} {describe()}")

@@ -9,10 +9,18 @@ Two instances are provided:
   instance are subset indicators and matrices are relations.
 
 All methods act element-wise on numpy arrays (or scalars), so tensors can
-stay dense ndarrays regardless of the carrier.
+stay dense ndarrays regardless of the carrier.  Each carrier also owns the
+rules that differ between carriers: how an element prints
+(:meth:`Semiring.to_python`), which lexicon literals it takes
+(:meth:`Semiring.literal_ok`, named by ``literal_rule``), how far apart two
+results are (:meth:`Semiring.distance`) and how a uniform draw becomes an
+element (:meth:`Semiring.from_unit`), so the rest of the library need not
+ask which carrier it holds.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -24,6 +32,8 @@ class Semiring:
     dtype: type
     zero: object
     one: object
+    literal_rule: str
+    """What a lexicon literal must be, as an error message names it."""
 
     def add(self, x, y):
         raise NotImplementedError
@@ -46,8 +56,21 @@ class Semiring:
         """Equality at this semiring's tolerance."""
         return self.allclose(a, b)
 
-    def from_unit(self, u: float):
-        """Map a float drawn from [0, 1) to a semiring element."""
+    def from_unit(self, u):
+        """Map floats drawn from [0, 1), a scalar or an array, to
+        elements."""
+        raise NotImplementedError
+
+    def to_python(self, value):
+        """An element as the Python number that prints and serialises it."""
+        raise NotImplementedError
+
+    def literal_ok(self, value) -> bool:
+        """Whether a parsed JSON value is a literal of this carrier."""
+        raise NotImplementedError
+
+    def distance(self, a, b):
+        """How far apart two arrays of one shape are; 0 when equal."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -61,6 +84,7 @@ class _Real(Semiring):
     one = 1.0
     rtol = 1e-10
     atol = 1e-12
+    literal_rule = "a finite number"
 
     def add(self, x, y):
         return np.add(x, y)
@@ -83,7 +107,19 @@ class _Real(Semiring):
         return bool(np.all(np.abs(a - b) <= bound))
 
     def from_unit(self, u):
-        return float(u)
+        return u
+
+    def to_python(self, value):
+        return float(value)
+
+    def literal_ok(self, value) -> bool:
+        # False for NaN, the infinities, integers past the float range and
+        # JSON's true and false.
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+    def distance(self, a, b):
+        """The largest absolute difference of two entries."""
+        return float(np.max(np.abs(a - b))) if np.size(a) else 0.0
 
 
 class _Boolean(Semiring):
@@ -91,6 +127,7 @@ class _Boolean(Semiring):
     dtype = np.bool_
     zero = False
     one = True
+    literal_rule = "0 or 1"
 
     def add(self, x, y):
         return np.logical_or(x, y)
@@ -118,7 +155,17 @@ class _Boolean(Semiring):
         return a.shape == b.shape and bool(np.all(a == b))
 
     def from_unit(self, u):
-        return bool(u >= 0.5)
+        return u >= 0.5
+
+    def to_python(self, value):
+        return int(value)
+
+    def literal_ok(self, value) -> bool:
+        return type(value) is int and value in (0, 1)
+
+    def distance(self, a, b):
+        """The number of entries that differ."""
+        return int(np.count_nonzero(a != b))
 
 
 REAL = _Real()

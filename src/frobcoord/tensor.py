@@ -235,9 +235,7 @@ def permute_wires(t: Tensor, perm) -> Tensor:
 
 def random_tensor(wires, rng: np.random.Generator,
                   semiring: Semiring = REAL) -> Tensor:
-    """Uniform entries in [0, 1), thresholded at 0.5 for the boolean carrier."""
+    """Uniform draws from [0, 1), mapped by ``semiring.from_unit``."""
     wires = tuple(wires)
-    shape = tuple(w.dim for w in wires)
-    u = rng.random(shape)
-    data = u if semiring is REAL else u >= 0.5
+    data = semiring.from_unit(rng.random(tuple(w.dim for w in wires)))
     return Tensor(wires, data, semiring)

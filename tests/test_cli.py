@@ -277,6 +277,21 @@ def test_malformed_seed_env_only_affects_selftest(lex_path):
     assert (bad.stdout, bad.stderr) == (clean.stdout, clean.stderr)
 
 
+@pytest.mark.parametrize("args, env", [
+    (("--seed", "-1"), {}),
+    (("--seed", "-1", "--format", "json"), {}),
+    ((), {"FROBCOORD_SEED": "-5"}),
+    (("--format", "json"), {"FROBCOORD_SEED": "-5"}),
+], ids=["flag", "flag-json", "env", "env-json"])
+def test_negative_seed_is_a_usage_error(args, env):
+    proc = run("selftest", "--trials", "1", "--dims", "1", *args, **env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert "expected a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("selftest", "--dims", "x"),
     ("selftest", "--dims", "2,,3"),
