@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import OutOfMemory, ShapeMismatch
 from .evaluator import SpaceAssignment, _row_meaning
 from .pregroup import (PregroupType, SimpleType, coordinator_legs,
                        coordinator_type, parse_type)
 from .semiring import REAL, Semiring
-from .tensor import Tensor, frobenius_mu
+from .tensor import MAX_AXES, Tensor, frobenius_mu
 
 
 def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
@@ -30,9 +30,14 @@ def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
     Equal to the cap-then-merge network — two nested identity caps with
     the merge applied between them — but built directly: one entry per
     joint index of the factor-wise copy spiders, factor ``p``'s index
-    sitting at its legs ``coordinator_legs(len(x))[p]``.
+    sitting at its legs ``coordinator_legs(len(x))[p]``.  A coordinator
+    with more wires than numpy allows an array axes is
+    :class:`OutOfMemory`, raised before anything is allocated.
     """
     wires = spaces.wires(coordinator_type(x))
+    if len(wires) > MAX_AXES:
+        raise OutOfMemory(f"the coordinator for {x} would make an array of "
+                          f"{len(wires)} axes; numpy allows {MAX_AXES}")
     k = len(x)
     arr = np.zeros([w.dim for w in wires], dtype=semiring.dtype)
     index = [None] * (3 * k)

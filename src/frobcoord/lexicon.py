@@ -43,8 +43,9 @@ import re
 import numpy as np
 
 from .coordination import coordinator_tensor
-from .errors import (DimMismatch, ParseError, UndeclaredSymbol,
-                     UnknownBaseSymbol, UnknownWord, WireTypeMismatch)
+from .errors import (DimMismatch, OutOfMemory, ParseError,
+                     UndeclaredSymbol, UnknownBaseSymbol, UnknownWord,
+                     WireTypeMismatch)
 from .evaluator import SpaceAssignment
 from .pregroup import PregroupType, conjunct_type, parse_type
 from .semiring import BY_NAME, REAL, Semiring
@@ -132,9 +133,10 @@ class LexiconEntry:
         if self._tensor is None:
             try:
                 self._tensor = self._build()
-            except (MemoryError, ValueError):
+            except (MemoryError, ValueError, OutOfMemory):
                 # numpy refuses an array past its size or axis limit with a
-                # ValueError.
+                # ValueError; coordinator_tensor refuses one past the axis
+                # limit with OutOfMemory.
                 why = (f"its {len(self.type)} wires are past numpy's limit "
                        f"of {MAX_AXES} axes" if len(self.type) > MAX_AXES
                        else f"its {self.cells} cells do not fit in memory")
@@ -276,30 +278,38 @@ def parse_lexicon(text: str) -> Lexicon:
         if m is None:
             raise ParseError(f"expected 'word : type = spec', got {line!r}",
                              lineno)
-        raw_entries.append((lineno, *m.groups()))
+        raw_entries.append((*m.groups(), lineno))
 
     spaces = SpaceAssignment(dims)
     semiring = semiring or REAL
-    bases = set(dims)
-    typed = {}  # type text -> (type, wires); each text parsed once
-    entries = {}
-    for lineno, word, type_text, spec in raw_entries:
-        if word in entries:
-            raise ParseError(f"duplicate entry for {word!r}", lineno)
-        if type_text not in typed:
-            try:
-                ptype = parse_type(type_text, bases=bases)
-            except UnknownBaseSymbol as exc:
-                raise UndeclaredSymbol(word, exc.base, lineno) from None
-            if not ptype:
-                raise ParseError(f"entry {word!r} has the empty type", lineno)
-            typed[type_text] = ptype, spaces.wires(ptype)
-        ptype, wires = typed[type_text]
-        build = _builder(word, ptype, wires, spec, spaces, semiring, lineno)
-        entries[word] = LexiconEntry(
-            word, ptype, None if spec.startswith("[") else spec, lineno,
-            math.prod(w.dim for w in wires), build)
+    entries, typed = {}, {}
+    for raw in raw_entries:
+        _add_entry(entries, typed, spaces, semiring, *raw)
     return Lexicon(spaces, semiring, entries)
+
+
+def _add_entry(entries, typed, spaces, semiring, word, type_text, spec, line):
+    """Check one ``word : type = spec`` entry and add it to ``entries``.
+
+    ``line`` is the entry's line, None for a generated entry, and
+    ``typed`` maps each type text already seen to its type and wires, so
+    each text is parsed once.
+    """
+    if word in entries:
+        raise ParseError(f"duplicate entry for {word!r}", line)
+    if type_text not in typed:
+        try:
+            ptype = parse_type(type_text, bases=spaces.bases())
+        except UnknownBaseSymbol as exc:
+            raise UndeclaredSymbol(word, exc.base, line) from None
+        if not ptype:
+            raise ParseError(f"entry {word!r} has the empty type", line)
+        typed[type_text] = ptype, spaces.wires(ptype)
+    ptype, wires = typed[type_text]
+    build = _builder(word, ptype, wires, spec, spaces, semiring, line)
+    entries[word] = LexiconEntry(
+        word, ptype, None if spec.startswith("[") else spec, line,
+        math.prod(w.dim for w in wires), build)
 
 
 def load_lexicon(path) -> Lexicon:
@@ -350,18 +360,23 @@ def generate_random_lexicon(grammar, spaces, seed: int,
     ``grammar`` maps words to type strings (a dict or pair iterable);
     entries are generated in iteration order from one splitmix64 stream,
     so equal seeds give bit-identical lexica on every platform.  ``seed``
-    is any int, taken modulo 2**64 as :class:`SplitMix64` takes it.
+    is any int, taken modulo 2**64 as :class:`SplitMix64` takes it.  Each
+    entry is checked as :func:`parse_lexicon` checks a line, with the spec
+    ``@random(state)`` of its place in the stream, which
+    :func:`dumps_lexicon` writes back, so a generated lexicon saves and
+    loads back to the same bytes.  A word that a lexicon file cannot hold
+    (empty, with whitespace, or starting with ``#``) is a
+    :class:`ParseError`.
     """
     if not isinstance(spaces, SpaceAssignment):
         spaces = SpaceAssignment(dict(spaces))
     pairs = grammar.items() if isinstance(grammar, dict) else list(grammar)
-    entries, state = {}, seed & _MASK
+    entries, typed, state = {}, {}, seed & _MASK
     for word, type_text in pairs:
-        ptype = parse_type(type_text, bases=spaces.bases())
-        wires = spaces.wires(ptype)
-        cells = math.prod(w.dim for w in wires)
-        # The entry's stream is the lexicon's, advanced past earlier cells.
-        entries[word] = LexiconEntry(word, ptype, None, None, cells, _builder(
-            word, ptype, wires, f"@random({state})", spaces, semiring, None))
-        state = (state + cells * _GAMMA_INT) & _MASK
+        if str(word).split() != [word] or word[0] == "#":
+            raise ParseError(f"no lexicon file holds the word {word!r}", None)
+        _add_entry(entries, typed, spaces, semiring, word, type_text,
+                   f"@random({state})", None)
+        # The next entry's stream is the lexicon's, advanced past its cells.
+        state = (state + entries[word].cells * _GAMMA_INT) & _MASK
     return Lexicon(spaces, semiring, entries)

@@ -10,13 +10,16 @@ pairwise disjoint, non-crossing, each pairing ``(b, z)`` with
 
 Reduction walks the flattened row of n simple types left to right with a
 stack of open links, trying at each position the moves close the
-innermost open link, open a new one, survive as part of the target.  Two
-bitset tables built right to left (which spans contract to the unit, and
-which suffixes reduce to which target suffixes) say which moves can still
-be completed, so the walk enters no dead state: building them takes
-O(n**2) operations on n-bit integers, cubic in n like the interval
-dynamic programs for pregroup parsing (Preller 2007, "Linear processing
-with pregroups"; Moroz 2009), and :func:`reduce` then never backtracks.
+innermost open link, open a new one, survive as part of the target.  A
+row reduces to a target exactly when the row followed by the target's
+right adjoint contracts to the unit (the adjoint law of pregroups), so
+one bitset table built right to left, of which spans of the row and the
+adjoint contract to the unit, says which moves can still be completed,
+and the walk enters no dead state: building it takes O(N**2) operations
+on N-bit integers for a row and target of N simple types together, cubic
+in N like the interval dynamic programs for pregroup parsing (Preller
+2007, "Linear processing with pregroups"; Moroz 2009), and
+:func:`reduce` then never backtracks.
 
 Surface syntax for type strings: base symbols are identifiers, adjoint
 marks are ``.l`` / ``.r`` suffixes applied left to right and stackable,
@@ -241,46 +244,45 @@ def _derivations(tokens, target, coordinators):
     the stack, open a new link, survive as residual (stack must be empty).
     That order makes the first yield the canonical derivation.
 
-    Two bitset tables, built right to left, say which states can still be
-    completed, so the walk enters no other state and never backtracks:
-    ``unit[i]`` holds the ends ``j`` for which ``flat[i:j]`` contracts to
-    the unit, and ``tail[t]`` the starts ``i`` for which ``flat[i:]``
-    reduces to ``target[t:]`` with survivors at top level only.  Each
-    open end keeps the mask of positions where closing it still leaves a
-    completable state, derived from the mask of the end below it.  No
-    wire of a token at a position in ``coordinators`` closes on another
-    wire of that token: its closer masks leave them out before the tables
-    are built.
+    One bitset table, built right to left over the row followed by the
+    target's right adjoint, says which states can still be completed, so
+    the walk enters no other state and never backtracks: ``unit[i]`` holds
+    the ends ``j`` for which ``flat[i:j]`` contracts to the unit.  The
+    adjoint is one more token whose wires never link to each other, so
+    ``flat[i:n]`` reduces to ``target[t:]`` with survivors at top level
+    only exactly when ``flat[i:n]`` followed by the adjoint's first
+    ``m - t`` wires contracts to the unit: ``tail[t]`` holds those starts.
+    Each open end keeps the mask of positions where closing it still
+    leaves a completable state, derived from the mask of the end below it.
+    No wire of a token at a position in ``coordinators`` closes on another
+    wire of that token: its closer masks leave them out before the table
+    is built.
     """
+    n, m = sum(map(len, tokens)), len(target)
+    tokens = (*tokens, [(b, z + 1) for b, z in reversed(target)])
     flat = tuple(s for t in tokens for s in t)
-    n, m = len(flat), len(target)
-    at, wanted = {}, {}
+    at = {}
     for p, s in enumerate(flat):
         at[s] = at.get(s, 0) | 1 << p
-    for t, s in enumerate(target):
-        wanted[s] = wanted.get(s, 0) | 1 << t
     closers = [at.get((b, z + 1), 0) for b, z in flat]
     offsets = [0, *accumulate(map(len, tokens))]
-    for c in coordinators:
+    for c in (*coordinators, len(tokens) - 1):
         lo, hi = offsets[c], offsets[c + 1]
         own = (1 << hi) - (1 << lo)
         for p in range(lo, hi):
             closers[p] &= ~own
-    unit = [0] * n + [1 << n]
-    reach = [0] * n + [1 << m]  # reach[i]: the t for which i is in tail[t]
-    for i in range(n - 1, -1, -1):
+    unit = [0] * (n + m) + [1 << n + m]
+    for i in range(n + m - 1, -1, -1):
         u = 1 << i
-        r = wanted.get(flat[i], 0) & (reach[i + 1] >> 1)
         ends = closers[i] & unit[i + 1]
         while ends:
             k = (ends & -ends).bit_length()  # one past a closer of i
             u |= unit[k]
-            r |= reach[k]
             # A closer whose successor is already covered adds nothing:
-            # unit spans and the reductions after them compose.
+            # unit spans compose.
             ends &= ~(u >> 1)
-        unit[i], reach[i] = u, r
-    tail = [sum(1 << i for i, r in enumerate(reach) if r >> t & 1)
+        unit[i] = u
+    tail = [sum(1 << i for i in range(n + 1) if unit[i] >> n + m - t & 1)
             for t in range(m + 1)]
     if not tail[0] & 1:
         return
@@ -336,19 +338,17 @@ def reduce(tokens, target: PregroupType, *, coordinators=()):
     ``coordinators`` holds the positions of the row's coordinator tokens:
     no link joins two wires of one of them, because a coordinator's wires
     are the legs of copy spiders that merge the conjuncts around it.
-    ``None`` means ungrammatical.  For n simple types this costs O(n**2)
-    operations on n-bit integers, with no recursion, so any row length
-    that fits in memory reduces.
+    ``None`` means ungrammatical.  It is the first element of
+    :func:`enumerate_reductions`; for a row and target of N simple types
+    together it costs O(N**2) operations on N-bit integers, with no
+    recursion, so any row length that fits in memory reduces.
 
     >>> ts = [parse_type("n"), parse_type("n.r s n.l"), parse_type("n")]
     >>> sorted(reduce(ts, parse_type("s")).links)
     [(0, 1), (3, 4)]
     """
-    if not tokens:
-        raise EmptyType("cannot reduce an empty token sequence")
-    for link_list in _derivations(tokens, target, coordinators):
-        return Derivation(tokens, link_list)
-    return None
+    first = enumerate_reductions(tokens, target, 1, coordinators=coordinators)
+    return first[0] if first else None
 
 
 def enumerate_reductions(tokens, target: PregroupType, cap: int, *,

@@ -14,8 +14,9 @@ from frobcoord.lexicon import parse_lexicon
 from frobcoord.pregroup import (PregroupType, SimpleType, coordinator_type,
                                 enumerate_reductions, parse_type, reduce)
 from frobcoord.semiring import BOOLEAN, REAL
-from frobcoord.tensor import (Tensor, Wire, frobenius_mu, frobenius_zeta,
-                              permute_wires, random_tensor, tensor_product)
+from frobcoord.tensor import (MAX_AXES, Tensor, Wire, frobenius_mu,
+                              frobenius_zeta, permute_wires, random_tensor,
+                              tensor_product)
 
 from oracles import coordinator_caps_and_merge, vp_coordinator_expanded
 
@@ -72,6 +73,14 @@ def test_coordinator_errors():
         coordinator_tensor(PregroupType(), spaces(2))
     with pytest.raises(errors.MissingSpace):
         coordinator_tensor(parse_type("q"), spaces(2))
+
+
+def test_coordinator_past_numpy_axis_limit_is_out_of_memory():
+    x = parse_type("n " * 22)
+    with pytest.raises(errors.OutOfMemory) as exc:
+        coordinator_tensor(x, SpaceAssignment({"n": 1}))
+    assert str(exc.value) == (f"the coordinator for {x} would make an array "
+                              f"of 66 axes; numpy allows {MAX_AXES}")
 
 
 def test_spider_symmetry_within_factor_groups():

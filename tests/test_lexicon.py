@@ -10,8 +10,9 @@ from frobcoord.evaluator import evaluate_sentence
 from frobcoord.lexicon import (SplitMix64, dumps_lexicon,
                                generate_random_lexicon, load_lexicon,
                                parse_lexicon, save_lexicon)
-from frobcoord.pregroup import parse_type
+from frobcoord.pregroup import coordinator_type, parse_type
 from frobcoord.semiring import BOOLEAN, REAL
+from frobcoord.tensor import MAX_AXES
 
 from oracles import coordinator_caps_and_merge
 
@@ -270,6 +271,16 @@ def test_random_entry_too_big_for_memory_is_a_parse_error(dims, type_text):
     assert str(exc.value).startswith("line 4: entry 'w'")
 
 
+def test_conj_entry_past_numpy_axis_limit_is_a_parse_error():
+    x = " ".join(["n"] * 22)
+    lex = parse_lexicon(f"#type n 1\n\n"
+                        f"and : {coordinator_type(parse_type(x))} = @conj\n")
+    with pytest.raises(errors.ParseError) as exc:
+        lex["and"].tensor
+    assert str(exc.value) == (f"line 3: entry 'and': its 66 wires are past "
+                              f"numpy's limit of {MAX_AXES} axes")
+
+
 def test_generated_entry_too_big_for_memory_is_an_error_without_a_line():
     lex = generate_random_lexicon({"w": "n n n n"}, {"n": 100000}, seed=1)
     with pytest.raises(errors.ParseError) as exc:
@@ -291,6 +302,40 @@ def test_generate_random_lexicon_continues_one_stream(semiring):
                                        skip=offset)
         offset += len(flat)
     assert offset == 5 + 15 + 3 + 75
+
+
+@pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_generated_lexicon_loads_back_to_the_same_bytes(semiring, tmp_path):
+    grammar = {"john": "n", "sleeps": "n.r s", "a:b": "n.r.r n.l",
+               "é": "s"}
+    lex = generate_random_lexicon(grammar, {"n": 3, "s": 2}, seed=-7,
+                                  semiring=semiring)
+    path = tmp_path / "gen.txt"
+    save_lexicon(lex, path)
+    again = load_lexicon(path)
+    assert dumps_lexicon(again) == path.read_text(encoding="utf-8")
+    for word in grammar:
+        assert again[word].spec == lex[word].spec
+        assert again[word].tensor.array.tobytes() == \
+            lex[word].tensor.array.tobytes()
+
+
+@pytest.mark.parametrize("grammar, error", [
+    ({"a": ""}, errors.ParseError),           # the empty type
+    ({"a b": "n"}, errors.ParseError),        # whitespace in the word
+    ({"a\nb": "n"}, errors.ParseError),      # a line break in the word
+    ({"a\u2028b": "n"}, errors.ParseError),  # so is U+2028 to splitlines
+    ({"": "n"}, errors.ParseError),
+    ({"#a": "n"}, errors.ParseError),         # read back as a directive
+    ([("a", "n"), ("a", "n")], errors.ParseError),
+    ({"a": "q"}, errors.UndeclaredSymbol),
+    ({"a": "n.x"}, errors.TypeSyntaxError),
+])
+def test_generated_entries_are_checked_as_parsed_lines(grammar, error):
+    with pytest.raises(error) as exc:
+        generate_random_lexicon(grammar, {"n": 2}, seed=1)
+    assert isinstance(exc.value, errors.FrobcoordError)
+    assert getattr(exc.value, "line", None) is None
 
 
 def test_dumps_keeps_random_spec_verbatim():

@@ -326,6 +326,22 @@ def test_reduce_matches_backtracking_oracle_on_seeded_rows():
     assert 100 < grammatical < 500
 
 
+# Two rows whose canonical derivation or enumeration order a walk without
+# the survive move (reducing the row and the target's adjoint to the unit
+# with close and open alone) gets wrong, though it passes every other case
+# in this file.
+@pytest.mark.parametrize("row_text, target_text", [
+    ("s.l s.r n.r.r n.r.r s.r s.r.r s.l s n.r.r.r n.r.r.r s.l s s s.r s.r "
+     "n.r.r n.r.r.r s s s.r s.r.r s.r s.r s.r.r", "s.l s.r"),
+    ("n.l.l n n n n.r n.r s.r s.r.r n.r s s.r n.l.l n.l n.l n n.l n n.r n n "
+     "n.r n.r n n.r n.r.r", "n"),
+])
+def test_reduce_matches_backtracking_oracle_on_pinned_rows(row_text,
+                                                           target_text):
+    assert _check_against_oracle(parse_type(row_text),
+                                 parse_type(target_text))
+
+
 def test_long_row_reduces_without_recursion_error():
     # 2500 words, 4999 simple types: the recursive search ran out of stack
     # near 600 words.

@@ -114,6 +114,17 @@ def test_selftest_dimensions_follow_the_dimension_rule(dims):
                               f">= 1, got {dims[0]!r}")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(3), "0"])
+def test_selftest_refuses_a_bad_seed_before_any_suite(seed, monkeypatch):
+    def suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(selftest, "_SUITES", (("any", suite, 1),))
+    with pytest.raises(errors.FrobcoordError) as exc:
+        selftest.run_selftest(dims=(1,), trials=1, seed=seed)
+    assert str(exc.value) == f"seed must be a Python int >= 0, got {seed!r}"
+
+
 def test_selftest_needs_a_dimension():
     with pytest.raises(errors.DimMismatch, match="at least one dimension"):
         selftest.run_selftest(dims=(), trials=1)
