@@ -13,40 +13,35 @@ merge of the two conjunct meanings.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import OutOfMemory, ShapeMismatch
-from .evaluator import SpaceAssignment, _row_meaning
-from .pregroup import (PregroupType, SimpleType, coordinator_legs,
-                       coordinator_type, parse_type)
+from .evaluator import SpaceAssignment, _row_meaning, build_network, evaluate
+from .pregroup import (Derivation, PregroupType, SimpleType, coordinator_type,
+                       parse_type)
 from .semiring import REAL, Semiring
 from .tensor import MAX_AXES, Tensor, frobenius_mu
 
 
 def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
                        semiring: Semiring = REAL) -> Tensor:
-    """The coordination tensor on the wires of ``coordinator_type(x)``.
+    """The coordination tensor on the wires of ``coordinator_type(x)``:
+    the product of its ``len(x)`` three-legged copy spiders.
 
-    Equal to the cap-then-merge network — two nested identity caps with
-    the merge applied between them — but built directly: one entry per
-    joint index of the factor-wise copy spiders, factor ``p``'s index
-    sitting at its legs ``coordinator_legs(len(x))[p]``.  A coordinator
-    with more wires than numpy allows an array axes is
-    :class:`OutOfMemory`, raised before anything is allocated.
+    Equal to the cap-then-merge network -- two nested identity caps with
+    the merge applied between them.  It is the explicit network that
+    :func:`build_network` makes of a lone coordinator token, contracted
+    by :func:`evaluate` with every wire open: the spiders share no index,
+    so their product is an outer product, the lift of the atomic copy
+    spider to the compound type ``x``.  A coordinator with more wires than
+    numpy allows an array axes is :class:`OutOfMemory`, raised before
+    anything is allocated.
     """
-    wires = spaces.wires(coordinator_type(x))
+    ctype = coordinator_type(x)
+    wires = spaces.wires(ctype)
     if len(wires) > MAX_AXES:
         raise OutOfMemory(f"the coordinator for {x} would make an array of "
                           f"{len(wires)} axes; numpy allows {MAX_AXES}")
-    k = len(x)
-    arr = np.zeros([w.dim for w in wires], dtype=semiring.dtype)
-    index = [None] * (3 * k)
-    for p, (r, mid, l) in enumerate(coordinator_legs(k)):
-        # Shaped to vary along axis p only, so the k ranges broadcast.
-        index[r] = index[mid] = index[l] = np.arange(wires[mid].dim).reshape(
-            [-1 if q == p else 1 for q in range(k)])
-    arr[tuple(index)] = semiring.one
-    return Tensor(wires, arr, semiring, copy=False)
+    return evaluate(build_network(Derivation((ctype,), ()), [None], spaces,
+                                  semiring))
 
 
 def coordinate_closed_form(a: Tensor, b: Tensor) -> Tensor:

@@ -1,8 +1,31 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Every value the package refuses raises a :class:`FrobcoordError`.  Where
+Python's own exception class fits as well, the error derives from it too
+(:class:`BadArgument` is a ``ValueError``, :class:`BadIndex` an
+``IndexError``), so a caller that catches the builtin keeps working.  An
+argument of the wrong Python type is not checked and fails as Python or
+numpy fails on it, with a ``TypeError``, ``AttributeError`` or
+``ValueError`` that is no :class:`FrobcoordError`: a type string, target
+or lexicon text that is not a ``str`` (``bytes`` included), a space
+mapping that is not a ``dict``, a token row of strings rather than types,
+or tensor data that numpy cannot convert.  The exceptions are the integers
+that Python would otherwise coerce: a dimension, a coordinator position or
+a ``cap`` that is not a Python ``int`` (a ``bool`` or a float, say) raises
+:class:`DimMismatch` or :class:`BadArgument`.
+"""
 
 
 class FrobcoordError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error the package raises on a refused value."""
+
+
+class BadArgument(FrobcoordError, ValueError):
+    """An argument has the right type but a value the function refuses."""
+
+
+class BadIndex(FrobcoordError, IndexError):
+    """An index lies outside the sequence it indexes."""
 
 
 class DimMismatch(FrobcoordError):

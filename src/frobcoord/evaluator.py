@@ -42,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimMismatch, EmptyType, InvalidDerivation, MissingSpace,
-                     OutOfMemory, Overflow, SemiringMismatch, ShapeMismatch,
-                     UngrammaticalSentence, WireTypeMismatch)
+from .errors import (BadArgument, DimMismatch, EmptyType, InvalidDerivation,
+                     MissingSpace, OutOfMemory, Overflow, SemiringMismatch,
+                     ShapeMismatch, UngrammaticalSentence, WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
 from .semiring import Semiring
@@ -149,7 +149,8 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     adjoint order.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be explicit or closed-form, got {mode!r}")
+        raise BadArgument(f"mode must be explicit or closed-form, got "
+                          f"{mode!r}")
     tensors = list(tensors)
     if not derivation.token_types:
         raise EmptyType("cannot build a network for an empty token sequence")
@@ -159,7 +160,7 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     if semiring is None:
         semiring = next((t.semiring for t in tensors if t is not None), None)
         if semiring is None:
-            raise ValueError("every token is a coordinator: pass semiring")
+            raise BadArgument("every token is a coordinator: pass semiring")
     flat = derivation.flattened
     # owner: flat position -> its token, for the wires of None tokens;
     # fused: the pairs of spider legs that closed form joins.

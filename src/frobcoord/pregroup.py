@@ -40,8 +40,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 from typing import NamedTuple
 
-from .errors import (EmptyType, InvalidDerivation, TypeSyntaxError,
-                     UnknownBaseSymbol)
+from .errors import (BadArgument, BadIndex, EmptyType, InvalidDerivation,
+                     TypeSyntaxError, UnknownBaseSymbol)
 
 
 class SimpleType(NamedTuple):
@@ -192,7 +192,7 @@ class Derivation:
     def token_wire(self, flat_index: int) -> tuple[int, int]:
         """Map a flattened index to ``(token, wire-within-token)``."""
         if not 0 <= flat_index < len(self.flattened):
-            raise IndexError(flat_index)
+            raise BadIndex(flat_index)
         tok = bisect_right(self.offsets, flat_index) - 1
         return tok, flat_index - self.offsets[tok]
 
@@ -362,11 +362,18 @@ def enumerate_reductions(tokens, target: PregroupType, cap: int, *,
     :func:`reduce`, and each further derivation costs at most O(n) moves
     for n simple types.  On small rows the order is lexicographic on the
     sorted link lists; on longer ones it need not be (a five-conjunct
-    verb-phrase chain is a case).
+    verb-phrase chain is a case).  ``cap`` must be a Python ``int`` of at
+    least 1 and each coordinator position one in ``range(len(tokens))``, not
+    a ``bool``; anything else raises :class:`BadArgument`.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    if type(cap) is not int or cap < 1:
+        raise BadArgument(f"cap must be a Python int >= 1, got {cap!r}")
     if not tokens:
         raise EmptyType("cannot reduce an empty token sequence")
+    coordinators = tuple(coordinators)
+    for c in coordinators:
+        if type(c) is not int or not 0 <= c < len(tokens):
+            raise BadArgument(f"a coordinator position must be a Python int "
+                              f"in range({len(tokens)}), got {c!r}")
     return [Derivation(tokens, link_list) for link_list in
             islice(_derivations(tokens, target, coordinators), cap)]

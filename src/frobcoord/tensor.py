@@ -11,6 +11,14 @@ Tensors are immutable values: every operation returns a fresh tensor and
 the underlying arrays are marked read-only, so sharing across threads is
 safe.
 
+Every operation that joins or sums wires -- the outer product, the cup
+contraction, copy, the matrix merge, delete and wire permutation -- is a
+small labelled network that :func:`~frobcoord.evaluator.evaluate`
+contracts, the library's one contraction path: wires with one label are
+one index, as in einsum's sublist form.  The merge :func:`frobenius_mu`
+alone stays a straight-line entry-wise product, the oracle that the
+network contraction is checked against.
+
 >>> import numpy as np
 >>> v = Tensor([Wire("n", 0, 2)], [1.0, 2.0])
 >>> w = Tensor([Wire("n", 0, 2)], [3.0, 4.0])
@@ -27,8 +35,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (ArityError, BadPermutation, DimMismatch, ShapeMismatch,
-                     SemiringMismatch, TypeMismatch)
+from .errors import (ArityError, BadArgument, BadPermutation, DimMismatch,
+                     ShapeMismatch, SemiringMismatch, TypeMismatch)
 from .pregroup import SimpleType
 from .semiring import REAL, Semiring
 
@@ -127,17 +135,26 @@ def _same_semiring(a: Tensor, b: Tensor) -> Semiring:
     return a.semiring
 
 
+def _contracted(nodes, indices, open_wires) -> Tensor:
+    """The tensor on ``open_wires`` of the network of ``nodes`` whose wires
+    carry ``indices``, contracted by :func:`~frobcoord.evaluator.evaluate`."""
+    from .evaluator import TensorNetwork, evaluate  # evaluator imports tensor
+    return evaluate(TensorNetwork(nodes, indices, open_wires))
+
+
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     """Outer product; output wires are ``a.wires ++ b.wires``."""
-    sr = _same_semiring(a, b)
-    left = a.array.reshape(a.array.shape + (1,) * b.order)
-    return Tensor(a.wires + b.wires, sr.mul(left, b.array), sr, copy=False)
+    _same_semiring(a, b)
+    n, m = a.order, b.order
+    return _contracted([a, b], [range(n), range(n, n + m)],
+                       [(0, w) for w in range(n)] + [(1, w) for w in range(m)])
 
 
 def contract(t: Tensor, i: int, j: int, typed: bool = False) -> Tensor:
     """Sum the shared index of wires ``i`` and ``j`` (cup pairing).
 
-    Raw mode checks dimensions only.  With ``typed=True`` the wires must
+    Raw mode checks dimensions only (unequal ones raise
+    :class:`DimMismatch`).  With ``typed=True`` the wires must
     carry the same base symbol and adjoint orders exactly one apart.
     Output wires are ``t.wires`` with positions ``i`` and ``j`` removed,
     order otherwise preserved.
@@ -146,14 +163,12 @@ def contract(t: Tensor, i: int, j: int, typed: bool = False) -> Tensor:
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ArityError(f"cannot contract wires {i}, {j} of order-{n} tensor")
     wi, wj = t.wires[i], t.wires[j]
-    if wi.dim != wj.dim:
-        raise DimMismatch(f"contract {wi}:{wi.dim} with {wj}:{wj.dim}")
     if typed and (wi.base != wj.base or abs(wi.z - wj.z) != 1):
         raise TypeMismatch(f"wires {wi} and {wj} are not adjoint-paired")
-    diag = np.diagonal(t.array, axis1=i, axis2=j)
-    data = t.semiring.sum(diag, axis=-1)
-    wires = tuple(w for k, w in enumerate(t.wires) if k not in (i, j))
-    return Tensor(wires, data, t.semiring, copy=False)
+    labels = list(range(n))
+    labels[j] = i
+    return _contracted([t], [labels], [(0, k) for k in range(n)
+                                       if k not in (i, j)])
 
 
 def eta_cap(base: str, side: str, dim: int, z: int = 0,
@@ -169,7 +184,7 @@ def eta_cap(base: str, side: str, dim: int, z: int = 0,
     elif side == "left":
         wires = (Wire(base, z, dim), Wire(base, z - 1, dim))
     else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise BadArgument(f"side must be 'left' or 'right', got {side!r}")
     return Tensor(wires, np.eye(dim, dtype=semiring.dtype), semiring,
                   copy=False)
 
@@ -182,10 +197,7 @@ def frobenius_delta(v: Tensor) -> Tensor:
     """
     if v.order != 1:
         raise ArityError(f"delta takes an order-1 tensor, got order {v.order}")
-    w = v.wires[0]
-    out = np.zeros((w.dim, w.dim), dtype=v.semiring.dtype)
-    np.fill_diagonal(out, v.array)
-    return Tensor((w, w), out, v.semiring, copy=False)
+    return _contracted([v], [[0]], [(0, 0), (0, 0)])
 
 
 def frobenius_mu(a: Tensor, b: Tensor) -> Tensor:
@@ -205,15 +217,14 @@ def frobenius_mu_matrix(m: Tensor) -> Tensor:
         raise ShapeMismatch(f"expected an order-2 tensor, got {m.order}")
     if m.wires[0].dim != m.wires[1].dim:
         raise ShapeMismatch(f"expected a square matrix, got {m.dims}")
-    return Tensor((m.wires[0],), np.diagonal(m.array).copy(), m.semiring,
-                  copy=False)
+    return _contracted([m], [[0, 0]], [(0, 0)])
 
 
 def frobenius_iota(v: Tensor):
     """Delete a vector: the sum of its entries, as a semiring element."""
     if v.order != 1:
         raise ArityError(f"iota takes an order-1 tensor, got order {v.order}")
-    return v.semiring.sum(v.array).item()
+    return _contracted([v], [[0]], []).item()
 
 
 def frobenius_zeta(base: str, dim: int, z: int = 0,
@@ -229,8 +240,7 @@ def permute_wires(t: Tensor, perm) -> Tensor:
     perm = tuple(perm)
     if sorted(perm) != list(range(t.order)):
         raise BadPermutation(f"{perm} is not a permutation of 0..{t.order - 1}")
-    wires = tuple(t.wires[p] for p in perm)
-    return Tensor(wires, np.transpose(t.array, perm), t.semiring, copy=False)
+    return _contracted([t], [range(t.order)], [(0, p) for p in perm])
 
 
 def random_tensor(wires, rng: np.random.Generator,

@@ -62,9 +62,11 @@ def test_vp_coordinator_equals_expanded_composition(dn, ds):
 def test_coordinator_equals_caps_and_merge_oracle(type_text, dn, ds):
     x = parse_type(type_text)
     sp = spaces(dn, ds)
-    got = coordinator_tensor(x, sp)
     want = coordinator_caps_and_merge([sp.dim(s.base) for s in x])
-    assert np.allclose(got.array, want)
+    for sr in (REAL, BOOLEAN):
+        got = coordinator_tensor(x, sp, sr)
+        assert got.array.dtype == sr.dtype
+        assert sr.allclose(got.array, want)
 
 
 def test_coordinator_errors():
@@ -251,9 +253,10 @@ def test_ditransitive_argument_validation():
     verb = random_tensor(sp.wires(dt), rng)
     with pytest.raises(errors.ShapeMismatch):
         ditransitive_coordination(bank, verb, verb, loan, obj1=bank)
-    with pytest.raises(ValueError):
-        ditransitive_coordination(bank, verb, verb, loan, bank, bank,
-                                  mode="sideways")
+    for caught in (ValueError, errors.FrobcoordError):
+        with pytest.raises(caught):
+            ditransitive_coordination(bank, verb, verb, loan, bank, bank,
+                                      mode="sideways")
     # Verbs and objects on n:3 against a subject on n:2.
     sp3 = spaces(3, 2)
     verb3 = random_tensor(sp3.wires(dt), rng)

@@ -105,6 +105,8 @@ def test_build_network_refuses_malformed_rows(case):
         x = coordinator_type(parse_type("n"))
         with pytest.raises(ValueError, match="every token is a coordinator"):
             build_network(reduce([x], x), [None], SP)
+        with pytest.raises(errors.FrobcoordError):
+            build_network(reduce([x], x), [None], SP)
     else:
         short = random_tensor([Wire("n", 1, 2)], rng)  # n.r s without s
         with pytest.raises(errors.WireTypeMismatch,
@@ -261,6 +263,8 @@ def test_evaluate_sentence_errors(lexicon):
     with pytest.raises(errors.WireTypeMismatch):
         evaluate_sentence([("john", "n.r s")], lexicon, "s")
     with pytest.raises(ValueError):
+        evaluate_sentence(["john", "sleeps"], lexicon, "s", mode="fast")
+    with pytest.raises(errors.FrobcoordError):
         evaluate_sentence(["john", "sleeps"], lexicon, "s", mode="fast")
 
 

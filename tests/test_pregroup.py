@@ -158,6 +158,8 @@ def test_derivation_validation():
     for outside in (-1, len(good.flattened)):
         with pytest.raises(IndexError):
             good.token_wire(outside)
+        with pytest.raises(errors.FrobcoordError):
+            good.token_wire(outside)
 
 
 def test_crossing_links_rejected():
@@ -235,6 +237,66 @@ def test_enumeration_respects_cap_and_determinism():
     assert enumerate_reductions([row], target, cap=1000) == all_of_them
     with pytest.raises(ValueError):
         enumerate_reductions([row], target, cap=0)
+    with pytest.raises(errors.FrobcoordError):
+        enumerate_reductions([row], target, cap=0)
+
+
+SVO = [parse_type("n"), parse_type("n.r s n.l"), parse_type("n")]
+
+
+@pytest.mark.parametrize("coordinators", [
+    [5],      # past the row
+    [3],      # the target's adjoint token, masked silently before
+    [-1],     # the same token, counted from the end
+    [True],   # a bool, taken as 1 before
+    [1.0],    # a float
+    [np.int64(1)],
+])
+def test_coordinator_positions_are_checked(coordinators):
+    for search in (lambda: reduce(SVO, parse_type("s"),
+                                  coordinators=coordinators),
+                   lambda: enumerate_reductions(SVO, parse_type("s"), 5,
+                                                coordinators=coordinators)):
+        with pytest.raises(errors.BadArgument,
+                           match=r"must be a Python int in range\(3\)"):
+            search()
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, True, np.int64(2), "2"])
+def test_cap_is_checked(cap):
+    with pytest.raises(errors.BadArgument,
+                       match="cap must be a Python int >= 1"):
+        enumerate_reductions(SVO, parse_type("s"), cap)
+
+
+def test_coordinator_positions_may_be_an_iterator():
+    # Checking the positions must not use up the mask they give.
+    row = [parse_type("n n.r n")]
+    assert reduce(row, parse_type("n")) is not None
+    assert reduce(row, parse_type("n"), coordinators=iter([0])) is None
+
+
+_ARGUMENTS = st.one_of(st.integers(-4, 6), st.booleans(), st.none(),
+                       st.floats(-4, 6), st.text(max_size=2))
+
+
+@given(st.lists(_ARGUMENTS, max_size=3), _ARGUMENTS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_search_arguments_fail_only_with_frobcoord_errors(coordinators, cap):
+    # Only FrobcoordError may escape, and only for an invalid argument.
+    valid = all(type(c) is int and 0 <= c < len(SVO) for c in coordinators)
+    for search, ok in (
+            (lambda: reduce(SVO, parse_type("s"), coordinators=coordinators),
+             valid),
+            (lambda: enumerate_reductions(SVO, parse_type("s"), cap,
+                                          coordinators=coordinators),
+             valid and type(cap) is int and cap >= 1)):
+        try:
+            search()
+        except errors.FrobcoordError:
+            assert not ok
+        else:
+            assert ok
 
 
 def test_every_search_result_validates():

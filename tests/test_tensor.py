@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobcoord.coordination
+import frobcoord.evaluator
 from frobcoord import errors
+from frobcoord.coordination import coordinator_tensor
+from frobcoord.evaluator import SpaceAssignment
+from frobcoord.pregroup import parse_type
 from frobcoord.semiring import BOOLEAN, REAL
 from frobcoord.tensor import (Tensor, Wire, contract, eta_cap,
                               frobenius_delta, frobenius_iota, frobenius_mu,
@@ -78,12 +83,14 @@ def test_outer_product_unit():
 
 
 def test_outer_product_against_loops():
-    rng = np.random.default_rng(0)
-    a = random_tensor([Wire("n", 0, 2), Wire("s", 0, 3)], rng)
-    b = random_tensor([Wire("n", 0, 4)], rng)
-    got = tensor_product(a, b)
-    assert got.dims == (2, 3, 4)
-    assert np.allclose(got.array, outer_loops(a.array, b.array))
+    for sr in (REAL, BOOLEAN):
+        rng = np.random.default_rng(0)
+        a = random_tensor([Wire("n", 0, 2), Wire("s", 0, 3)], rng, sr)
+        b = random_tensor([Wire("n", 0, 4)], rng, sr)
+        got = tensor_product(a, b)
+        assert got.dims == (2, 3, 4)
+        assert got.array.dtype == sr.dtype
+        assert sr.allclose(got.array, outer_loops(a.array, b.array))
 
 
 def test_outer_product_rejects_mixed_semirings():
@@ -105,12 +112,14 @@ def test_contract_is_matrix_vector_product():
 
 
 def test_contract_against_loops():
-    rng = np.random.default_rng(2)
-    t = random_tensor([Wire("n", 0, 3), Wire("s", 0, 2), Wire("n", 1, 3)],
-                      rng)
-    got = contract(t, 0, 2)
-    assert got.wires == (Wire("s", 0, 2),)
-    assert np.allclose(got.array, contract_loops(t.array, 0, 2))
+    for sr in (REAL, BOOLEAN):
+        rng = np.random.default_rng(2)
+        t = random_tensor([Wire("n", 0, 3), Wire("s", 0, 2),
+                           Wire("n", 1, 3)], rng, sr)
+        got = contract(t, 0, 2)
+        assert got.wires == (Wire("s", 0, 2),)
+        assert got.array.dtype == sr.dtype
+        assert sr.allclose(got.array, contract_loops(t.array, 0, 2))
 
 
 def test_contract_errors():
@@ -131,6 +140,8 @@ def test_eta_cap_fixtures():
     cap = eta_cap("n", "right", 2, z=1)
     assert cap.wires == (Wire("n", 2, 2), Wire("n", 1, 2))
     with pytest.raises(ValueError):
+        eta_cap("n", "up", 2)
+    with pytest.raises(errors.FrobcoordError):
         eta_cap("n", "up", 2)
 
 
@@ -238,16 +249,17 @@ def test_copy_then_delete_returns_vector():
 
 
 def test_permute_fixtures():
-    rng = np.random.default_rng(8)
-    u, v = random_tensor([Wire("n", 0, 2)], rng), \
-        random_tensor([Wire("s", 0, 3)], rng)
-    both = tensor_product(u, v)
-    assert permute_wires(both, (0, 1)).isclose(both)
-    swapped = permute_wires(both, (1, 0))
-    assert swapped.isclose(tensor_product(v, u))
-    assert permute_wires(swapped, (1, 0)).isclose(both)
-    with pytest.raises(errors.BadPermutation):
-        permute_wires(both, (0, 0))
+    for sr in (REAL, BOOLEAN):
+        rng = np.random.default_rng(8)
+        u, v = random_tensor([Wire("n", 0, 2)], rng, sr), \
+            random_tensor([Wire("s", 0, 3)], rng, sr)
+        both = tensor_product(u, v)
+        assert permute_wires(both, (0, 1)).isclose(both)
+        swapped = permute_wires(both, (1, 0))
+        assert swapped.isclose(tensor_product(v, u))
+        assert permute_wires(swapped, (1, 0)).isclose(both)
+        with pytest.raises(errors.BadPermutation):
+            permute_wires(both, (0, 0))
 
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
@@ -312,3 +324,35 @@ def test_permutation_inverse_property(dims, seed):
     perm = [int(p) for p in rng.permutation(len(dims))]
     inverse = [perm.index(k) for k in range(len(perm))]
     assert permute_wires(permute_wires(t, perm), inverse).isclose(t)
+
+
+def test_every_operation_but_the_merge_is_one_evaluate_call(monkeypatch):
+    # The tensor operations and the dense coordinator are networks that
+    # evaluate contracts; the merge stays the straight-line oracle they are
+    # checked against.
+    calls = []
+    original = frobcoord.evaluator.evaluate
+
+    def counted(network):
+        calls.append(network)
+        return original(network)
+
+    # coordination binds evaluate at import, so it is wrapped there too.
+    for module in (frobcoord.evaluator, frobcoord.coordination):
+        monkeypatch.setattr(module, "evaluate", counted)
+    u, v = vec([1, 2]), vec([3, 4])
+    matrix = Tensor([Wire("n", 0, 2), Wire("n", 1, 2)], [[1, 2], [3, 4]])
+    spaces = SpaceAssignment({"n": 2, "s": 3})
+    for op in (lambda: tensor_product(u, v), lambda: u @ v,
+               lambda: contract(matrix, 0, 1), lambda: frobenius_delta(u),
+               lambda: frobenius_mu_matrix(matrix),
+               lambda: frobenius_iota(u),
+               lambda: permute_wires(matrix, (1, 0)),
+               lambda: coordinator_tensor(parse_type("n.r s"), spaces)):
+        calls.clear()
+        op()
+        assert len(calls) == 1
+    assert len(calls[0].nodes) == 2  # the coordinator's two copy spiders
+    calls.clear()
+    frobenius_mu(u, v)
+    assert calls == []
