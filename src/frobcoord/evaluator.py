@@ -163,8 +163,9 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
             raise BadArgument("every token is a coordinator: pass semiring")
     flat = derivation.flattened
     # owner: flat position -> its token, for the wires of None tokens;
-    # fused: the pairs of spider legs that closed form joins.
-    nodes, fused = [], []
+    # parent: a union-find forest over flat positions, whose classes are
+    # the indices.
+    nodes, parent = [], list(range(len(flat)))
     wire_at, owner = [None] * len(flat), [None] * len(flat)
     for tok, (ptype, tensor) in enumerate(zip(derivation.token_types,
                                               tensors)):
@@ -177,7 +178,9 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
             owner[off:off + len(ptype)] = [tok] * len(ptype)
             for legs in coordinator_legs(len(x)):
                 if mode == "closed-form":
-                    fused += [(off + legs[1], off + q) for q in legs[::2]]
+                    # Each leg is still alone in its class.
+                    for q in legs[::2]:
+                        parent[off + q] = off + legs[1]
                     continue
                 dim = expected[legs[1]].dim
                 try:
@@ -206,14 +209,11 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
         wire_at[off:off + len(expected)] = [
             (len(nodes), w) for w in range(len(expected))]
         nodes.append(tensor)
-    parent = list(range(len(flat)))
     for i, j in derivation.links:
         if owner[i] is not None and owner[i] == owner[j]:
             raise InvalidDerivation(
                 f"link ({i}, {j}) joins two wires of coordinator token "
                 f"{owner[i]}: reduce the row with its coordinator positions")
-        parent[_root(parent, j)] = _root(parent, i)
-    for i, j in fused:
         parent[_root(parent, j)] = _root(parent, i)
     root = [_root(parent, f) for f in range(len(flat))]
     # first: class root -> (label, first node wire), classes in row order
@@ -352,11 +352,14 @@ def plan_contraction(indices: tuple, shapes: tuple,
     Contraction then runs in cost order: each step merges the pair of
     components sharing an index whose merged tensor has the fewest cells
     (ties go to the lowest shared label, then to the lowest pair; the
-    component holding that label's lowest-numbered node survives).  A
-    shared index is summed out unless an open wire or a third component
-    holds it; such an index is kept as a batch axis.  A step without
-    batch axes is one semiring matrix product, so vectors are absorbed
-    before large tensors meet.  The pairs on offer are those of
+    component holding that label's lowest-numbered node survives).  Each
+    label is a copy spider, and a step needs only its arity: how many
+    components still hold it.  A shared label of arity two with no open
+    wire is a cup between the pair, so the step sums it out; one of
+    higher arity, or open, must still reach its other legs, so the step
+    keeps it as a batch axis, an entry-wise product over its values.  A
+    step without batch axes is one semiring matrix product, so vectors
+    are absorbed before large tensors meet.  The pairs on offer are those of
     components that share a label, except that a label on more than
     ``_PAIRED_HOLDERS`` nodes (a long hyperedge, such as the subject wire
     of a closed-form verb-phrase chain) offers only one pair at a time:
@@ -405,15 +408,12 @@ def plan_contraction(indices: tuple, shapes: tuple,
                          tuple([dim[l] for l in kept]), len(uniq)))
         labels.append(kept)
         size.append(math.prod([dim[l] for l in kept]))
-    # members: label -> the components holding it, for the labels that two
-    # or more hold; stars: label -> the position in its holders of the
-    # first node not yet merged into its lowest node's component.
-    members, stars = {}, {}
-    for l, nodes in holders.items():
-        if len(nodes) > 1:
-            members[l] = set(nodes)
-            if len(nodes) > _PAIRED_HOLDERS:
-                stars[l] = 1
+    # count: label -> its arity, the number of components holding it; a
+    # step lowers it by one for each label the merged pair shares.
+    # stars: label -> the position in its holders of the first node not
+    # yet merged into its lowest node's component.
+    count = {l: len(nodes) for l, nodes in holders.items()}
+    stars = {l: 1 for l, c in count.items() if c > _PAIRED_HOLDERS}
     comp = list(range(len(shapes)))  # union-find; a root names a component
     # A heap entry (cost, first shared label, pair, step, shared labels) is
     # current while both components of the pair are roots unchanged since
@@ -429,7 +429,7 @@ def plan_contraction(indices: tuple, shapes: tuple,
         cost = size[a] * size[b]
         for l in shared:
             d = dim[l]
-            cost //= d if l in open_labels or len(members[l]) > 2 else d * d
+            cost //= d if l in open_labels or count[l] > 2 else d * d
         heapq.heappush(heap, (cost, shared[0], a, b, step, shared))
 
     def star_pair(l):
@@ -439,9 +439,9 @@ def plan_contraction(indices: tuple, shapes: tuple,
             stars[l] += 1
         return centre, _root(comp, nodes[stars[l]])
 
-    for l in members:
+    for l, nodes in holders.items():
         for pair in ([star_pair(l)] if l in stars
-                     else combinations(holders[l], 2)):
+                     else combinations(nodes, 2)):
             push(*pair, 0)
     steps, step = [], 0
     while heap:
@@ -454,7 +454,7 @@ def plan_contraction(indices: tuple, shapes: tuple,
         la, lb = labels[ca], labels[cb]
         batch, summed, nb, k = [], [], 1, 1
         for l in shared:
-            if l in open_labels or len(members[l]) > 2:
+            if l in open_labels or count[l] > 2:
                 batch.append(l)
                 nb *= dim[l]
             else:
@@ -473,27 +473,26 @@ def plan_contraction(indices: tuple, shapes: tuple,
         size[ca] = nb * m * n
         step += 1
         comp[cb], changed[ca] = ca, step
+        for l in shared:
+            count[l] -= 1
         # Only the pairs with the survivor change; a star's pair without it
-        # is still current.
+        # is still current.  The components holding any other label are
+        # the roots of its holders, at most _PAIRED_HOLDERS of them; the
+        # walk of _root is inlined, as a call per holder made cold planning
+        # about 5% slower in explicit mode.
         partners = set()
         for l in labels[ca]:
-            comps = members.get(l)
-            if comps is None:
+            if count[l] < 2:
                 continue
-            if cb in comps:
-                comps.discard(cb)
-                comps.add(ca)
-                if len(comps) < 2:
-                    del members[l]
-                    continue
             if l in stars:
                 pair = star_pair(l)
                 if ca in pair:
                     partners.update(pair)
             else:
-                partners.update(comps)
-        for l in summed:
-            del members[l]
+                for h in holders[l]:
+                    while comp[h] != h:
+                        comp[h] = h = comp[comp[h]]
+                    partners.add(h)
         partners.discard(ca)
         for other in partners:
             push(ca, other, step)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -159,35 +159,26 @@ def conjunct_type(ptype: PregroupType) -> PregroupType | int:
 class Derivation:
     """A witness of grammaticality: contraction links over a token row.
 
-    ``links`` pair flattened simple-type indices ``(i, j)``, ``i < j``;
-    the unlinked indices, left to right, are the :attr:`residual`.
+    ``links`` pair flattened simple-type indices ``(i, j)``, ``i < j``.
+    The constructor checks them with :meth:`validate` and lays the row out
+    once, in three attributes beside the two fields: ``flattened``, the
+    row's simple types in order; ``offsets``, the flattened index of each
+    token's first wire; and ``residual``, the unlinked indices, left to
+    right.  Equality and hashing read the two fields only.
     """
 
     token_types: tuple[PregroupType, ...]
     links: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "token_types", tuple(self.token_types))
+        types = tuple(self.token_types)
+        object.__setattr__(self, "token_types", types)
         object.__setattr__(self, "links", frozenset(self.links))
-        self.validate()
-
-    @cached_property
-    def flattened(self) -> tuple[SimpleType, ...]:
-        return tuple(s for t in self.token_types for s in t)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for t in self.token_types:
-            out.append(acc)
-            acc += len(t)
-        return tuple(out)
-
-    @cached_property
-    def residual(self) -> tuple[int, ...]:
-        linked = {i for pair in self.links for i in pair}
-        return tuple(p for p in range(len(self.flattened))
-                     if p not in linked)
+        object.__setattr__(self, "flattened",
+                           tuple([s for t in types for s in t]))
+        object.__setattr__(self, "offsets",
+                           tuple(accumulate([0, *map(len, types)]))[:-1])
+        object.__setattr__(self, "residual", self.validate())
 
     def token_wire(self, flat_index: int) -> tuple[int, int]:
         """Map a flattened index to ``(token, wire-within-token)``."""
@@ -200,12 +191,13 @@ class Derivation:
         flat = self.flattened
         return PregroupType(flat[i] for i in self.residual)
 
-    def validate(self):
+    def validate(self) -> tuple[int, ...]:
         """Check every structural invariant; raise :class:`InvalidDerivation`.
 
         One left-to-right pass with a stack of open link ends: a link must
         close the innermost open one (else two links cross), and a
-        surviving wire must have no open link around it.
+        surviving wire must have no open link around it.  Returns the
+        positions the pass leaves without a partner, left to right.
         """
         flat = self.flattened
         n = len(flat)
@@ -220,13 +212,14 @@ class Derivation:
             if a.base != b.base or b.z != a.z + 1:
                 raise InvalidDerivation(
                     f"link ({i}, {j}) pairs {a} with {b}")
-        opened = []
+        opened, residual = [], []
         for p, q in enumerate(partner):
             if q is None:
                 if opened:
                     raise InvalidDerivation(
                         f"surviving wire {p} is trapped under link "
                         f"({opened[-1]}, {partner[opened[-1]]})")
+                residual.append(p)
             elif q > p:
                 opened.append(p)
             else:
@@ -234,6 +227,7 @@ class Derivation:
                 if k != q:
                     raise InvalidDerivation(
                         f"links ({q}, {p}) and ({k}, {partner[k]}) cross")
+        return tuple(residual)
 
 
 def _derivations(tokens, target, coordinators):
@@ -296,7 +290,7 @@ def _derivations(tokens, target, coordinators):
             while links:
                 pair, links = links
                 out.append(pair)
-            yield tuple(sorted(out))
+            yield out
             continue
         child = None
         while child is None and move < 3:

@@ -212,12 +212,15 @@ def frobenius_mu_matrix(m: Tensor) -> Tensor:
     """Merge the two wires of an order-2 tensor: its diagonal as a vector.
 
     Agrees with :func:`frobenius_mu` when the matrix is an outer product.
+    The result owns its ``d`` entries: the contraction keeps the diagonal
+    as a view, which would hold the whole ``d x d`` input alive.
     """
     if m.order != 2:
         raise ShapeMismatch(f"expected an order-2 tensor, got {m.order}")
     if m.wires[0].dim != m.wires[1].dim:
         raise ShapeMismatch(f"expected a square matrix, got {m.dims}")
-    return _contracted([m], [[0, 0]], [(0, 0)])
+    diagonal = _contracted([m], [[0, 0]], [(0, 0)])
+    return Tensor(diagonal.wires, diagonal.array, m.semiring)
 
 
 def frobenius_iota(v: Tensor):

@@ -162,6 +162,80 @@ def test_derivation_validation():
             good.token_wire(outside)
 
 
+_SIMPLE = st.sampled_from([SimpleType(b, z) for b in "ns" for z in (-1, 0, 1)])
+
+
+@st.composite
+def derivation_attempts(draw):
+    """A token row, its links in two orders, and whether a rule is broken.
+
+    A walk of moves lays out the row and its links as a derivation does:
+    open a link on a drawn simple type, close the innermost open one with
+    the type that cancels it, or survive (open instead while a link is
+    open; an end never closed survives).  Cuts split the row into tokens.
+    At most one rule is broken: the walk closes the end below the
+    innermost one (crossing), closes with a type that does not cancel, or
+    survives under an open link (trapping), or one more link is out of
+    range or reuses an index.
+    """
+    kind = draw(st.sampled_from(["none", "cross", "type", "trap", "range",
+                                 "reuse"]))
+    flat, links, opened, crossed = [], [], [], False
+    for move in draw(st.lists(st.sampled_from("ocs"), max_size=14)):
+        if move == "c" and opened:
+            below = kind == "cross" and len(opened) > 1
+            crossed |= below
+            i = opened.pop(-2 if below else -1)
+            links.append((i, len(flat)))
+            flat.append(flat[i] if kind == "type" else flat[i].r)
+        else:
+            if move == "o" or opened and kind != "trap":
+                opened.append(len(flat))
+            flat.append(draw(_SIMPLE))
+    n = len(flat)
+    cuts = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=3))), n]
+    types = [PregroupType(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
+    linked = {i for pair in links for i in pair}
+    broken = {"cross": crossed, "type": bool(links),
+              "trap": any(i < r < j for i, j in links for r in range(i, j)
+                          if r not in linked)}.get(kind, False)
+    extra = {"range": [(a, b) if not 0 <= a < b < n else (b, a)
+                       for a in (-1, 0, n - 1, n) for b in (-1, 0, n - 1, n)],
+             "reuse": [(min(i, k), max(i, k)) for pair in links
+                       for i in pair for k in range(n) if k not in pair],
+             }.get(kind)
+    if extra:
+        links.append(draw(st.sampled_from(extra)))
+        broken = True
+    return types, links, draw(st.permutations(links)), broken
+
+
+@given(derivation_attempts())
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_derivation_lays_out_its_row_or_refuses(attempt):
+    # Only InvalidDerivation escapes, exactly when a rule is broken; the
+    # eager layout equals a plain recomputation from the two fields.
+    types, links, shuffled, broken = attempt
+    try:
+        d = Derivation(types, links)
+    except errors.InvalidDerivation:
+        assert broken
+        return
+    assert not broken
+    flat = tuple(s for t in types for s in t)
+    residual = tuple(p for p in range(len(flat))
+                     if all(p not in pair for pair in links))
+    assert d.flattened == flat
+    assert d.offsets == tuple(sum(map(len, types[:k]))
+                              for k in range(len(types)))
+    assert d.residual == residual
+    assert d.residual_type() == PregroupType(flat[p] for p in residual)
+    assert [d.token_wire(p) for p in range(len(flat))] == [
+        (k, w) for k, t in enumerate(types) for w in range(len(t))]
+    other = Derivation(list(types), shuffled)
+    assert other == d and hash(other) == hash(d)
+
+
 def test_crossing_links_rejected():
     types = (parse_type("n n"), parse_type("n.r n.r"))
     with pytest.raises(errors.InvalidDerivation):

@@ -214,6 +214,21 @@ def test_mu_matrix_fixtures():
     assert frobenius_mu_matrix(m).array.tolist() == [1.0, 4.0]
     with pytest.raises(errors.ShapeMismatch):
         frobenius_mu_matrix(vec([1, 2]))
+    with pytest.raises(errors.ShapeMismatch):
+        frobenius_mu_matrix(Tensor([Wire("n", 0, 2), Wire("n", 0, 3)],
+                                   np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_mu_matrix_result_owns_its_entries(sr):
+    # A view of the diagonal would keep the whole d x d input alive.
+    m = random_tensor([Wire("n", 0, 64), Wire("n", 0, 64)],
+                      np.random.default_rng(8), sr)
+    got = frobenius_mu_matrix(m)
+    assert not np.shares_memory(got.array, m.array)
+    assert got.array.nbytes == 64 * m.array.itemsize
+    assert np.array_equal(got.array, np.diagonal(m.array))
+    assert not got.array.flags.writeable
 
 
 def test_mu_matrix_agrees_with_mu_on_outer_products():
@@ -230,6 +245,8 @@ def test_iota_and_zeta():
     assert frobenius_zeta("n", 3).array.tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(errors.ArityError):
         frobenius_iota(scalar(1.0))
+    with pytest.raises(errors.ArityError):
+        vec([1, 2, 3]).item()
 
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])

@@ -1,7 +1,14 @@
 """The repository tools under ``tools/``."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import frobcoord
+from frobcoord.tensor import Tensor
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -48,3 +55,31 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == [
         "     1  a.py", "     7  b.py", "     8  total", ""]
+
+
+def test_fingerprint_is_stable_and_sees_a_perturbed_result(monkeypatch):
+    fingerprint = _load("fingerprint")
+    src = Path(frobcoord.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    child = subprocess.run([sys.executable, str(TOOLS / "fingerprint.py"),
+                            str(src)], capture_output=True, text=True,
+                           env=env, check=True)
+    first = json.loads(child.stdout)
+    assert fingerprint.fingerprint(frobcoord) == first
+    # One entry of one result changes; what was built and planned does not.
+    evaluate, calls = frobcoord.evaluator.evaluate, []
+
+    def perturbed(network):
+        got = evaluate(network)
+        calls.append(network)
+        if len(calls) > 1:
+            return got
+        cells = got.array.copy()
+        cells.flat[0] = not cells.flat[0]
+        return Tensor(got.wires, cells, got.semiring)
+
+    monkeypatch.setattr(frobcoord.evaluator, "evaluate", perturbed)
+    second = fingerprint.fingerprint(frobcoord)
+    assert second["results"] != first["results"]
+    assert second["networks"] == first["networks"]
+    assert second["plans"] == first["plans"]
