@@ -17,10 +17,12 @@ Contraction is compiled, then replayed.  :func:`plan_contraction` checks a
 network's structure and chooses every array operation: one einsum per node
 that keeps a diagonal or sums a label no other node holds, then pairwise
 steps in cost order (a long hyperedge folded in as a star), then outer
-products of the components that share nothing.  Each step is one product:
-a semiring matrix product of two matrices, or one einsum over the batch
-entries of indices a third component or an open wire still holds (an
-entry-wise product when nothing is summed, the merge of the closed form).
+products of the components that share nothing.  One function builds every
+step, and each step is one product: a semiring matrix product of two
+matrices, or one einsum over the batch entries of indices a third
+component or an open wire still holds (an entry-wise product when nothing
+is summed, the merge of the closed form; an outer product, with one batch
+entry, when nothing is shared).
 It returns an immutable :class:`ContractionPlan` of transposes, reshapes
 and shapes, with the largest array the contraction makes.  Plans are
 cached (a bounded LRU; ``plan_contraction.cache_info()`` and
@@ -28,7 +30,8 @@ cached (a bounded LRU; ``plan_contraction.cache_info()`` and
 wires.  Words and carrier are not part of the key, and the mode already
 shows in the labels, so every sentence of one type row replays one plan.
 :func:`evaluate` looks the plan up and runs it: transposes, reshapes,
-semiring matrix products and einsum calls, nothing else.
+semiring matrix products and einsum calls, nothing else.  Its result owns
+its entries, or is a read-only view of an input of the same size.
 """
 
 from __future__ import annotations
@@ -257,8 +260,10 @@ class Step(NamedTuple):
     or ``(nb, m, k)`` and ``(nb, k, n)`` for a batch step, one einsum
     product over the ``nb`` shared batch entries that allocates only its
     ``(nb, m, n)`` result.  Components that share no label meet in a batch
-    step of ``(1, m, 1)`` and ``(1, 1, n)``, an outer product.  The result
-    is reshaped to ``shape``, one axis per label of the merged component.
+    step of ``(1, m, 1)`` and ``(1, 1, n)``: an outer product, one einsum
+    with one batch entry and nothing summed.  The result is reshaped to
+    ``shape``, one axis per label of the merged component.  One function
+    in :func:`plan_contraction` builds every step.
     """
 
     a: int
@@ -283,7 +288,9 @@ class ContractionPlan(NamedTuple):
     open wires repeat a label, else None.  ``max_cells`` is the largest
     array that a prep call, a step or the copy makes (0 when none runs).
     Nothing else allocates, except a reshape of a transposed operand,
-    which copies an input or an earlier result of the same size.
+    which copies an input or an earlier result of the same size, and the
+    copy :func:`evaluate` makes of a prep call's diagonal view, of the
+    prep call's size.
     """
 
     prep: tuple
@@ -297,32 +304,32 @@ class ContractionPlan(NamedTuple):
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract the network and return the tensor on the open wires.
 
-    The nodes, at least one (else :class:`EmptyType`), must share one
-    semiring, checked on every call.  The
-    contraction order comes from :func:`plan_contraction`, which depends
-    on the network's structure alone (labels, node shapes, open wires),
-    never on its words or carrier (the mode shows in the labels), so
-    sentences of one type row replay one cached plan.  Execution only
-    transposes, reshapes and calls the semiring's ``matmul`` on two
-    matrices or ``np.einsum`` once per prep call or batch step (on boolean
-    arrays einsum computes or-of-ands).  Scalar results come back as
-    0-wire tensors.
+    The contraction order comes from :func:`plan_contraction`, which
+    depends on the network's structure alone (labels, node shapes, open
+    wires), never on its words or carrier (the mode shows in the labels),
+    so sentences of one type row replay one cached plan; the plan refuses
+    a network with no nodes.  The nodes must share one semiring, checked
+    here on every call.  Execution only transposes, reshapes and calls the
+    semiring's ``matmul`` on two matrices or ``np.einsum`` once per prep
+    call or batch step (on boolean arrays einsum computes or-of-ands).
+    The result owns its entries, or is a read-only view of an input of the
+    same size: a prep call that only keeps a diagonal gets numpy's view,
+    which is copied.  Scalar results come back as 0-wire tensors.
     """
     nodes = network.nodes
-    if not nodes:
-        raise EmptyType("a network with no nodes has nothing to evaluate")
-    sr = network.semiring
-    if any(t.semiring is not sr for t in nodes):
-        raise SemiringMismatch("network nodes carry different semirings")
     # The key is built from lists: tuple() of a generator or map object
     # resizes as it fills, and that churn alone raised peak RSS by about
     # 1 MB over 1 500 in-process rounds of the vp-chains workload.
     plan = plan_contraction(tuple([tuple(labs) for labs in network.indices]),
                             tuple([t.array.shape for t in nodes]),
                             tuple([tuple(w) for w in network.open_wires]))
+    sr = network.semiring
+    if any(t.semiring is not sr for t in nodes):
+        raise SemiringMismatch("network nodes carry different semirings")
     arrays = [t.array for t in nodes]
     for n, sub, out in plan.prep:
-        arrays[n] = np.einsum(arrays[n], sub, out)
+        arr = np.einsum(arrays[n], sub, out)
+        arrays[n] = arr if arr.base is None else arr.copy()
     for s in plan.steps:
         a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
         b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
@@ -365,12 +372,17 @@ def plan_contraction(indices: tuple, shapes: tuple,
     of a closed-form verb-phrase chain) offers only one pair at a time:
     the component of its lowest-numbered node with that of its next node
     in order, so the edge folds in as a star and planning stays near
-    linear in its length.  Components left sharing nothing then meet in
-    outer products, in the order of their lowest nodes.  An array past
+    linear in its length.  Pairs wait in a heap, each stamped with the
+    step that pushed it; a step stamps both slots it merges, so a pair is
+    stale once either slot carries a later stamp.  Components left sharing
+    nothing then meet in outer products, batch steps that share nothing,
+    in the order of their lowest nodes.  One local function builds every
+    step, for the pairs from the heap and for these.  An array past
     numpy's axis limit, or an einsum call past its subscript limit, raises
     :class:`OutOfMemory` before anything runs, and a network with no nodes
-    raises :class:`EmptyType`.  Plans are cached by their
-    arguments; a network that fails a check raises and is not cached.
+    raises :class:`EmptyType`, for :func:`evaluate` too.  Plans are cached
+    by their arguments; a network that fails a check raises and is not
+    cached.
     """
     if not shapes:
         raise EmptyType("a network with no nodes has nothing to contract")
@@ -415,13 +427,12 @@ def plan_contraction(indices: tuple, shapes: tuple,
     count = {l: len(nodes) for l, nodes in holders.items()}
     stars = {l: 1 for l, c in count.items() if c > _PAIRED_HOLDERS}
     comp = list(range(len(shapes)))  # union-find; a root names a component
-    # A heap entry (cost, first shared label, pair, step, shared labels) is
-    # current while both components of the pair are roots unchanged since
-    # that step.  A shared label is kept while an open wire or a third
-    # component holds it.
-    changed, heap = [0] * len(shapes), []
+    # A heap entry is (cost, first shared label, pair, stamp at its push,
+    # shared labels).  Each step stamps both slots it merges, so an entry
+    # is current while neither slot of its pair has a later stamp.
+    steps, changed, heap = [], [0] * len(shapes), []
 
-    def push(a, b, step):
+    def push(a, b, born):
         if b < a:
             a, b = b, a
         lb = labels[b]
@@ -430,7 +441,7 @@ def plan_contraction(indices: tuple, shapes: tuple,
         for l in shared:
             d = dim[l]
             cost //= d if l in open_labels or count[l] > 2 else d * d
-        heapq.heappush(heap, (cost, shared[0], a, b, step, shared))
+        heapq.heappush(heap, (cost, shared[0], a, b, born, shared))
 
     def star_pair(l):
         nodes = holders[l]
@@ -439,18 +450,11 @@ def plan_contraction(indices: tuple, shapes: tuple,
             stars[l] += 1
         return centre, _root(comp, nodes[stars[l]])
 
-    for l, nodes in holders.items():
-        for pair in ([star_pair(l)] if l in stars
-                     else combinations(nodes, 2)):
-            push(*pair, 0)
-    steps, step = [], 0
-    while heap:
-        _, first, ca, cb, born, shared = heapq.heappop(heap)
-        if (comp[ca] != ca or comp[cb] != cb or changed[ca] > born
-                or changed[cb] > born):
-            continue
-        if _root(comp, holders[first][0]) != ca:
-            ca, cb = cb, ca
+    def merge(ca, cb, shared):
+        # The one step builder: slot ca absorbs slot cb.  A shared label is
+        # kept as a batch axis while an open wire or a third component
+        # holds it, else summed; a pair that shares nothing meets in a
+        # batch step of one entry, an outer product.
         la, lb = labels[ca], labels[cb]
         batch, summed, nb, k = [], [], 1, 1
         for l in shared:
@@ -460,21 +464,31 @@ def plan_contraction(indices: tuple, shapes: tuple,
             else:
                 summed.append(l)
                 k *= dim[l]
+            count[l] -= 1
         free_a = [l for l in la if l not in shared]
         free_b = [l for l in lb if l not in shared]
         m, n = size[ca] // (nb * k), size[cb] // (nb * k)
         labels[ca], labels[cb] = batch + free_a + free_b, None
+        wide = bool(batch) or not shared
         steps.append(Step(
             ca, cb, tuple([la.index(l) for l in batch + free_a + summed]),
             tuple([lb.index(l) for l in batch + summed + free_b]),
-            (nb, m, k) if batch else (m, k),
-            (nb, k, n) if batch else (k, n),
-            tuple([dim[l] for l in labels[ca]]), bool(batch)))
-        size[ca] = nb * m * n
-        step += 1
-        comp[cb], changed[ca] = ca, step
-        for l in shared:
-            count[l] -= 1
+            (nb, m, k) if wide else (m, k), (nb, k, n) if wide else (k, n),
+            tuple([dim[l] for l in labels[ca]]), wide))
+        size[ca], comp[cb] = nb * m * n, ca
+        changed[ca] = changed[cb] = len(steps)
+
+    for l, nodes in holders.items():
+        for pair in ([star_pair(l)] if l in stars
+                     else combinations(nodes, 2)):
+            push(*pair, 0)
+    while heap:
+        _, first, ca, cb, born, shared = heapq.heappop(heap)
+        if changed[ca] > born or changed[cb] > born:
+            continue
+        if _root(comp, holders[first][0]) != ca:
+            ca, cb = cb, ca
+        merge(ca, cb, shared)
         # Only the pairs with the survivor change; a star's pair without it
         # is still current.  The components holding any other label are
         # the roots of its holders, at most _PAIRED_HOLDERS of them; the
@@ -495,17 +509,11 @@ def plan_contraction(indices: tuple, shapes: tuple,
                     partners.add(h)
         partners.discard(ca)
         for other in partners:
-            push(ca, other, step)
+            push(ca, other, len(steps))
 
     result, *rest = [c for c in range(len(shapes)) if comp[c] == c]
     for c in rest:
-        la, lb = labels[result], labels[c]
-        labels[result] = la + lb
-        steps.append(Step(result, c, tuple(range(len(la))),
-                          tuple(range(len(lb))), (1, size[result], 1),
-                          (1, 1, size[c]),
-                          tuple([dim[l] for l in labels[result]]), True))
-        size[result] *= size[c]
+        merge(result, c, ())
     made += [(f"contraction step {i}", s.shape, 0)
              for i, s in enumerate(steps)]
     uniq = list(dict.fromkeys(out))

@@ -316,6 +316,9 @@ def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
     """Run every suite; results report per-suite pass counts and times."""
     if type(seed) is not int or seed < 0:
         raise FrobcoordError(f"seed must be a Python int >= 0, got {seed!r}")
+    if type(trials) is not int or trials < 1:
+        raise FrobcoordError(f"trials must be a Python int >= 1, got "
+                             f"{trials!r}")
     dims = tuple(_checked_dim(d, "selftest dimension") for d in dims)
     if not dims:
         raise DimMismatch("selftest needs at least one dimension")

@@ -36,7 +36,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (ArityError, BadArgument, BadPermutation, DimMismatch,
-                     ShapeMismatch, SemiringMismatch, TypeMismatch)
+                     Overflow, ShapeMismatch, SemiringMismatch, TypeMismatch)
 from .pregroup import SimpleType
 from .semiring import REAL, Semiring
 
@@ -128,13 +128,6 @@ def scalar(value, semiring: Semiring = REAL) -> Tensor:
     return Tensor((), np.array(value, dtype=semiring.dtype), semiring)
 
 
-def _same_semiring(a: Tensor, b: Tensor) -> Semiring:
-    if a.semiring is not b.semiring:
-        raise SemiringMismatch(
-            f"{a.semiring.name} vs {b.semiring.name}")
-    return a.semiring
-
-
 def _contracted(nodes, indices, open_wires) -> Tensor:
     """The tensor on ``open_wires`` of the network of ``nodes`` whose wires
     carry ``indices``, contracted by :func:`~frobcoord.evaluator.evaluate`."""
@@ -144,7 +137,6 @@ def _contracted(nodes, indices, open_wires) -> Tensor:
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     """Outer product; output wires are ``a.wires ++ b.wires``."""
-    _same_semiring(a, b)
     n, m = a.order, b.order
     return _contracted([a, b], [range(n), range(n, n + m)],
                        [(0, w) for w in range(n)] + [(1, w) for w in range(m)])
@@ -201,26 +193,37 @@ def frobenius_delta(v: Tensor) -> Tensor:
 
 
 def frobenius_mu(a: Tensor, b: Tensor) -> Tensor:
-    """Merge two same-shaped tensors entry-wise (Hadamard product)."""
-    sr = _same_semiring(a, b)
+    """Merge two same-shaped tensors entry-wise (Hadamard product).
+
+    A result that is not finite (a real product past float64, or an input
+    entry that is not finite) raises :class:`Overflow`, with no
+    ``RuntimeWarning``.
+    """
+    sr = a.semiring
+    if b.semiring is not sr:
+        raise SemiringMismatch(f"{sr.name} vs {b.semiring.name}")
     if a.wires != b.wires:
         raise ShapeMismatch(f"mu on {a!r} vs {b!r}")
-    return Tensor(a.wires, sr.mul(a.array, b.array), sr, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = sr.mul(a.array, b.array)
+    if not np.isfinite(merged).all():
+        raise Overflow("the merge is not finite: an entry or a product is "
+                       "past float64")
+    return Tensor(a.wires, merged, sr, copy=False)
 
 
 def frobenius_mu_matrix(m: Tensor) -> Tensor:
     """Merge the two wires of an order-2 tensor: its diagonal as a vector.
 
     Agrees with :func:`frobenius_mu` when the matrix is an outer product.
-    The result owns its ``d`` entries: the contraction keeps the diagonal
-    as a view, which would hold the whole ``d x d`` input alive.
+    The result owns its ``d`` entries, as every result of
+    :func:`~frobcoord.evaluator.evaluate` smaller than its input does.
     """
     if m.order != 2:
         raise ShapeMismatch(f"expected an order-2 tensor, got {m.order}")
     if m.wires[0].dim != m.wires[1].dim:
         raise ShapeMismatch(f"expected a square matrix, got {m.dims}")
-    diagonal = _contracted([m], [[0, 0]], [(0, 0)])
-    return Tensor(diagonal.wires, diagonal.array, m.semiring)
+    return _contracted([m], [[0, 0]], [(0, 0)])
 
 
 def frobenius_iota(v: Tensor):

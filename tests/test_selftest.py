@@ -125,6 +125,18 @@ def test_selftest_refuses_a_bad_seed_before_any_suite(seed, monkeypatch):
     assert str(exc.value) == f"seed must be a Python int >= 0, got {seed!r}"
 
 
+@pytest.mark.parametrize("trials", [0, -5, 1.5, True, np.int64(3)])
+def test_selftest_refuses_bad_trials_before_any_suite(trials, monkeypatch):
+    def suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(selftest, "_SUITES", (("any", suite, 1),))
+    with pytest.raises(errors.FrobcoordError) as exc:
+        selftest.run_selftest(dims=(1,), trials=trials, seed=0)
+    assert str(exc.value) == (f"trials must be a Python int >= 1, got "
+                              f"{trials!r}")
+
+
 def test_selftest_needs_a_dimension():
     with pytest.raises(errors.DimMismatch, match="at least one dimension"):
         selftest.run_selftest(dims=(), trials=1)

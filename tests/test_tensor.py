@@ -207,6 +207,14 @@ def test_mu_shape_mismatch():
         frobenius_mu(vec([1, 2]), vec([1, 2], z=1))
 
 
+def test_mu_past_float64_is_an_overflow():
+    # Tier-1 turns a RuntimeWarning into an error, so none may escape.
+    huge = vec([1e308, -1e308])
+    with pytest.raises(errors.Overflow, match="the merge is not finite"):
+        frobenius_mu(huge, huge)
+    assert frobenius_mu(huge, vec([1, 1])).array.tolist() == [1e308, -1e308]
+
+
 def test_mu_matrix_fixtures():
     eye = Tensor([Wire("n", 0, 3), Wire("n", 0, 3)], np.eye(3))
     assert frobenius_mu_matrix(eye).array.tolist() == [1.0, 1.0, 1.0]

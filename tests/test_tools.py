@@ -83,3 +83,58 @@ def test_fingerprint_is_stable_and_sees_a_perturbed_result(monkeypatch):
     assert second["results"] != first["results"]
     assert second["networks"] == first["networks"]
     assert second["plans"] == first["plans"]
+    assert set(first) == {"networks", "plans", "results", "selftest",
+                          "primitives", "random_plans"}
+    assert {part for part in first if second[part] != first[part]} == {
+        "results"}
+
+
+def test_fingerprint_sees_a_perturbed_primitive(monkeypatch):
+    fingerprint = _load("fingerprint")
+    first = fingerprint.fingerprint(frobcoord)
+    # One entry of the first copy a primitive makes changes, and nothing
+    # that the sentences, the selftest or the planner compute.
+    delta, calls = frobcoord.tensor.frobenius_delta, []
+
+    def perturbed(v):
+        got = delta(v)
+        calls.append(v)
+        if len(calls) > 1:
+            return got
+        cells = got.array.copy()
+        cells.flat[0] = not cells.flat[0]
+        return Tensor(got.wires, cells, got.semiring)
+
+    monkeypatch.setattr(frobcoord.tensor, "frobenius_delta", perturbed)
+    second = fingerprint.fingerprint(frobcoord)
+    assert calls
+    assert {part for part in first if second[part] != first[part]} == {
+        "primitives"}
+
+
+def test_random_networks_reach_every_planner_rule():
+    # The random_plans digest covers long hyperedges, matrix and outer
+    # product steps, copies onto repeated open wires and each refusal of a
+    # malformed key.
+    fingerprint = _load("fingerprint")
+    plan = frobcoord.evaluator.plan_contraction.__wrapped__
+    seen = set()
+    for key in fingerprint.random_networks(fingerprint.RANDOM_PLANS):
+        holders = {}
+        for labs in key[0]:
+            for label in set(labs):
+                holders[label] = holders.get(label, 0) + 1
+        if max(holders.values(), default=0) > \
+                frobcoord.evaluator._PAIRED_HOLDERS:
+            seen.add("star")
+        try:
+            got = plan(*key)
+        except frobcoord.errors.FrobcoordError as exc:
+            seen.add(type(exc).__name__)
+            continue
+        seen.update(["copy"] if got.copy else [])
+        seen.update("outer" for step in got.steps
+                    if step.shape_a[::2] == step.shape_b[:2] == (1, 1))
+        seen.update("matmul" for step in got.steps if not step.batch)
+    assert seen == {"star", "copy", "outer", "matmul", "ShapeMismatch",
+                    "DimMismatch"}

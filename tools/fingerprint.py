@@ -4,9 +4,10 @@ Two trees that print equal digests build the same networks, look up the
 same contraction plans and compute the same bytes, on a fixed set of
 inputs: every eval operation of the four benchmark workloads at seeds 1
 and 2, in both modes; verb-phrase chains of 12, 60 and 240 conjuncts on
-both carriers, in both modes; and the suite totals of a small fixed
-``run_selftest``.  Everything runs in one process and nothing is timed,
-so the digests depend on what the code computes alone.
+both carriers, in both modes; the suite totals of a small fixed
+``run_selftest``; seeded calls of every tensor primitive; and the plans of
+seeded random hyperedge networks.  Everything runs in one process and
+nothing is timed, so the digests depend on what the code computes alone.
 
 Run from the repository root::
 
@@ -17,21 +18,33 @@ The output is one JSON line: ``networks`` covers every network that
 ``build_network`` makes (labels, open wires, node wires and node bytes),
 ``plans`` every ``ContractionPlan`` that ``evaluate`` looks up,
 ``results`` every sentence's result wires and bytes, or its error class
-and message, and ``selftest`` the suite totals.  ``bench/workloads.py``
-is imported and only read.
+and message, and ``selftest`` the suite totals.  ``primitives`` covers
+the result wires and bytes, or the error class and message, of every
+operation of ``tensor`` and of ``coordinator_tensor`` for the selftest's
+conjunct types, on both carriers, at small dimensions, including inputs
+each one refuses.  ``random_plans`` covers the uncached
+``plan_contraction`` (every field of the plan, or the refusal's class and
+message) of the networks :func:`random_networks` draws.
+``bench/workloads.py`` is imported and only read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 CHAIN_LENGTHS = (12, 60, 240)
 SELFTEST = {"dims": (1, 2), "trials": 4, "seed": 0}
+PRIMITIVE_DIMS = (1, 2, 3)
+COORDINATOR_SPACES = ({"n": 1, "s": 2}, {"n": 2, "s": 3})
+RANDOM_PLANS = 3000
 
 
 def _array(arr) -> bytes:
@@ -68,11 +81,117 @@ def _sentences():
             yield _chain_lexicon(carrier, k)
 
 
+def random_networks(count: int, seed: int = 0):
+    """``count`` seeded ``(indices, shapes, open_wires)`` planner keys.
+
+    Each network has 1-14 nodes of 0-4 wires and label dims 1-4.  Most
+    labels join a few wires; in three networks of five one or two labels
+    also go on up to 14 nodes, past ``_PAIRED_HOLDERS`` (so they fold in
+    as stars) when the network has 9 nodes or more.  Open wires are drawn
+    with repeats.  One key in ten is malformed: a wire with the wrong
+    dimension, a node missing a label, or an open wire outside the
+    network.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        nodes = rng.randint(1, 14)
+        labels = rng.randint(1, 2 * nodes + 1)
+        dims = [rng.randint(1, 4) for _ in range(labels)]
+        indices = [[rng.randrange(labels) for _ in range(rng.randint(0, 4))]
+                   for _ in range(nodes)]
+        if rng.random() < 0.6:
+            for _ in range(rng.randint(1, 2)):
+                edge, holders = rng.randrange(labels), rng.randint(9, 14)
+                for n in rng.sample(range(nodes), min(holders, nodes)):
+                    indices[n].insert(rng.randint(0, len(indices[n])), edge)
+        shapes = [[dims[l] for l in labs] for labs in indices]
+        wires = [(n, w) for n, labs in enumerate(indices)
+                 for w in range(len(labs))]
+        open_wires = [rng.choice(wires) for _ in range(rng.randint(0, 4))
+                      if wires]
+        fault = rng.randrange(30)
+        if fault == 0 and wires:
+            n, w = rng.choice(wires)
+            shapes[n][w] += 1
+        elif fault == 1 and wires:
+            indices[rng.choice(wires)[0]].pop()
+        elif fault == 2:
+            open_wires.append((rng.randint(0, nodes), rng.randint(0, 5)))
+        yield (tuple(map(tuple, indices)), tuple(map(tuple, shapes)),
+               tuple(open_wires))
+
+
+def _outcome(frobcoord, call, *args) -> bytes:
+    """The result of ``call(*args)``: its wires and bytes, a scalar's
+    repr, or the error class and message."""
+    try:
+        got = call(*args)
+    except frobcoord.errors.FrobcoordError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    if isinstance(got, frobcoord.tensor.Tensor):
+        return repr(got.wires).encode() + _array(got.array)
+    return repr(got).encode()
+
+
+def _primitives(frobcoord, h) -> None:
+    """Digest seeded calls of every primitive, including calls each one
+    refuses.  Each function is looked up on its module as this runs, so
+    a patched one is seen."""
+    tensor, semiring = frobcoord.tensor, frobcoord.semiring
+    Wire = tensor.Wire
+    coordinator_types = [frobcoord.pregroup.parse_type(x)
+                         for x in frobcoord.selftest._CONJUNCT_TYPES]
+    for k, sr in enumerate((semiring.REAL, semiring.BOOLEAN)):
+        rng = np.random.default_rng([k, 25])
+
+        def draw(*wires):
+            return tensor.random_tensor([Wire(b, z, d) for b, z, d in wires],
+                                        rng, sr)
+
+        for d in PRIMITIVE_DIMS:
+            u, v = draw(("n", 0, d)), draw(("n", 0, d))
+            cup = draw(("n", 1, d), ("s", 0, 2), ("n", 0, d))
+            m, t = draw(("n", 0, d), ("n", 0, d)), draw(
+                ("n", 0, d), ("s", 0, d + 1), ("n", -1, 2))
+            perm = [int(p) for p in rng.permutation(3)]
+            calls = [
+                (tensor.tensor_product, u, v), (tensor.tensor_product, m, t),
+                (tensor.tensor_product, cup, tensor.scalar(1, sr)),
+                (tensor.contract, cup, 0, 2), (tensor.contract, cup, 2, 0,
+                                               True),
+                (tensor.contract, m, 0, 1), (tensor.contract, m, 0, 1, True),
+                (tensor.contract, t, 0, 1), (tensor.contract, t, 1, 1),
+                (tensor.contract, u, 0, 3),
+                (tensor.frobenius_delta, u), (tensor.frobenius_delta, m),
+                (tensor.frobenius_mu, u, v), (tensor.frobenius_mu, m, m),
+                (tensor.frobenius_mu, u, m),
+                (tensor.frobenius_mu_matrix, m),
+                (tensor.frobenius_mu_matrix, u),
+                (tensor.frobenius_mu_matrix, draw(("n", 0, d),
+                                                  ("s", 0, d + 1))),
+                (tensor.frobenius_iota, u), (tensor.frobenius_iota, m),
+                (tensor.permute_wires, t, perm),
+                (tensor.permute_wires, m, (1, 0)),
+                (tensor.permute_wires, t, (0, 0, 1)),
+                (tensor.eta_cap, "n", "right", d, 0, sr),
+                (tensor.eta_cap, "s", "left", d, 2, sr),
+                (tensor.eta_cap, "n", "up", d, 0, sr)]
+            for call, *args in calls:
+                h.update(_outcome(frobcoord, call, *args))
+        for dims in COORDINATOR_SPACES:
+            spaces = frobcoord.evaluator.SpaceAssignment(dims)
+            for x in coordinator_types:
+                h.update(_outcome(frobcoord,
+                                  frobcoord.coordination.coordinator_tensor,
+                                  x, spaces, sr))
+
+
 def fingerprint(frobcoord) -> dict:
     """The digests of one ``frobcoord`` package, imported by the caller."""
     evaluator = frobcoord.evaluator
     digests = {part: hashlib.sha256()
-               for part in ("networks", "plans", "results", "selftest")}
+               for part in ("networks", "plans", "results", "selftest",
+                            "primitives", "random_plans")}
     build_network, plan_contraction = (evaluator.build_network,
                                        evaluator.plan_contraction)
 
@@ -96,13 +215,9 @@ def fingerprint(frobcoord) -> dict:
             if text not in lexicons:
                 lexicons[text] = frobcoord.lexicon.parse_lexicon(text)
             for mode in evaluator.MODES:
-                try:
-                    got = evaluator.evaluate_sentence(words, lexicons[text],
-                                                      "s", mode=mode)
-                    out = repr(got.wires).encode() + _array(got.array)
-                except frobcoord.errors.FrobcoordError as exc:
-                    out = f"{type(exc).__name__}: {exc}".encode()
-                digests["results"].update(out)
+                digests["results"].update(_outcome(
+                    frobcoord, evaluator.evaluate_sentence, words,
+                    lexicons[text], "s", mode))
     finally:
         evaluator.build_network = build_network
         evaluator.plan_contraction = plan_contraction
@@ -110,6 +225,10 @@ def fingerprint(frobcoord) -> dict:
         digests["selftest"].update(repr(
             (suite.name, suite.passed, suite.total,
              suite.counterexample)).encode())
+    _primitives(frobcoord, digests["primitives"])
+    for key in random_networks(RANDOM_PLANS):
+        digests["random_plans"].update(_outcome(
+            frobcoord, plan_contraction.__wrapped__, *key))
     return {part: h.hexdigest() for part, h in digests.items()}
 
 
