@@ -8,6 +8,10 @@ verification suites).  Exit codes: 0 success, 1 semantic failure
 (ungrammatical input or a failing suite), 2 environmental failure (I/O,
 lexicon or lookup errors, a real result past float64, memory); only
 :func:`main` maps errors to them.
+
+A command imports only what it runs.  ``check`` and ``derive`` need types
+alone and never import numpy; ``eval`` imports ``evaluator`` (and with it
+numpy) when it runs, and ``selftest`` imports ``selftest``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,20 @@ import os
 import sys
 
 from .errors import FrobcoordError, UngrammaticalSentence
-from .evaluator import MODES, evaluate_sentence
 from .lexicon import load_lexicon
 from .pregroup import enumerate_reductions, parse_type, reduce
-from .selftest import run_selftest
+from .spaces import MODES
+
+
+def __getattr__(name):
+    """``evaluate_sentence``, which ``eval`` imports from ``evaluator``
+    when it runs (PEP 562).  ``eval`` reads it from ``evaluator`` at that
+    moment, so a replacement put there, or there and here alike, wraps
+    each call once."""
+    if name != "evaluate_sentence":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .evaluator import evaluate_sentence
+    return evaluate_sentence
 
 
 def _format_links(derivation) -> str:
@@ -116,6 +130,8 @@ def _print_tensor(tensor, fmt):
 
 
 def cmd_eval(args) -> int:
+    from .evaluator import evaluate_sentence
+
     lexicon = load_lexicon(args.lexicon)
     if args.compare:
         explicit, closed = [evaluate_sentence(args.words, lexicon,
@@ -133,6 +149,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     as_json = args.format == "json"
     if not as_json:
         print(f"selftest: seed={args.seed}")

@@ -46,54 +46,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BadArgument, DimMismatch, EmptyType, InvalidDerivation,
-                     MissingSpace, OutOfMemory, Overflow, SemiringMismatch,
-                     ShapeMismatch, UngrammaticalSentence, WireTypeMismatch)
+                     OutOfMemory, Overflow, SemiringMismatch, ShapeMismatch,
+                     UngrammaticalSentence, WireTypeMismatch)
 from .pregroup import (Derivation, PregroupType, conjunct_type,
                        coordinator_legs, parse_type, reduce)
 from .semiring import Semiring
-from .tensor import MAX_AXES, Tensor, Wire, _checked_dim, frobenius_zeta
-
-MODES = ("explicit", "closed-form")
-"""The evaluation modes: each coordinator's copy spiders as nodes, or its
-legs' wires identified."""
-
-
-class SpaceAssignment:
-    """Maps each base symbol to the dimension of its vector space, a
-    Python ``int`` of at least 1 (not a ``bool``, not a numpy integer)."""
-
-    def __init__(self, dims: dict):
-        for base, d in dims.items():
-            _checked_dim(d, f"space for {base!r}")
-        self._dims = dict(dims)
-        self._wires = {}
-
-    def dim(self, base: str) -> int:
-        try:
-            return self._dims[base]
-        except KeyError:
-            raise MissingSpace(f"no dimension assigned to {base!r}") from None
-
-    def wires(self, ptype: PregroupType) -> tuple[Wire, ...]:
-        """The wire signature of a pregroup type under this assignment."""
-        wires = self._wires.get(ptype)
-        if wires is None:
-            wires = tuple([Wire(s.base, s.z, self.dim(s.base)) for s in ptype])
-            self._wires[ptype] = wires
-        return wires
-
-    def bases(self):
-        return set(self._dims)
-
-    def as_dict(self) -> dict:
-        return dict(self._dims)
-
-    def __eq__(self, other):
-        return isinstance(other, SpaceAssignment) and self._dims == other._dims
-
-    def __repr__(self):
-        inner = ", ".join(f"{b}={d}" for b, d in self._dims.items())
-        return f"SpaceAssignment({inner})"
+from .spaces import MODES, SpaceAssignment
+from .tensor import MAX_AXES, Tensor, frobenius_zeta
 
 
 @dataclass

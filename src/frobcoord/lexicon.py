@@ -26,8 +26,11 @@ ASCII digits.  Parsing checks every spec against its entry's type and
 allocates no tensor: each entry's tensor is built on first access to it
 (see :class:`LexiconEntry`), so a tensor too large for memory, or with
 more wires than numpy allows an array axes, is a :class:`ParseError` at
-its first use.  Real entries are saved with 17 significant digits, so
-save/load round-trips exactly.
+its first use.  Parsing imports no numpy either: numpy, ``tensor`` and
+(for a ``@conj`` entry) ``coordination`` are imported when an entry's
+tensor is first realised, so ``check`` and ``derive`` never load them.
+Real entries are saved with 17 significant digits, so save/load
+round-trips exactly.
 
 :meth:`Lexicon.row` is the one word lookup from a sentence to its entries:
 it raises :class:`UnknownWord` and realises no tensor.
@@ -40,25 +43,16 @@ import math
 import os
 import re
 
-import numpy as np
-
-from .coordination import coordinator_tensor
 from .errors import (DimMismatch, OutOfMemory, ParseError,
                      UndeclaredSymbol, UnknownBaseSymbol, UnknownWord,
                      WireTypeMismatch)
-from .evaluator import SpaceAssignment
 from .pregroup import PregroupType, conjunct_type, parse_type
 from .semiring import BY_NAME, REAL, Semiring
-from .tensor import MAX_AXES, Tensor
+from .spaces import SpaceAssignment
 
 _MASK = (1 << 64) - 1
 _GAMMA_INT = 0x9E3779B97F4A7C15
-_GAMMA = np.uint64(_GAMMA_INT)
-# Shift counts are 0-d uint64 arrays: numpy takes longer to resolve a
-# shift of a uint64 array by a Python int or a numpy scalar.
-_MIX = ((np.array(30, np.uint64), np.uint64(0xBF58476D1CE4E5B9)),
-        (np.array(27, np.uint64), np.uint64(0x94D049BB133111EB)))
-_SHIFT_31, _SHIFT_11 = np.array(31, np.uint64), np.array(11, np.uint64)
+_MIX_INTS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _BLOCK = 1 << 15  # words mixed at a time: two blocks stay in cache
 
 
@@ -89,19 +83,26 @@ def _random_array(seed: int, shape, semiring: Semiring):
     mod 2**64.  The states are mixed in place over ``np.uint64``, whose
     arithmetic wraps, one cache-sized block of counters at a time.
     """
+    import numpy as np
+
+    u64 = np.uint64
+    # Shift counts are 0-d uint64 arrays: numpy takes longer to resolve a
+    # shift of a uint64 array by a Python int or a numpy scalar.
+    mix = [(np.array(shift, u64), u64(mult)) for shift, mult in _MIX_INTS]
+    shift_31, shift_11 = np.array(31, u64), np.array(11, u64)
     out = np.empty(math.prod(shape), dtype=semiring.dtype)
-    base = np.uint64(seed)
+    gamma, base = u64(_GAMMA_INT), u64(seed)
     for lo in range(0, out.size, _BLOCK):
         part = out[lo:lo + _BLOCK]
-        z = np.arange(lo + 1, lo + part.size + 1, dtype=np.uint64)
-        z *= _GAMMA
+        z = np.arange(lo + 1, lo + part.size + 1, dtype=u64)
+        z *= gamma
         z += base
         tmp = np.empty_like(z)
-        for shift, mult in _MIX:
+        for shift, mult in mix:
             z ^= np.right_shift(z, shift, out=tmp)
             z *= mult
-        z ^= np.right_shift(z, _SHIFT_31, out=tmp)
-        units = np.multiply(np.right_shift(z, _SHIFT_11, out=z), 2.0 ** -53,
+        z ^= np.right_shift(z, shift_31, out=tmp)
+        units = np.multiply(np.right_shift(z, shift_11, out=z), 2.0 ** -53,
                             out=tmp.view(np.float64))
         part[...] = semiring.from_unit(units)
     out.setflags(write=False)
@@ -137,6 +138,8 @@ class LexiconEntry:
                 # numpy refuses an array past its size or axis limit with a
                 # ValueError; coordinator_tensor refuses one past the axis
                 # limit with OutOfMemory.
+                from .tensor import MAX_AXES
+
                 why = (f"its {len(self.type)} wires are past numpy's limit "
                        f"of {MAX_AXES} axes" if len(self.type) > MAX_AXES
                        else f"its {self.cells} cells do not fit in memory")
@@ -187,6 +190,21 @@ class Lexicon:
         return row
 
 
+def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
+                       semiring: Semiring):
+    """:func:`~frobcoord.coordination.coordinator_tensor`, whose module is
+    imported on the first call: only a realised ``@conj`` entry makes it."""
+    from .coordination import coordinator_tensor
+    return coordinator_tensor(x, spaces, semiring)
+
+
+def _tensor(wires, data, semiring: Semiring, copy=True):
+    """A realised entry's tensor; ``tensor`` is imported on the first
+    call."""
+    from .tensor import Tensor
+    return Tensor(wires, data, semiring, copy=copy)
+
+
 # Matched against stripped lines.
 _ENTRY = re.compile(r"(\S+)\s*:\s*(.*?)\s*=\s*(.*)")
 _RANDOM = re.compile(r"^@random\(([0-9]+)\)$")
@@ -201,7 +219,7 @@ def _builder(word, ptype, wires, spec, spaces, semiring, line):
         if seed > _MASK:
             raise ParseError(f"entry {word!r}: @random seed is not below "
                              f"2**64", line)
-        return lambda: Tensor(wires, _random_array(
+        return lambda: _tensor(wires, _random_array(
             seed, [w.dim for w in wires], semiring), semiring, copy=False)
     if spec.startswith("["):
         try:
@@ -220,7 +238,7 @@ def _builder(word, ptype, wires, spec, spaces, semiring, line):
             if not semiring.literal_ok(value):
                 raise ParseError(f"entry {word!r}: literal value {value!r} "
                                  f"is not {semiring.literal_rule}", line)
-        return lambda: Tensor(wires, data, semiring)
+        return lambda: _tensor(wires, data, semiring)
     if spec == "@conj":
         x = conjunct_type(ptype)
         if isinstance(x, int):
@@ -231,9 +249,12 @@ def _builder(word, ptype, wires, spec, spaces, semiring, line):
         if len(ptype) != 2 or wires[0].dim != wires[1].dim:
             raise DimMismatch(
                 f"entry {word!r}: @identity needs a square order-2 type")
-        return lambda: Tensor(wires, np.eye(wires[0].dim,
-                                            dtype=semiring.dtype),
-                              semiring, copy=False)
+
+        def identity():
+            import numpy as np
+            return _tensor(wires, np.eye(wires[0].dim, dtype=semiring.dtype),
+                           semiring, copy=False)
+        return identity
     raise ParseError(f"entry {word!r}: unrecognised tensor spec {spec!r}",
                      line)
 

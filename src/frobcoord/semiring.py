@@ -16,13 +16,30 @@ rules that differ between carriers: how an element prints
 results are (:meth:`Semiring.distance`) and how a uniform draw becomes an
 element (:meth:`Semiring.from_unit`), so the rest of the library need not
 ask which carrier it holds.
+
+A carrier's name, printing and literal rules need no numpy, and importing
+this module imports none: ``np`` below stands in for numpy until an array
+method first reads from it, and each carrier's ``dtype`` is looked up in
+numpy by its ``dtype_name`` on its first read, so ``check`` and
+``derive`` never load numpy.
 """
 
 from __future__ import annotations
 
 import sys
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on the first attribute read, which also puts the
+    module in this stand-in's place, so later reads cost nothing extra."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 class Semiring:
@@ -73,13 +90,22 @@ class Semiring:
         """How far apart two arrays of one shape are; 0 when equal."""
         raise NotImplementedError
 
+    def __getattr__(self, name):
+        # ``dtype``: numpy's scalar type named by the class attribute
+        # ``dtype_name``, looked up on the first read and then kept as a
+        # class attribute.
+        if name != "dtype":
+            raise AttributeError(f"{self!r} has no attribute {name!r}")
+        type(self).dtype = getattr(np, self.dtype_name)
+        return self.dtype
+
     def __repr__(self):
         return f"<semiring {self.name}>"
 
 
 class _Real(Semiring):
     name = "real"
-    dtype = np.float64
+    dtype_name = "float64"
     zero = 0.0
     one = 1.0
     rtol = 1e-10
@@ -124,7 +150,7 @@ class _Real(Semiring):
 
 class _Boolean(Semiring):
     name = "bool"
-    dtype = np.bool_
+    dtype_name = "bool_"
     zero = False
     one = True
     literal_rule = "0 or 1"

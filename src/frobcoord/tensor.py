@@ -31,42 +31,27 @@ network contraction is checked against.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
-from .errors import (ArityError, BadArgument, BadPermutation, DimMismatch,
-                     Overflow, ShapeMismatch, SemiringMismatch, TypeMismatch)
-from .pregroup import SimpleType
+from .errors import (ArityError, BadArgument, BadPermutation, Overflow,
+                     ShapeMismatch, SemiringMismatch, TypeMismatch)
 from .semiring import REAL, Semiring
+from .spaces import Wire, _checked_dim  # _checked_dim: re-exported
 
 # numpy's limit on the axes of one array: 32 before numpy 2.0, 64 since.
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 
-def _checked_dim(dim, what: str = "wire dimension") -> int:
-    """``dim`` if it is a dimension: a Python ``int`` of at least 1, not a
-    ``bool`` or a numpy integer.  Anything else raises :class:`DimMismatch`
-    naming ``what``, the rule and the value."""
-    if type(dim) is not int or dim < 1:
-        raise DimMismatch(f"{what} must be a Python int >= 1, got {dim!r}")
-    return dim
-
-
-class Wire(namedtuple("Wire", "base z dim")):
-    """One tensor factor: an atomic symbol, adjoint order and dimension."""
-
-    __slots__ = ()
-
-    def __new__(cls, base: str, z: int = 0, dim: int = 1):
-        return super().__new__(cls, base, z, _checked_dim(dim))
-
-    def __str__(self):
-        return str(SimpleType(self.base, self.z))
-
-
 class Tensor:
-    """A dense multi-dimensional array with one typed wire per axis."""
+    """A dense multi-dimensional array with one typed wire per axis.
+
+    With ``copy=True`` (the default) the tensor holds a copy of the
+    caller's ``data``, whose entries must be finite: ``nan`` or an
+    infinity raises :class:`BadArgument`, on the boolean carrier too,
+    where numpy would read either as true.  ``copy=False`` takes an array
+    the library made, unchecked.
+    """
 
     __slots__ = ("wires", "array", "semiring")
 
@@ -75,6 +60,9 @@ class Tensor:
         shape = tuple([w.dim for w in wires])
         if copy:
             arr = np.array(data, dtype=semiring.dtype)
+            raw = arr if arr.dtype.kind == "f" else np.asarray(data)
+            if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
+                raise BadArgument("tensor data has a non-finite entry")
         else:
             arr = np.asarray(data, dtype=semiring.dtype)
         if arr.shape != shape:
@@ -125,7 +113,7 @@ class Tensor:
 
 def scalar(value, semiring: Semiring = REAL) -> Tensor:
     """A 0-wire tensor holding one semiring element."""
-    return Tensor((), np.array(value, dtype=semiring.dtype), semiring)
+    return Tensor((), value, semiring)
 
 
 def _contracted(nodes, indices, open_wires) -> Tensor:

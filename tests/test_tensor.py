@@ -66,6 +66,36 @@ def test_dimensions_are_python_ints_everywhere(dim):
         assert str(exc.value) == f"wire dimension {rule}"
 
 
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_caller_data_must_be_finite(sr, bad):
+    # numpy would read nan and the infinities as True on the booleans.
+    with pytest.raises(errors.BadArgument, match="non-finite"):
+        Tensor([Wire("n", 0, 2)], [0, bad], sr)
+    with pytest.raises(errors.BadArgument, match="non-finite"):
+        Tensor([Wire("n", 0, 2)], np.array([bad, 1.0]), sr)
+    with pytest.raises(errors.BadArgument, match="non-finite"):
+        scalar(bad, sr)
+
+    class Draws:
+        def random(self, shape):
+            return np.full(shape, bad)
+
+    if sr is REAL:  # the booleans threshold a draw before Tensor sees it
+        with pytest.raises(errors.BadArgument, match="non-finite"):
+            random_tensor([Wire("n", 0, 2)], Draws(), sr)
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_uncopied_arrays_are_taken_as_they_are(sr):
+    # copy=False takes an array the library made: it is not scanned.
+    arr = np.array([np.nan, 1.0]) if sr is REAL else np.array([True, False])
+    t = Tensor([Wire("n", 0, 2)], arr, sr, copy=False)
+    assert t.array.tobytes() == arr.astype(sr.dtype).tobytes()
+    assert scalar(1, sr).item() == 1
+
+
 def test_tensor_is_immutable():
     t = vec([1.0, 2.0])
     with pytest.raises(ValueError):

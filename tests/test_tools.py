@@ -138,3 +138,42 @@ def test_random_networks_reach_every_planner_rule():
         seen.update("matmul" for step in got.steps if not step.batch)
     assert seen == {"star", "copy", "outer", "matmul", "ShapeMismatch",
                     "DimMismatch"}
+
+
+def test_ab_runs_alternating_pairs_and_writes_every_run(tmp_path, capsys):
+    # An A/A comparison of this tree against itself: the schema, the
+    # alternation and the per-pair win counts, not the figures.
+    ab = _load("ab")
+    root = TOOLS.parent
+    out = tmp_path / "bench.json"
+    assert ab.main(["--base", str(root), "--change", str(root),
+                    "--workload", "vp-chains", "--pairs", "2",
+                    "--seconds", "0.3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "peak_rss_mb" in printed and "ops base" in printed
+    entry = json.loads(out.read_text())["workloads"]["vp-chains-seed1"]
+    assert set(entry) == {"base", "change", "seed", "seconds", "pairs",
+                          "spell_s", "summary", "runs"}
+    assert entry["base"] == entry["change"]
+    assert set(entry["base"]) == {"commit", "dirty"}
+    assert entry["spell_s"]["before"] > 0 and entry["spell_s"]["after"] > 0
+    assert [(r["pair"], r["side"], r["first"]) for r in entry["runs"]] == [
+        (0, "base", True), (0, "change", False),
+        (1, "change", True), (1, "base", False)]
+    for run in entry["runs"]:
+        assert run["result"]["correct"] and run["result"]["failed"] == 0
+        assert run["result"]["ops"] >= 100 and run["result"]["rounds"] >= 1
+    summary = entry["summary"]
+    names = [m["name"] for m in
+             json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    for name in names:
+        assert set(summary[name]) == {"unit", "better", "bound", "pairs",
+                                      "change_wins", "base", "change"}
+        assert summary[name]["pairs"] == 2
+        assert 0 <= summary[name]["change_wins"] <= 2
+        for side in ("base", "change"):
+            q = summary[name][side]
+            assert q["q1"] <= q["median"] <= q["q3"]
+    assert set(summary["ops"]) == {"base", "change"}
+    assert summary["failed"] == {"base": 0, "change": 0}
+    assert summary["correct"] is True
