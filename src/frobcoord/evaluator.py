@@ -273,7 +273,11 @@ def evaluate(network: TensorNetwork) -> Tensor:
     call or batch step (on boolean arrays einsum computes or-of-ands).
     The result owns its entries, or is a read-only view of an input of the
     same size: a prep call that only keeps a diagonal gets numpy's view,
-    which is copied.  Scalar results come back as 0-wire tensors.
+    which is copied.  Scalar results come back as 0-wire tensors.  The
+    arithmetic runs with numpy's overflow warnings off, and a result that is
+    not finite (a real one past float64, or one that an input entry that is
+    not finite reaches) raises :class:`Overflow`, with no
+    ``RuntimeWarning``.
     """
     nodes = network.nodes
     # The key is built from lists: tuple() of a generator or map object
@@ -286,17 +290,20 @@ def evaluate(network: TensorNetwork) -> Tensor:
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
     arrays = [t.array for t in nodes]
-    for n, sub, out in plan.prep:
-        arr = np.einsum(arrays[n], sub, out)
-        arrays[n] = arr if arr.base is None else arr.copy()
-    for s in plan.steps:
-        a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
-        b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
-        arrays[s.b] = None
-        merged = (np.einsum(a, (0, 1, 2), b, (0, 2, 3), (0, 1, 3))
-                  if s.batch else sr.matmul(a, b))
-        arrays[s.a] = merged.reshape(s.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, sub, out in plan.prep:
+            arr = np.einsum(arrays[n], sub, out)
+            arrays[n] = arr if arr.base is None else arr.copy()
+        for s in plan.steps:
+            a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
+            b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
+            arrays[s.b] = None
+            merged = (np.einsum(a, (0, 1, 2), b, (0, 2, 3), (0, 1, 3))
+                      if s.batch else sr.matmul(a, b))
+            arrays[s.a] = merged.reshape(s.shape)
     arr = arrays[plan.result].transpose(plan.perm)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise Overflow("the contraction is not finite: float64 overflowed")
     if plan.copy is not None:
         shape, sub = plan.copy
         copied = np.zeros(shape, dtype=sr.dtype)
@@ -502,19 +509,14 @@ def _row_meaning(types, tensors, target: PregroupType,
     """Reduce ``types`` to ``target`` (else raise ``refusal()``), with the
     None tensors as the coordinators, contract the network in ``mode`` and
     type the result by the residual.  A result that is not finite (a real
-    one past float64) raises :class:`Overflow`."""
+    one past float64) raises :class:`Overflow`, from :func:`evaluate`."""
     derivation = reduce(types, target, coordinators=[
         k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:
         raise refusal()
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = evaluate(build_network(derivation, tensors, spaces,
-                                        semiring, mode))
-    if not np.isfinite(result.array).all():
-        raise Overflow("the meaning is not finite: float64 arithmetic "
-                       "overflowed")
-    return Tensor(spaces.wires(derivation.residual_type()), result.array,
-                  semiring, copy=False)
+    network = build_network(derivation, tensors, spaces, semiring, mode)
+    return Tensor(spaces.wires(derivation.residual_type()),
+                  evaluate(network).array, semiring, copy=False)
 
 
 def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from typing import NamedTuple
@@ -155,7 +154,6 @@ def conjunct_type(ptype: PregroupType) -> PregroupType | int:
         zip(ptype, coordinator_type(x))) if got != want), x)
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A witness of grammaticality: contraction links over a token row.
 
@@ -164,21 +162,29 @@ class Derivation:
     once, in three attributes beside the two fields: ``flattened``, the
     row's simple types in order; ``offsets``, the flattened index of each
     token's first wire; and ``residual``, the unlinked indices, left to
-    right.  Equality and hashing read the two fields only.
+    right.  No attribute can be reassigned.  Equality (with another
+    derivation only) and hashing read the two fields only.
     """
 
-    token_types: tuple[PregroupType, ...]
-    links: frozenset[tuple[int, int]]
+    def __init__(self, token_types, links):
+        row, links = tuple(token_types), frozenset(links)
+        # Written to the instance dict: __setattr__ refuses every name.
+        vars(self).update(token_types=row, links=links, _key=(row, links),
+                          flattened=tuple([s for t in row for s in t]),
+                          offsets=tuple(accumulate([0, *map(len, row)]))[:-1])
+        vars(self)["residual"] = self.validate()
 
-    def __post_init__(self):
-        types = tuple(self.token_types)
-        object.__setattr__(self, "token_types", types)
-        object.__setattr__(self, "links", frozenset(self.links))
-        object.__setattr__(self, "flattened",
-                           tuple([s for t in types for s in t]))
-        object.__setattr__(self, "offsets",
-                           tuple(accumulate([0, *map(len, types)]))[:-1])
-        object.__setattr__(self, "residual", self.validate())
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Derivation.{name}")
+
+    def __eq__(self, other):
+        return type(other) is Derivation and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "Derivation(token_types={!r}, links={!r})".format(*self._key)
 
     def token_wire(self, flat_index: int) -> tuple[int, int]:
         """Map a flattened index to ``(token, wire-within-token)``."""
@@ -188,8 +194,7 @@ class Derivation:
         return tok, flat_index - self.offsets[tok]
 
     def residual_type(self) -> PregroupType:
-        flat = self.flattened
-        return PregroupType(flat[i] for i in self.residual)
+        return PregroupType([self.flattened[i] for i in self.residual])
 
     def validate(self) -> tuple[int, ...]:
         """Check every structural invariant; raise :class:`InvalidDerivation`.

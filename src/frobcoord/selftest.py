@@ -9,9 +9,11 @@ description, and ends its suite only.  The sentence suites draw each
 trial's carrier and spaces from :func:`_trials` and check every sentence
 in both of ``eval``'s modes with :func:`_per_mode`, through the pipeline
 that ``eval`` runs, with each coordinator a None token
-(:func:`coordination._coordinated`); only the dense reference route of
-``coordinator-equivalence`` and the relabelled networks of
-``contraction-order`` are wired by hand.  The suites back the
+(:func:`coordination._coordinated`).  Two checks wire a network by hand:
+the paper route of ``coordinator-equivalence`` (:func:`_paper_route`),
+which builds the coordinator from caps and merge spiders as the paper
+defines it, with no derivation and no dense coordinator, and the
+relabelled networks of ``contraction-order``.  The suites back the
 ``selftest`` CLI command; ``inject_fault=True`` corrupts the merge
 operation (one flipped entry) as a negative control, which must make the
 run fail with a counterexample.
@@ -162,21 +164,39 @@ def _per_mode(meaning, want, describe):
                lambda: f"mode={mode} {describe()}")
 
 
+def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor) -> Tensor:
+    """``x1 and x2`` through the coordinator as the paper defines it,
+    (1 ⊗ μ ⊗ 1) ∘ (η ⊗ η) for the ``k`` factors of ``x = trial.case``,
+    lifted from atomic types factor by factor and wired by hand.  Factor
+    ``p`` adds a right cap, the atomic merge spider and a left cap: the
+    caps' outer legs close on ``x1`` and ``x2``, their inner legs enter the
+    merge, and the merge's third leg is wire ``p`` of the result.  Labels
+    0 to 3k - 1 are the places of ``x.r x x.l``; 3k + 2p and 3k + 2p + 1
+    join factor ``p``'s caps to its merge.
+    """
+    k, sr = len(trial.case), trial.sr
+    # Nesting: the cap of x.r ⊗ x and the cup that closes a conjunct on an
+    # outer block each pair place j with place k - 1 - j.
+    mirror = [k - 1 - j for j in range(k)]
+    nodes, indices = [x1, x2], [mirror, [2 * k + j for j in mirror]]
+    for p, (base, z) in enumerate(trial.case):
+        d, a, b = trial.spaces.dim(base), 3 * k + 2 * p, 3 * k + 2 * p + 1
+        nodes += [eta_cap(base, "right", d, z, sr), _spider(d, sr),
+                  eta_cap(base, "left", d, z, sr)]
+        indices += [[mirror[p], a], [a, b, k + p], [b, 2 * k + mirror[p]]]
+    return evaluate(TensorNetwork(nodes, indices,
+                                  [(3 + 3 * p, 2) for p in range(k)]))
+
+
 def suite_coordinator_equivalence(rng, dims, trials, mu):
     types = [parse_type(text) for text in _CONJUNCT_TYPES]
-    derivations = {x: reduce([x, coordinator_type(x), x], x, coordinators=[1])
-                   for x in types}
     for trial in _trials(rng, dims, trials, cases=types):
         x, sr, spaces = trial.case, trial.sr, trial.spaces
         x1, x2 = trial.rand(x), trial.rand(x)
         want = mu(x1, x2).array
         describe = lambda: f"type={x} {trial} x1={_show(x1)} x2={_show(x2)}"
-        # The paper's reference: the dense coordinator, wired by hand.
-        dense = evaluate(build_network(
-            derivations[x], [x1, coordinator_tensor(x, spaces, sr), x2],
-            spaces))
-        yield (sr.allclose(dense.array, want),
-               lambda: f"route=dense {describe()}")
+        yield (sr.allclose(_paper_route(trial, x1, x2).array, want),
+               lambda: f"route=paper {describe()}")
         yield from _per_mode(
             lambda mode: _coordinated([x1, None, x2], x, mode, spaces, x),
             want, describe)

@@ -49,8 +49,10 @@ class Tensor:
     With ``copy=True`` (the default) the tensor holds a copy of the
     caller's ``data``, whose entries must be finite: ``nan`` or an
     infinity raises :class:`BadArgument`, on the boolean carrier too,
-    where numpy would read either as true.  ``copy=False`` takes an array
-    the library made, unchecked.
+    where numpy would read either as true.  Boolean data must also be 0 or
+    1 (``bool`` values, or numbers equal to 0 or 1), else
+    :class:`BadArgument`.  ``copy=False`` takes an array the library made,
+    unchecked.
     """
 
     __slots__ = ("wires", "array", "semiring")
@@ -63,6 +65,10 @@ class Tensor:
             raw = arr if arr.dtype.kind == "f" else np.asarray(data)
             if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
                 raise BadArgument("tensor data has a non-finite entry")
+            # raw is the caller's data when the carrier is boolean: the
+            # cast to bool must leave every entry equal, so 0 or 1.
+            if raw is not arr and not (raw == arr).all():
+                raise BadArgument("boolean tensor data must be 0 or 1")
         else:
             arr = np.asarray(data, dtype=semiring.dtype)
         if arr.shape != shape:

@@ -1,9 +1,9 @@
 """What each command imports, seen from a child process's ``sys.modules``.
 
-``check`` and ``derive`` need types alone, so they never load numpy;
-``eval`` loads the array layer but neither ``selftest`` nor
-``coordination``; a bare ``import frobcoord`` loads no numpy and still
-serves every public name on first use.
+``check`` and ``derive`` need types alone, so they never load numpy,
+``dataclasses`` or ``inspect``; ``eval`` loads the array layer but neither
+``selftest`` nor ``coordination``; a bare ``import frobcoord`` loads no
+numpy and still serves every public name on first use.
 """
 
 import json
@@ -89,6 +89,8 @@ def test_check_and_derive_never_import_numpy(lex_paths, lexicon, command):
         assert got["code"] in (0, 1)
         assert "numpy" not in got["modules"], (command, words)
         assert "frobcoord.evaluator" not in got["modules"]
+        # A derivation is a plain class: dataclasses would load inspect.
+        assert {"dataclasses", "inspect"}.isdisjoint(got["modules"])
 
 
 @pytest.mark.parametrize("mode", [["--mode", "explicit"],

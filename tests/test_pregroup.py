@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from itertools import islice
@@ -137,6 +139,25 @@ def test_ternary_reduction_always_grammatical(pairs):
     d = reduce([x, coordinator_type(x), x], x)
     assert d is not None
     assert d.residual_type() == x
+
+
+def test_a_derivation_is_a_value_of_its_two_fields():
+    types = (parse_type("n"), parse_type("n.r s"))
+    d = Derivation(list(types), [(0, 1)])
+    same = Derivation(types, frozenset({(0, 1)}))
+    assert d == same and hash(d) == hash(same)
+    assert hash(d) == hash((types, frozenset({(0, 1)})))
+    assert d != Derivation(types + (parse_type("s.r s"),), [(0, 1), (2, 3)])
+    # Equal only to a derivation: not to a tuple of the same fields.
+    assert d != (types, frozenset({(0, 1)}))
+    assert repr(d) == (f"Derivation(token_types={types!r}, "
+                       f"links=frozenset({{(0, 1)}}))")
+    for name in ("token_types", "links", "residual", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+    assert d.links == frozenset({(0, 1)}) and d.residual == (2,)
+    assert pickle.loads(pickle.dumps(d)) == d
+    assert copy.deepcopy(d).residual == d.residual
 
 
 def test_derivation_validation():

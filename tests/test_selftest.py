@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ def test_injected_fault_fails_with_a_counterexample():
 
 
 def test_only_the_reference_route_wires_a_sentence_by_hand(monkeypatch):
-    # Every other sentence goes through the pipeline eval runs, which
-    # builds no dense coordinator and calls reduce and build_network from
-    # the evaluator, not through these names.
+    # The paper route of coordinator-equivalence wires caps and atomic
+    # merge spiders by hand, with no derivation; every sentence goes
+    # through the pipeline eval runs, which builds no dense coordinator and
+    # calls reduce and build_network from the evaluator, not through these
+    # names.  Only contraction-order relabels a network build_network made.
     calls = []
 
     def record(name, real):
@@ -58,16 +61,84 @@ def test_only_the_reference_route_wires_a_sentence_by_hand(monkeypatch):
         return {suite for what, suite, args in calls
                 if what == name and not (compound and len(args[0]) < 2)}
 
-    assert callers("coordinator_tensor", compound=True) == {
-        "suite_coordinator_equivalence"}
+    assert callers("coordinator_tensor", compound=True) == set()
     assert callers("coordinator_tensor") == {
         "suite_frobenius", "suite_coordinator_equivalence"}
     for name in ("reduce", "build_network"):
-        assert callers(name) == {"suite_coordinator_equivalence",
-                                 "suite_contraction_order"}
+        assert callers(name) == {"suite_contraction_order"}
     assert callers("evaluate") == {"suite_frobenius",
                                    "suite_coordinator_equivalence",
                                    "suite_contraction_order"}
+
+
+def _equivalence_checks(dims=(2,), trials=3):
+    """Every check of coordinator-equivalence, described: (ok, text)."""
+    checks = selftest.suite_coordinator_equivalence(
+        np.random.default_rng(0), dims, trials, frobenius_mu)
+    return [(ok, describe()) for ok, describe in checks]
+
+
+def test_the_paper_route_checks_every_case_first():
+    checks = _equivalence_checks()
+    # Three checks per trial; three trials per carrier and conjunct type.
+    assert len(checks) == 3 * 2 * len(selftest._CONJUNCT_TYPES) * 3
+    assert all(ok for ok, _ in checks)
+    assert [text.split()[0] for _, text in checks[:3]] == [
+        "route=paper", "mode=explicit", "mode=closed-form"]
+
+
+def test_a_swapped_leg_layout_fails_only_the_shared_routes(monkeypatch):
+    # Explicit and closed form read the spiders' legs from coordinator_legs;
+    # the paper route wires its caps by hand and must not notice.  With n
+    # and s both of dimension 2 the swap gives a wrong result, not a
+    # refusal.
+    real = evaluator.coordinator_legs
+
+    def swapped(k):
+        legs = [list(leg) for leg in real(k)]
+        if k > 1:
+            legs[0][0], legs[1][0] = legs[1][0], legs[0][0]
+        return tuple(map(tuple, legs))
+
+    monkeypatch.setattr(evaluator, "coordinator_legs", swapped)
+    checks = _equivalence_checks()
+    paper = [ok for ok, text in checks if text.startswith("route=paper")]
+    assert len(paper) == len(checks) // 3 and all(paper)
+    failed = [text for ok, text in checks if not ok]
+    assert {text.split()[0] for text in failed} == {"mode=explicit",
+                                                    "mode=closed-form"}
+    # Only conjunct types of two factors or more have legs to swap.
+    assert {text.split("type=")[1].split(" semiring=")[0]
+            for text in failed} == set(selftest._CONJUNCT_TYPES[2:])
+    result = {r.name: r for r in selftest.run_selftest(
+        dims=(1, 2, 3), trials=4)}["coordinator-equivalence"]
+    assert not result.ok
+
+
+def test_a_cap_that_is_no_identity_fails_the_paper_route(monkeypatch):
+    real = selftest.eta_cap
+
+    def shifted(*args, **kwargs):
+        cap = real(*args, **kwargs)
+        return Tensor(cap.wires, np.roll(cap.array, 1, axis=1), cap.semiring)
+
+    monkeypatch.setattr(selftest, "eta_cap", shifted)
+    result = {r.name: r for r in selftest.run_selftest(
+        dims=(1, 2), trials=3)}["coordinator-equivalence"]
+    assert not result.ok
+    assert result.counterexample.startswith("route=paper ")
+
+
+def test_the_equivalence_suite_builds_no_dense_coordinator():
+    # The dense coordinator of n.r s n.l n.l at d = 4 alone is 4**12 float64
+    # cells, 128 MiB; the paper route's largest array is a 4**3 spider.
+    tracemalloc.start()
+    try:
+        assert all(ok for ok, _ in _equivalence_checks(dims=(4,), trials=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def _drop_coordinator_positions(monkeypatch):

@@ -87,6 +87,31 @@ def test_caller_data_must_be_finite(sr, bad):
             random_tensor([Wire("n", 0, 2)], Draws(), sr)
 
 
+@pytest.mark.parametrize("data", [[2, -1], [0, 2], [0.5, 1.0],
+                                  np.array([0, 3])],
+                         ids=["two", "two-alone", "half", "int-array"])
+def test_boolean_caller_data_must_be_0_or_1(data):
+    # numpy would read every nonzero entry as true.
+    with pytest.raises(errors.BadArgument, match="must be 0 or 1"):
+        Tensor([Wire("n", 0, 2)], data, BOOLEAN)
+
+
+@pytest.mark.parametrize("value", [0.5, 2, -1], ids=["half", "two", "-1"])
+def test_boolean_scalar_must_be_0_or_1(value):
+    with pytest.raises(errors.BadArgument, match="must be 0 or 1"):
+        scalar(value, BOOLEAN)
+
+
+@pytest.mark.parametrize("data", [[True, False], [1.0, 0.0], [1, 0],
+                                  np.array([True, False]), np.eye(2)[0]],
+                         ids=["bools", "floats", "ints", "bool-array",
+                              "eye-row"])
+def test_boolean_caller_data_of_0_and_1_is_taken(data):
+    t = Tensor([Wire("n", 0, 2)], data, BOOLEAN)
+    assert t.array.tolist() == [True, False]
+    assert scalar(data[0], BOOLEAN).item() is True
+
+
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_uncopied_arrays_are_taken_as_they_are(sr):
     # copy=False takes an array the library made: it is not scanned.
@@ -243,6 +268,21 @@ def test_mu_past_float64_is_an_overflow():
     with pytest.raises(errors.Overflow, match="the merge is not finite"):
         frobenius_mu(huge, huge)
     assert frobenius_mu(huge, vec([1, 1])).array.tolist() == [1e308, -1e308]
+
+
+@pytest.mark.parametrize("call", [
+    lambda huge: tensor_product(huge, vec([10.0])),
+    lambda huge: contract(Tensor([Wire("n", 0, 2), Wire("n", 1, 2)],
+                                 np.diag(huge.array)), 0, 1),
+    lambda huge: frobenius_iota(huge),
+], ids=["tensor_product", "contract", "iota"])
+def test_a_primitive_past_float64_is_an_overflow(call):
+    # evaluate refuses a result that is not finite, for every primitive
+    # built on it; Tier-1 turns a RuntimeWarning into an error.
+    with pytest.raises(errors.Overflow, match="not finite"):
+        call(vec([1e308, 1e308]))
+    got = call(vec([1e300, 1e300]))
+    assert np.isfinite(getattr(got, "array", got)).all()
 
 
 def test_mu_matrix_fixtures():

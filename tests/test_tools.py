@@ -1,5 +1,6 @@
 """The repository tools under ``tools/``."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import frobcoord
-from frobcoord.tensor import Tensor
+from frobcoord.tensor import Tensor, frobenius_mu
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -110,6 +111,34 @@ def test_fingerprint_sees_a_perturbed_primitive(monkeypatch):
     assert calls
     assert {part for part in first if second[part] != first[part]} == {
         "primitives"}
+
+
+def test_fingerprint_sees_a_suite_that_stops_catching_the_fault(
+        monkeypatch):
+    # coordinator-equivalence is made to check the true merge whatever
+    # merge it is given: every suite passes as before, and only the run
+    # with the fault injected tells the difference.
+    fingerprint = _load("fingerprint")
+    selftest = frobcoord.selftest
+
+    def digest():
+        h = hashlib.sha256()
+        fingerprint._selftest(frobcoord, h)
+        return h.hexdigest()
+
+    def totals():
+        return [(r.name, r.passed, r.total, r.counterexample)
+                for r in selftest.run_selftest(**fingerprint.SELFTEST)]
+
+    first, passing = digest(), totals()
+    suites = list(selftest._SUITES)
+    k = [name for name, _, _ in suites].index("coordinator-equivalence")
+    name, real, share = suites[k]
+    suites[k] = (name, lambda rng, dims, trials, mu: real(
+        rng, dims, trials, frobenius_mu), share)
+    monkeypatch.setattr(selftest, "_SUITES", tuple(suites))
+    assert totals() == passing
+    assert digest() != first
 
 
 def test_random_networks_reach_every_planner_rule():

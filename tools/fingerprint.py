@@ -5,9 +5,10 @@ same contraction plans and compute the same bytes, on a fixed set of
 inputs: every eval operation of the four benchmark workloads at seeds 1
 and 2, in both modes; verb-phrase chains of 12, 60 and 240 conjuncts on
 both carriers, in both modes; the suite totals of a small fixed
-``run_selftest``; seeded calls of every tensor primitive; and the plans of
-seeded random hyperedge networks.  Everything runs in one process and
-nothing is timed, so the digests depend on what the code computes alone.
+``run_selftest``, also with the fault injected; seeded calls of every
+tensor primitive; and the plans of seeded random hyperedge networks.
+Everything runs in one process and nothing is timed, so the digests
+depend on what the code computes alone.
 
 Run from the repository root::
 
@@ -18,13 +19,14 @@ The output is one JSON line: ``networks`` covers every network that
 ``build_network`` makes (labels, open wires, node wires and node bytes),
 ``plans`` every ``ContractionPlan`` that ``evaluate`` looks up,
 ``results`` every sentence's result wires and bytes, or its error class
-and message, and ``selftest`` the suite totals.  ``primitives`` covers
-the result wires and bytes, or the error class and message, of every
-operation of ``tensor`` and of ``coordinator_tensor`` for the selftest's
-conjunct types, on both carriers, at small dimensions, including inputs
-each one refuses.  ``random_plans`` covers the uncached
-``plan_contraction`` (every field of the plan, or the refusal's class and
-message) of the networks :func:`random_networks` draws.
+and message, and ``selftest`` the suite totals, with and without the
+injected fault.  ``primitives`` covers the result wires and bytes, or the
+error class and message, of every operation of ``tensor`` and of
+``coordinator_tensor`` for the selftest's conjunct types, on both
+carriers, at small dimensions, including inputs each one refuses.
+``random_plans`` covers the uncached ``plan_contraction`` (every field of
+the plan, or the refusal's class and message) of the networks
+:func:`random_networks` draws.
 ``bench/workloads.py`` is imported and only read.
 """
 
@@ -133,6 +135,18 @@ def _outcome(frobcoord, call, *args) -> bytes:
     return repr(got).encode()
 
 
+def _selftest(frobcoord, h) -> None:
+    """Digest the suite totals of a small fixed ``run_selftest``, with each
+    counterexample, and the totals of the same run with the fault injected:
+    a suite that stops catching the negative control changes them."""
+    for suite in frobcoord.selftest.run_selftest(**SELFTEST):
+        h.update(repr((suite.name, suite.passed, suite.total,
+                       suite.counterexample)).encode())
+    for suite in frobcoord.selftest.run_selftest(**SELFTEST,
+                                                 inject_fault=True):
+        h.update(repr((suite.name, suite.passed, suite.total)).encode())
+
+
 def _primitives(frobcoord, h) -> None:
     """Digest seeded calls of every primitive, including calls each one
     refuses.  Each function is looked up on its module as this runs, so
@@ -221,10 +235,7 @@ def fingerprint(frobcoord) -> dict:
     finally:
         evaluator.build_network = build_network
         evaluator.plan_contraction = plan_contraction
-    for suite in frobcoord.selftest.run_selftest(**SELFTEST):
-        digests["selftest"].update(repr(
-            (suite.name, suite.passed, suite.total,
-             suite.counterexample)).encode())
+    _selftest(frobcoord, digests["selftest"])
     _primitives(frobcoord, digests["primitives"])
     for key in random_networks(RANDOM_PLANS):
         digests["random_plans"].update(_outcome(
