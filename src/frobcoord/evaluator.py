@@ -247,9 +247,11 @@ class ContractionPlan(NamedTuple):
     open wires repeat a label, else None.  ``max_cells`` is the largest
     array that a prep call, a step or the copy makes (0 when none runs).
     Nothing else allocates, except a reshape of a transposed operand,
-    which copies an input or an earlier result of the same size, and the
-    copy :func:`evaluate` makes of a prep call's diagonal view, of the
-    prep call's size.
+    which copies an input or an earlier result of the same size; the copy
+    :func:`evaluate` makes of a prep call's diagonal view, of the prep
+    call's size; and the boolean product's own temporaries: the rows of
+    the right operand that a one-row left operand selects (at most the
+    right operand's size), or else float32 copies of both operands.
     """
 
     prep: tuple

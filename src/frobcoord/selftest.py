@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,9 @@ _FROBENIUS_SIDES = (([[0], [1], [2, 0, 3], [1, 2, 4]], [(2, 2), (3, 2)]),
 # which only the suites checking the merge itself use.
 
 def suite_frobenius(rng, dims, trials, mu):
+    # One spider per dimension and carrier for this run of the suite;
+    # nothing outlives it, so a patched layout function takes effect.
+    spider_of = lru_cache(maxsize=None)(_spider)
     for sr in BY_NAME.values():
         for d in dims:
             for t in range(trials):
@@ -100,7 +104,7 @@ def suite_frobenius(rng, dims, trials, mu):
                 copied = frobenius_delta(v)
                 yield (sr.allclose(sr.sum(copied.array, axis=1), v.array),
                        ctx("copy-then-delete"))
-                spider = _spider(d, sr)
+                spider = spider_of(d, sr)
                 direct = np.zeros((d, d), dtype=sr.dtype)
                 np.fill_diagonal(direct, sr.mul(u.array, v.array))
                 yield (all(sr.allclose(evaluate(TensorNetwork(
@@ -164,7 +168,8 @@ def _per_mode(meaning, want, describe):
                lambda: f"mode={mode} {describe()}")
 
 
-def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor) -> Tensor:
+def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor,
+                 spider_of) -> Tensor:
     """``x1 and x2`` through the coordinator as the paper defines it,
     (1 ⊗ μ ⊗ 1) ∘ (η ⊗ η) for the ``k`` factors of ``x = trial.case``,
     lifted from atomic types factor by factor and wired by hand.  Factor
@@ -172,7 +177,7 @@ def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor) -> Tensor:
     caps' outer legs close on ``x1`` and ``x2``, their inner legs enter the
     merge, and the merge's third leg is wire ``p`` of the result.  Labels
     0 to 3k - 1 are the places of ``x.r x x.l``; 3k + 2p and 3k + 2p + 1
-    join factor ``p``'s caps to its merge.
+    join factor ``p``'s caps to its merge, ``spider_of(d, sr)``.
     """
     k, sr = len(trial.case), trial.sr
     # Nesting: the cap of x.r ⊗ x and the cup that closes a conjunct on an
@@ -181,7 +186,7 @@ def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor) -> Tensor:
     nodes, indices = [x1, x2], [mirror, [2 * k + j for j in mirror]]
     for p, (base, z) in enumerate(trial.case):
         d, a, b = trial.spaces.dim(base), 3 * k + 2 * p, 3 * k + 2 * p + 1
-        nodes += [eta_cap(base, "right", d, z, sr), _spider(d, sr),
+        nodes += [eta_cap(base, "right", d, z, sr), spider_of(d, sr),
                   eta_cap(base, "left", d, z, sr)]
         indices += [[mirror[p], a], [a, b, k + p], [b, 2 * k + mirror[p]]]
     return evaluate(TensorNetwork(nodes, indices,
@@ -190,12 +195,13 @@ def _paper_route(trial: _Trial, x1: Tensor, x2: Tensor) -> Tensor:
 
 def suite_coordinator_equivalence(rng, dims, trials, mu):
     types = [parse_type(text) for text in _CONJUNCT_TYPES]
+    spider_of = lru_cache(maxsize=None)(_spider)
     for trial in _trials(rng, dims, trials, cases=types):
         x, sr, spaces = trial.case, trial.sr, trial.spaces
         x1, x2 = trial.rand(x), trial.rand(x)
         want = mu(x1, x2).array
         describe = lambda: f"type={x} {trial} x1={_show(x1)} x2={_show(x2)}"
-        yield (sr.allclose(_paper_route(trial, x1, x2).array, want),
+        yield (sr.allclose(_paper_route(trial, x1, x2, spider_of).array, want),
                lambda: f"route=paper {describe()}")
         yield from _per_mode(
             lambda mode: _coordinated([x1, None, x2], x, mode, spaces, x),

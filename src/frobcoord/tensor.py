@@ -47,12 +47,12 @@ class Tensor:
     """A dense multi-dimensional array with one typed wire per axis.
 
     With ``copy=True`` (the default) the tensor holds a copy of the
-    caller's ``data``, whose entries must be finite: ``nan`` or an
-    infinity raises :class:`BadArgument`, on the boolean carrier too,
-    where numpy would read either as true.  Boolean data must also be 0 or
-    1 (``bool`` values, or numbers equal to 0 or 1), else
-    :class:`BadArgument`.  ``copy=False`` takes an array the library made,
-    unchecked.
+    caller's ``data``, whose entries must be finite: ``nan``, an infinity
+    or a Python int past the float64 range raises :class:`BadArgument`, on
+    the boolean carrier too, where numpy would read any of them as true.
+    Boolean data must also be 0 or 1 (``bool`` values, or numbers equal to
+    0 or 1), else :class:`BadArgument`.  ``copy=False`` takes an array the
+    library made, unchecked.
     """
 
     __slots__ = ("wires", "array", "semiring")
@@ -61,7 +61,11 @@ class Tensor:
         wires = tuple(wires)
         shape = tuple([w.dim for w in wires])
         if copy:
-            arr = np.array(data, dtype=semiring.dtype)
+            try:
+                arr = np.array(data, dtype=semiring.dtype)
+            except OverflowError:  # a Python int that no float64 holds
+                raise BadArgument("tensor data has an entry past the "
+                                  "float64 range") from None
             raw = arr if arr.dtype.kind == "f" else np.asarray(data)
             if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
                 raise BadArgument("tensor data has a non-finite entry")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,19 +60,60 @@ def test_matmul_against_loops(sr):
 
 
 def test_boolean_matmul_against_int64_counts():
-    # The float32 product must say "some term is 1" exactly: an int64 count
-    # of the unit terms is the reference, over empty, sparse, dense and
-    # full operands, an empty shared axis and shared axes past 2**12.
+    # Both rules must say "some term is 1" exactly: an int64 count of the
+    # unit terms is the reference, over empty, sparse, dense and full
+    # operands, an empty shared axis and shared axes past 2**12.  A
+    # one-row left operand takes the row-selection rule; at density 0 and
+    # 1 its row is all false and all true.
     rng = np.random.default_rng(17)
     for k in (0, 1, 2, 5, 64, 4099):
         for density in (0.0, 0.001, 0.5, 1.0):
             n, m = rng.integers(0, 6, size=2)
-            a = rng.random((n, k)) < density
-            b = rng.random((k, m)) < density
-            got = BOOLEAN.matmul(a, b)
-            want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
-            assert got.dtype == np.bool_ and got.shape == (n, m)
-            assert np.array_equal(got, want), (k, density)
+            for rows in (n, 1):
+                a = rng.random((rows, k)) < density
+                b = rng.random((k, m)) < density
+                got = BOOLEAN.matmul(a, b)
+                want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+                assert got.dtype == np.bool_ and got.shape == (rows, m)
+                assert np.array_equal(got, want), (rows, k, density)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_boolean_matmul_of_strided_views(rows):
+    # evaluate passes transposed operands and reshapes of them, which need
+    # not be C-contiguous.
+    rng = np.random.default_rng(5)
+    cube = rng.random((2, 3, 6)) < 0.3
+    lefts = [(rng.random((rows, 12)) < 0.4)[:, ::2],   # strided columns
+             (rng.random((6, rows)) < 0.4).T]          # transposed
+    rights = [(rng.random((5, 6)) < 0.3).T,            # transposed
+              cube.transpose(2, 0, 1).reshape(6, 6),   # a strided view
+              (rng.random((6, 10)) < 0.3)[:, ::2]]     # strided columns
+    assert not any(x.flags.c_contiguous for x in [lefts[0], *rights])
+    assert np.shares_memory(rights[1], cube)
+    for left in lefts:
+        for right in rights:
+            want = (left.astype(np.int64) @ right.astype(np.int64)) > 0
+            got = BOOLEAN.matmul(left, right)
+            assert got.shape == (rows, right.shape[1])
+            assert np.array_equal(got, want)
+
+
+def test_a_one_row_boolean_product_makes_no_float32_copy():
+    # A float32 copy of the 64 x 4096 matrix alone is 1 MiB; the rows that
+    # a sparse row selects are a few KiB.
+    rng = np.random.default_rng(2)
+    a = rng.random((1, 64)) < 0.1
+    b = rng.random((64, 4096)) < 0.5
+    BOOLEAN.matmul(a, b)
+    tracemalloc.start()
+    try:
+        got = BOOLEAN.matmul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, (a.astype(np.int64) @ b) > 0)
+    assert peak < 2 ** 20
 
 
 def test_from_unit():

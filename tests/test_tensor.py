@@ -102,6 +102,20 @@ def test_boolean_scalar_must_be_0_or_1(value):
         scalar(value, BOOLEAN)
 
 
+@pytest.mark.parametrize("big", [10 ** 400, -10 ** 400],
+                         ids=["positive", "negative"])
+def test_an_int_past_the_float_range_is_a_bad_argument(big):
+    # numpy's cast to float64 raises Python's OverflowError; the lexicon
+    # refuses such a literal, and the booleans refuse it as not 0 or 1.
+    for make in (lambda: Tensor([Wire("n", 0, 2)], [big, 1]),
+                 lambda: Tensor([Wire("n", 0, 2)] * 2, [[1, 0], [0, big]]),
+                 lambda: scalar(big)):
+        with pytest.raises(errors.BadArgument, match="float64 range"):
+            make()
+    with pytest.raises(errors.BadArgument, match="must be 0 or 1"):
+        Tensor([Wire("n", 0, 2)], [big, 1], BOOLEAN)
+
+
 @pytest.mark.parametrize("data", [[True, False], [1.0, 0.0], [1, 0],
                                   np.array([True, False]), np.eye(2)[0]],
                          ids=["bools", "floats", "ints", "bool-array",

@@ -206,3 +206,42 @@ def test_ab_runs_alternating_pairs_and_writes_every_run(tmp_path, capsys):
     assert set(summary["ops"]) == {"base", "change"}
     assert summary["failed"] == {"base": 0, "change": 0}
     assert summary["correct"] is True
+
+
+def test_ab_interleaved_alternates_rounds_in_one_process(tmp_path, capsys):
+    # An A/A comparison of this tree against itself in one process: the
+    # schema, the alternation and the counts, not the figures.
+    ab = _load("ab")
+    root = TOOLS.parent
+    out = tmp_path / "bench.json"
+    before = set(sys.modules)
+    assert ab.main(["--base", str(root), "--change", str(root),
+                    "--workload", "corpus-bool", "--interleaved",
+                    "--pairs", "4", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "tracemalloc peak" in printed and "change won" in printed
+    entry = json.loads(out.read_text())["workloads"][
+        "corpus-bool-seed1-interleaved"]
+    assert set(entry) == {"base", "change", "seed", "pairs", "spell_s",
+                          "ops_per_round", "summary", "round_ms"}
+    assert entry["base"] == entry["change"] and entry["pairs"] == 4
+    assert entry["ops_per_round"] > 0
+    assert {s: len(ms) for s, ms in entry["round_ms"].items()} == {
+        "base": 4, "change": 4}
+    summary = entry["summary"]
+    assert set(summary) == {"round_ms", "ratio", "change_wins",
+                            "tracemalloc_peak_bytes", "correct"}
+    for side in ("base", "change"):
+        r = summary["round_ms"][side]
+        assert 0 < r["best"] <= r["q1"] <= r["median"] <= r["q3"]
+        assert r["iqr"] == r["q3"] - r["q1"]
+        assert summary["tracemalloc_peak_bytes"][side] > 0
+    q = summary["ratio"]
+    assert 0 < q["q1"] <= q["median"] <= q["q3"]
+    assert 0 <= summary["change_wins"] <= 4
+    assert summary["correct"] == {"base": True, "change": True}
+    # Both trees were imported under their own names; the names that
+    # bench/run.py imports are as they were.
+    loaded = set(sys.modules) - before
+    assert {"frobcoord_base", "frobcoord_change"} <= loaded
+    assert not loaded & {"run", "oracle", "tracing", "workloads"}

@@ -4,6 +4,8 @@ Run from the repository root::
 
     python tools/ab.py --base ../parent --change . --workload cli-eval \\
         --pairs 10 [--seconds 20] [--seed 1] [--out BENCH.json]
+    python tools/ab.py --base ../parent --change . --workload corpus-bool \\
+        --interleaved --pairs 300 [--seed 1] [--out BENCH.json]
 
 Each tree's ``src`` and ``bench`` directories are copied once into a fresh
 temporary directory, so neither side reads the other's files or a build
@@ -23,18 +25,37 @@ pure-Python loop timed before and after the pairs, to show whether the
 machine's speed drifted while they ran.  An entry already in the file
 under the same key is replaced; the others are kept.
 
-Only the standard library and numpy are imported.
+``--interleaved`` compares the two trees in one process instead.  Both
+copies' ``frobcoord`` are imported under distinct package names
+(``frobcoord_base`` and ``frobcoord_change``), and ``--pairs`` counts
+alternating pairs of rounds: a round is one pass over the workload's
+operations, run by ``bench/run.py``'s own runner with the same lexicon
+file, after a ``gc.collect()``.  One unmeasured round per side first
+checks every output with the benchmark's checker.  The tool reports each
+side's best and median round time and their interquartile range, the
+per-round ratio (change over base), the rounds the change won, and the
+``tracemalloc`` peak of one further round per side: what the library
+allocates at a fixed operation count, which ``peak_rss_mb`` cannot tell
+apart from the records the benchmark keeps per operation.  The entry's
+key ends in ``-interleaved``; ``--seconds`` is not used.
+
+Only the standard library, numpy, the two trees and the change's
+``bench`` modules are imported.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +105,24 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{workload}-seed{seed}-trace0.json").read_text())
     result["ops"], result["rounds"] = record["ops"], record["rounds"]
     return result
+
+
+def sides(pair: int) -> tuple:
+    """Which side runs first alternates from pair to pair."""
+    return ("base", "change") if pair % 2 == 0 else ("change", "base")
+
+
+def alternate_runs(copies: dict, workload: str, seed: int, seconds: float,
+                   pairs: int, metrics) -> dict:
+    """Alternating ``bench/run.py`` pairs: every run and their summary."""
+    runs = []
+    for pair in range(pairs):
+        for first, s in enumerate(sides(pair)):
+            runs.append({"pair": pair, "side": s, "first": first == 0,
+                         "result": run_once(copies[s], workload, seed,
+                                            seconds)})
+    return {"seconds": seconds, "runs": runs,
+            "summary": summarise(runs, metrics)}
 
 
 def quartiles(values) -> dict:
@@ -136,6 +175,114 @@ def report(workload, summary, names) -> str:
     return "\n".join(lines)
 
 
+# The bench modules that bench/run.py imports by these names.
+BENCH_MODULES = ("run", "oracle", "tracing", "workloads")
+
+
+def import_bench(bench: Path):
+    """``bench/run.py`` of the copy ``bench``, imported with its own
+    ``oracle``, ``tracing`` and ``workloads``; modules already imported
+    under those names (the repository's bench in a test session) are put
+    back afterwards."""
+    saved = {n: sys.modules.pop(n) for n in BENCH_MODULES if n in sys.modules}
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.remove(str(bench))
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def import_package(src: Path, name: str):
+    """The ``frobcoord`` package under ``src``, imported afresh as
+    ``name``, with the modules the benchmark's runner reads."""
+    for loaded in [m for m in sys.modules
+                   if m == name or m.startswith(name + ".")]:
+        del sys.modules[loaded]
+    init = src / "frobcoord" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("cli", "errors", "evaluator", "lexicon"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def round_stats(ms) -> dict:
+    q = quartiles(ms)
+    return {"best": float(min(ms)), **q, "iqr": q["q3"] - q["q1"]}
+
+
+def interleaved(copies: dict, workload_name: str, seed: int,
+                pairs: int) -> dict:
+    """Alternating rounds of one workload's operations on both copies in
+    this process: round times, per-round ratios, wins and round peaks."""
+    bench = import_bench(copies["change"] / "bench")
+    workload = bench.WORKLOADS[workload_name](seed)
+    lexicon_path = copies["change"] / "lexicon.lex"
+    lexicon_path.write_text(workload.lexicon_text, encoding="utf-8")
+    run_op, correct = {}, {}
+    for side, copy in copies.items():
+        runner = bench.Runner(import_package(copy / "src",
+                                             f"frobcoord_{side}"),
+                              lexicon_path)
+        runner.lexicon = runner.fc.lexicon.load_lexicon(lexicon_path)
+        run_op[side] = runner.main if workload.via_cli else runner.sentence
+        correct[side] = all(bench.check(op, run_op[side](op)[1]) is None
+                            for op in workload.ops)
+
+    def one_round(side) -> float:
+        gc.collect()
+        t0 = time.perf_counter()
+        for op in workload.ops:
+            run_op[side](op)
+        return (time.perf_counter() - t0) * 1000
+
+    ms = {"base": [], "change": []}
+    for pair in range(pairs):
+        for side in sides(pair):
+            ms[side].append(one_round(side))
+    peak = {}
+    for side in ms:
+        tracemalloc.start()
+        try:
+            one_round(side)
+            peak[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    ratios = [c / b for b, c in zip(ms["base"], ms["change"])]
+    summary = {"round_ms": {s: round_stats(v) for s, v in ms.items()},
+               "ratio": quartiles(ratios),
+               "change_wins": sum(r < 1 for r in ratios),
+               "tracemalloc_peak_bytes": peak, "correct": correct}
+    return {"ops_per_round": len(workload.ops), "summary": summary,
+            "round_ms": ms}
+
+
+def report_interleaved(workload, entry) -> str:
+    s = entry["summary"]
+    lines = [f"{workload} interleaved: {entry['pairs']} round pairs of "
+             f"{entry['ops_per_round']} operations, round ms best, median "
+             f"[q1, q3] per side"]
+    for side in ("base", "change"):
+        r = s["round_ms"][side]
+        lines.append(f"  {side:6s} best {r['best']:.4g}  median "
+                     f"{r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]  "
+                     f"tracemalloc peak of a round "
+                     f"{s['tracemalloc_peak_bytes'][side] / 1024:.1f} KiB")
+    q = s["ratio"]
+    lines.append(f"  ratio change/base {q['median']:.4g} [{q['q1']:.4g}, "
+                 f"{q['q3']:.4g}]  change won {s['change_wins']} of "
+                 f"{entry['pairs']}")
+    lines.append(f"  correct base {s['correct']['base']}, change "
+                 f"{s['correct']['change']}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -146,35 +293,36 @@ def main(argv=None) -> int:
                         help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    parser.add_argument("--interleaved", action="store_true",
+                        help="alternate rounds of both trees in this "
+                             "process; --pairs counts round pairs")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
     spell_before = spell_seconds()
-    runs = []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         copies = {s: fresh_copy(t, Path(tmp) / s) for s, t in trees.items()}
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else \
-                ("change", "base")
-            for first, s in enumerate(order):
-                result = run_once(copies[s], args.workload, args.seed,
-                                  seconds)
-                runs.append({"pair": pair, "side": s, "first": first == 0,
-                             "result": result})
+        if args.interleaved:
+            key = f"{args.workload}-seed{args.seed}-interleaved"
+            entry = interleaved(copies, args.workload, args.seed, args.pairs)
+        else:
+            key = f"{args.workload}-seed{args.seed}"
+            entry = alternate_runs(copies, args.workload, args.seed, seconds,
+                                   args.pairs, spec["end_to_end"])
     spell_after = spell_seconds()
 
-    summary = summarise(runs, spec["end_to_end"])
-    print(report(args.workload, summary,
+    entry = {"base": commit_of(trees["base"]),
+             "change": commit_of(trees["change"]),
+             "seed": args.seed, "pairs": args.pairs,
+             "spell_s": {"before": spell_before, "after": spell_after},
+             **entry}
+    print(report_interleaved(args.workload, entry) if args.interleaved else
+          report(args.workload, entry["summary"],
                  [m["name"] for m in spec["end_to_end"]]))
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("workloads", {})[f"{args.workload}-seed{args.seed}"] = {
-        "base": commit_of(trees["base"]),
-        "change": commit_of(trees["change"]),
-        "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-        "spell_s": {"before": spell_before, "after": spell_after},
-        "summary": summary, "runs": runs}
+    data.setdefault("workloads", {})[key] = entry
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
