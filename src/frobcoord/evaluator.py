@@ -13,13 +13,24 @@ form: wires with one label share one index, a copy spider, which
 :func:`evaluate` sums out unless an open wire holds it.  The result does
 not depend on how the labels are numbered.
 
-Contraction is compiled, then replayed.  :func:`plan_contraction` checks a
+A network is compiled, then bound.  Once the derivation is fixed, so are
+the wiring, the spiders and the contraction order: the words only supply
+arrays.  :func:`compile_network` makes a :class:`NetworkProgram` of a
+derivation, its coordinator positions, the mode, the space dimensions and
+the carrier: each node's source (a token's tensor, a shared copy spider
+or an all-ones vector), the labels, the open wires and the contraction
+plan.  Programs are cached (a bounded LRU) by value, so every sentence of
+one derivation replays one program.  :meth:`NetworkProgram.bind` checks
+each word tensor against its token and puts the words in; the network it
+returns carries its plan.
+
+Contraction is planned, then replayed.  :func:`plan_contraction` checks a
 network's structure and chooses every array operation: one einsum per node
 that keeps a diagonal or sums a label no other node holds, then pairwise
 steps in cost order (a long hyperedge folded in as a star), then outer
 products of the components that share nothing.  One function builds every
 step, and each step is one product: a semiring matrix product of two
-matrices, or one einsum over the batch entries of indices a third
+matrices, or a product over the batch entries of indices a third
 component or an open wire still holds (an entry-wise product when nothing
 is summed, the merge of the closed form; an outer product, with one batch
 entry, when nothing is shared).
@@ -28,10 +39,11 @@ and shapes, with the largest array the contraction makes.  Plans are
 cached (a bounded LRU; ``plan_contraction.cache_info()`` and
 ``cache_clear()``) on the structure alone: labels, node shapes and open
 wires.  Words and carrier are not part of the key, and the mode already
-shows in the labels, so every sentence of one type row replays one plan.
-:func:`evaluate` looks the plan up and runs it: transposes, reshapes,
-semiring matrix products and einsum calls, nothing else.  Its result owns
-its entries, or is a read-only view of an input of the same size.
+shows in the labels, so every program of one structure holds one plan.
+:func:`evaluate` runs the plan a network carries, or else looks it up:
+transposes, reshapes, semiring matrix products, numpy products and einsum
+calls, nothing else.  Its result owns its entries, or is a read-only view
+of an input of the same size.
 """
 
 from __future__ import annotations
@@ -63,16 +75,25 @@ class TensorNetwork:
     with one label share one index, summed out unless an open wire holds
     it.  ``open_wires`` are ``(node, wire)`` pairs and fix the wire order
     of the evaluation result; open wires with one label carry copies of
-    the same index.
+    the same index.  ``plan`` is the network's :class:`ContractionPlan`
+    when :func:`build_network` made it, else None: :func:`evaluate`
+    replays a plan it is given without looking it up, so a network whose
+    labels, node shapes or open wires are changed in place must drop it.
     """
 
     nodes: list[Tensor]
     indices: list[list[int]]
     open_wires: list[tuple[int, int]]
+    plan: ContractionPlan | None = None
 
     @property
     def semiring(self) -> Semiring:
         return self.nodes[0].semiring
+
+
+# Plans kept by plan_contraction, and programs kept by compile_network: a
+# workload has few distinct row shapes.
+_PLAN_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=None)
@@ -89,26 +110,77 @@ def _copy_array(dim: int, semiring: Semiring) -> np.ndarray:
     return arr
 
 
+class NetworkProgram(NamedTuple):
+    """A derivation's network without its words: what
+    :func:`compile_network` fixes once per structure.
+
+    ``sources[n]`` is where node ``n`` comes from: the position of the
+    token whose tensor it is, or a constant :class:`Tensor`, a shared copy
+    spider or an all-ones vector.  ``wires[t]`` is the wire signature that
+    token ``t``'s tensor must have, None for a coordinator.  ``indices``,
+    ``open_wires`` and ``plan`` are the network's labels, open wires and
+    :class:`ContractionPlan`.
+    """
+
+    sources: tuple
+    wires: tuple
+    indices: tuple
+    open_wires: tuple
+    plan: ContractionPlan
+
+    def bind(self, tensors, semiring: Semiring) -> TensorNetwork:
+        """The network of one row's ``tensors`` (None at each coordinator),
+        carrying the plan.  Each tensor is checked against its token: a
+        carrier other than ``semiring`` raises :class:`SemiringMismatch`,
+        and the first wire that differs from the token's type, or else the
+        wire count, raises :class:`WireTypeMismatch`."""
+        for tok, (expected, tensor) in enumerate(zip(self.wires, tensors)):
+            if expected is None:
+                continue
+            if tensor.semiring is not semiring:
+                raise SemiringMismatch(
+                    f"token {tok} carries {tensor.semiring.name}, "
+                    f"expected {semiring.name}")
+            if tensor.wires != expected:
+                for w, (need, got) in enumerate(zip(expected, tensor.wires)):
+                    if need != got:
+                        raise WireTypeMismatch(tok, w, f"{need}:{need.dim}",
+                                               f"{got}:{got.dim}")
+                raise WireTypeMismatch(tok, min(len(expected), tensor.order),
+                                       f"{len(expected)} wires",
+                                       f"{tensor.order} wires")
+        return TensorNetwork(
+            [tensors[s] if type(s) is int else s for s in self.sources],
+            [list(labs) for labs in self.indices], list(self.open_wires),
+            self.plan)
+
+
 def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
                   semiring: Semiring = None,
                   mode: str = "explicit") -> TensorNetwork:
     """Label the wires of word tensors by the derivation's links.
 
-    Every tensor is checked wire by wire against its token's type under
-    ``spaces``; mixed semirings are rejected.  ``semiring`` is the carrier,
-    by default that of the first tensor.  A None tensor is a coordinator of
-    type ``x.r x x.l``, one copy spider per factor of ``x`` at
-    :func:`coordinator_legs`: a node in ``explicit`` mode, its legs' wires
-    joined into one class in ``closed-form``.  A derivation link between two
-    wires of one None token raises :class:`InvalidDerivation`: a
-    coordinator's legs merge the conjuncts around it, so reduce such a row
-    with the coordinator positions (``reduce(..., coordinators=...)``).
-    An empty row raises :class:`EmptyType`.  The classes of joined wires
-    are labelled 0, 1, ... in the order of their first node wire along the
-    row; then each class that holds none gets the next label and an
-    all-ones vector.  Each open wire is the first node wire of its class.
-    In closed form an open wire may differ from its residual type in
-    adjoint order.
+    The network is compiled, then bound: :func:`compile_network` fixes
+    its structure and plan once per derivation, coordinator positions,
+    mode, space dimensions and carrier, and :meth:`NetworkProgram.bind`
+    checks every tensor wire by wire against its token's type under
+    ``spaces`` on every call; mixed semirings are rejected.  ``semiring``
+    is the carrier, by default that of the first tensor.  A None tensor is
+    a coordinator of type ``x.r x x.l``, one copy spider per factor of
+    ``x`` at :func:`coordinator_legs`: a node in ``explicit`` mode, its
+    legs' wires joined into one class in ``closed-form``.  A derivation
+    link between two wires of one None token raises
+    :class:`InvalidDerivation`: a coordinator's legs merge the conjuncts
+    around it, so reduce such a row with the coordinator positions
+    (``reduce(..., coordinators=...)``).  An empty row raises
+    :class:`EmptyType`, and a network the planner refuses (past numpy's
+    axis limit) raises here.  Refusals of the structure come before those
+    of a tensor.  The classes of joined wires are labelled 0, 1, ... in
+    the order of their first node wire along the row; then each class that
+    holds none gets the next label and an all-ones vector.  Each open wire
+    is the first node wire of its class.  In closed form an open wire may
+    differ from its residual type in adjoint order.  The network carries
+    its plan, so :func:`evaluate` does not look it up.
     """
     if mode not in MODES:
         raise BadArgument(f"mode must be explicit or closed-form, got "
@@ -123,54 +195,67 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
         semiring = next((t.semiring for t in tensors if t is not None), None)
         if semiring is None:
             raise BadArgument("every token is a coordinator: pass semiring")
+    program = compile_network(derivation, frozenset([
+        k for k, tensor in enumerate(tensors) if tensor is None]), mode,
+        spaces, semiring)
+    return program.bind(tensors, semiring)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def compile_network(derivation: Derivation, coordinators: frozenset,
+                    mode: str, spaces: SpaceAssignment,
+                    semiring: Semiring) -> NetworkProgram:
+    """The :class:`NetworkProgram` of a derivation whose tokens at
+    ``coordinators`` are coordinators, in a mode :func:`build_network` has
+    checked: its wiring, labels, open wires and contraction plan.
+
+    Programs are cached (a bounded LRU; ``compile_network.cache_info()``
+    and ``cache_clear()``) by value: a derivation, a frozenset, a string,
+    a :class:`SpaceAssignment` and a carrier, all compared by what they
+    hold, so every sentence of one derivation replays one program, and a
+    fresh assignment of the same dimensions finds it too.  A structure
+    that fails a check raises and is not cached.
+    """
     flat = derivation.flattened
-    # owner: flat position -> its token, for the wires of None tokens;
+    # owner: flat position -> its token, for the wires of coordinators;
     # parent: a union-find forest over flat positions, whose classes are
     # the indices.
-    nodes, parent = [], list(range(len(flat)))
-    wire_at, owner = [None] * len(flat), [None] * len(flat)
-    for tok, (ptype, tensor) in enumerate(zip(derivation.token_types,
-                                              tensors)):
+    # spiders: the wires of each copy spider made so far -> its node.
+    sources, wires, parent = [], [], list(range(len(flat)))
+    wire_at, owner, spiders = [None] * len(flat), [None] * len(flat), {}
+    for tok, ptype in enumerate(derivation.token_types):
         expected, off = spaces.wires(ptype), derivation.offsets[tok]
-        if tensor is None:
-            x = conjunct_type(ptype)
-            if isinstance(x, int):
-                raise WireTypeMismatch(tok, x, "a coordinator type x.r x x.l",
-                                       ptype)
-            owner[off:off + len(ptype)] = [tok] * len(ptype)
-            for legs in coordinator_legs(len(x)):
-                if mode == "closed-form":
-                    # Each leg is still alone in its class.
-                    for q in legs[::2]:
-                        parent[off + q] = off + legs[1]
-                    continue
-                dim = expected[legs[1]].dim
+        if tok not in coordinators:
+            wire_at[off:off + len(expected)] = [
+                (len(sources), w) for w in range(len(expected))]
+            sources.append(tok)
+            wires.append(expected)
+            continue
+        wires.append(None)
+        x = conjunct_type(ptype)
+        if isinstance(x, int):
+            raise WireTypeMismatch(tok, x, "a coordinator type x.r x x.l",
+                                   ptype)
+        owner[off:off + len(ptype)] = [tok] * len(ptype)
+        for legs in coordinator_legs(len(x)):
+            if mode == "closed-form":
+                # Each leg is still alone in its class.
+                for q in legs[::2]:
+                    parent[off + q] = off + legs[1]
+                continue
+            spider = tuple([expected[q] for q in legs])
+            if spider not in spiders:
+                dim = spider[0].dim
                 try:
                     arr = _copy_array(dim, semiring)
                 except (MemoryError, ValueError):  # past numpy's limit
                     raise OutOfMemory(f"token {tok}: a copy spider of "
                                       f"{dim ** 3} cells does not fit in "
                                       f"memory") from None
-                for leg, q in enumerate(legs):
-                    wire_at[off + q] = (len(nodes), leg)
-                nodes.append(Tensor([expected[q] for q in legs], arr,
-                                    semiring, copy=False))
-            continue
-        if tensor.semiring is not semiring:
-            raise SemiringMismatch(
-                f"token {tok} carries {tensor.semiring.name}, "
-                f"expected {semiring.name}")
-        if tensor.wires != expected:
-            for w, (need, got) in enumerate(zip(expected, tensor.wires)):
-                if need != got:
-                    raise WireTypeMismatch(tok, w, f"{need}:{need.dim}",
-                                           f"{got}:{got.dim}")
-            raise WireTypeMismatch(tok, min(len(expected), tensor.order),
-                                   f"{len(expected)} wires",
-                                   f"{tensor.order} wires")
-        wire_at[off:off + len(expected)] = [
-            (len(nodes), w) for w in range(len(expected))]
-        nodes.append(tensor)
+                spiders[spider] = Tensor(spider, arr, semiring, copy=False)
+            for leg, q in enumerate(legs):
+                wire_at[off + q] = (len(sources), leg)
+            sources.append(spiders[spider])
     for i, j in derivation.links:
         if owner[i] is not None and owner[i] == owner[j]:
             raise InvalidDerivation(
@@ -178,8 +263,10 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
                 f"{owner[i]}: reduce the row with its coordinator positions")
         parent[_root(parent, j)] = _root(parent, i)
     root = [_root(parent, f) for f in range(len(flat))]
+    shapes = [tuple([w.dim for w in wires[s]]) if type(s) is int
+              else s.array.shape for s in sources]
     # first: class root -> (label, first node wire), classes in row order
-    indices, first = [[None] * t.order for t in nodes], {}
+    indices, first = [[None] * len(shape) for shape in shapes], {}
     for f, wire in enumerate(wire_at):
         if wire is not None:
             first.setdefault(root[f], (len(first), wire))
@@ -187,12 +274,16 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     for f, s in enumerate(flat):
         if root[f] not in first:
             # Spiders joined only to each other fuse into the all-ones vector.
-            first[root[f]] = (len(first), (len(nodes), 0))
+            first[root[f]] = (len(first), (len(sources), 0))
             indices.append([len(first) - 1])
-            nodes.append(frobenius_zeta(s.base, spaces.dim(s.base), s.z,
-                                        semiring))
-    return TensorNetwork(nodes, indices, [first[root[r]][1]
-                                          for r in derivation.residual])
+            dim = spaces.dim(s.base)
+            sources.append(frobenius_zeta(s.base, dim, s.z, semiring))
+            shapes.append((dim,))
+    indices = tuple([tuple(labs) for labs in indices])
+    open_wires = tuple([first[root[r]][1] for r in derivation.residual])
+    return NetworkProgram(tuple(sources), tuple(wires), indices, open_wires,
+                          plan_contraction(indices, tuple(shapes),
+                                           open_wires))
 
 
 def _root(parent: list, x: int) -> int:
@@ -202,8 +293,6 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
-# Plans kept by plan_contraction: a workload has few distinct row shapes.
-_PLAN_CACHE_SIZE = 256
 # A label on at most this many nodes offers every pair of its components;
 # one on more folds in as a star (see plan_contraction).
 _PAIRED_HOLDERS = 8
@@ -218,9 +307,10 @@ class Step(NamedTuple):
     ``shape``: ``(m, k)`` and ``(k, n)`` for one semiring matrix product,
     or ``(nb, m, k)`` and ``(nb, k, n)`` for a batch step, one einsum
     product over the ``nb`` shared batch entries that allocates only its
-    ``(nb, m, n)`` result.  Components that share no label meet in a batch
-    step of ``(1, m, 1)`` and ``(1, 1, n)``: an outer product, one einsum
-    with one batch entry and nothing summed.  The result is reshaped to
+    ``(nb, m, n)`` result; one that sums nothing, ``k == 1``, is a
+    broadcast ``np.multiply`` instead.  Components that share no label
+    meet in a batch step of ``(1, m, 1)`` and ``(1, 1, n)``: an outer
+    product, with one batch entry and nothing summed.  The result is reshaped to
     ``shape``, one axis per label of the merged component.  One function
     in :func:`plan_contraction` builds every step.
     """
@@ -265,14 +355,19 @@ class ContractionPlan(NamedTuple):
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract the network and return the tensor on the open wires.
 
-    The contraction order comes from :func:`plan_contraction`, which
-    depends on the network's structure alone (labels, node shapes, open
-    wires), never on its words or carrier (the mode shows in the labels),
-    so sentences of one type row replay one cached plan; the plan refuses
-    a network with no nodes.  The nodes must share one semiring, checked
-    here on every call.  Execution only transposes, reshapes and calls the
-    semiring's ``matmul`` on two matrices or ``np.einsum`` once per prep
-    call or batch step (on boolean arrays einsum computes or-of-ands).
+    The contraction order is the plan the network carries (one that
+    :func:`build_network` made does), or else the one
+    :func:`plan_contraction` looks up.  A plan depends on the network's
+    structure alone (labels, node shapes, open wires), never on its words
+    or carrier (the mode shows in the labels), so sentences of one
+    derivation replay one plan; the plan refuses a network with no nodes.
+    The nodes must share one semiring, checked here on every call.
+    Execution only transposes, reshapes and calls the semiring's
+    ``matmul`` on two matrices, ``np.einsum`` once per prep call or batch
+    step that sums an index (on boolean arrays einsum computes
+    or-of-ands), or ``np.multiply`` once per batch step that sums nothing,
+    which broadcasts ``(nb, m, 1)`` against ``(nb, 1, n)`` and so
+    multiplies each pair of entries once, as :func:`frobenius_mu` does.
     The result owns its entries, or is a read-only view of an input of the
     same size: a prep call that only keeps a diagonal gets numpy's view,
     which is copied.  Scalar results come back as 0-wire tensors.  The
@@ -281,13 +376,15 @@ def evaluate(network: TensorNetwork) -> Tensor:
     not finite reaches) raises :class:`Overflow`, with no
     ``RuntimeWarning``.
     """
-    nodes = network.nodes
-    # The key is built from lists: tuple() of a generator or map object
-    # resizes as it fills, and that churn alone raised peak RSS by about
-    # 1 MB over 1 500 in-process rounds of the vp-chains workload.
-    plan = plan_contraction(tuple([tuple(labs) for labs in network.indices]),
-                            tuple([t.array.shape for t in nodes]),
-                            tuple([tuple(w) for w in network.open_wires]))
+    nodes, plan = network.nodes, network.plan
+    if plan is None:
+        # The key is built from lists: tuple() of a generator or map object
+        # resizes as it fills, and that churn alone raised peak RSS by
+        # about 1 MB over 1 500 in-process rounds of the vp-chains workload.
+        plan = plan_contraction(
+            tuple([tuple(labs) for labs in network.indices]),
+            tuple([t.array.shape for t in nodes]),
+            tuple([tuple(w) for w in network.open_wires]))
     sr = network.semiring
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
@@ -300,8 +397,12 @@ def evaluate(network: TensorNetwork) -> Tensor:
             a = arrays[s.a].transpose(s.perm_a).reshape(s.shape_a)
             b = arrays[s.b].transpose(s.perm_b).reshape(s.shape_b)
             arrays[s.b] = None
-            merged = (np.einsum(a, (0, 1, 2), b, (0, 2, 3), (0, 1, 3))
-                      if s.batch else sr.matmul(a, b))
+            if not s.batch:
+                merged = sr.matmul(a, b)
+            elif s.shape_a[2] == 1:  # nothing summed: one product an entry
+                merged = np.multiply(a, b)
+            else:
+                merged = np.einsum(a, (0, 1, 2), b, (0, 2, 3), (0, 1, 3))
             arrays[s.a] = merged.reshape(s.shape)
     arr = arrays[plan.result].transpose(plan.perm)
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
@@ -510,8 +611,11 @@ def _row_meaning(types, tensors, target: PregroupType,
                  refusal) -> Tensor:
     """Reduce ``types`` to ``target`` (else raise ``refusal()``), with the
     None tensors as the coordinators, contract the network in ``mode`` and
-    type the result by the residual.  A result that is not finite (a real
-    one past float64) raises :class:`Overflow`, from :func:`evaluate`."""
+    type the result by the residual.  Every call reduces and checks every
+    tensor; the network's wiring and plan come from the derivation's
+    cached program, so :func:`evaluate` runs once, on a network that
+    carries its plan.  A result that is not finite (a real one past
+    float64) raises :class:`Overflow`, from :func:`evaluate`."""
     derivation = reduce(types, target, coordinators=[
         k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:

@@ -45,12 +45,17 @@ class Wire(namedtuple("Wire", "base z dim")):
 
 class SpaceAssignment:
     """Maps each base symbol to the dimension of its vector space, a
-    Python ``int`` of at least 1 (not a ``bool``, not a numpy integer)."""
+    Python ``int`` of at least 1 (not a ``bool``, not a numpy integer).
+
+    An assignment is a value: equal dimensions make equal assignments with
+    one hash, so the networks compiled under one serve every equal one.
+    """
 
     def __init__(self, dims: dict):
         for base, d in dims.items():
             _checked_dim(d, f"space for {base!r}")
         self._dims = dict(dims)
+        self._hash = hash(frozenset(self._dims.items()))
         self._wires = {}
 
     def dim(self, base: str) -> int:
@@ -75,6 +80,9 @@ class SpaceAssignment:
 
     def __eq__(self, other):
         return isinstance(other, SpaceAssignment) and self._dims == other._dims
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(f"{b}={d}" for b, d in self._dims.items())

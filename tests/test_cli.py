@@ -428,6 +428,9 @@ def test_spider_memory_error_is_an_error_exit(lex_path, monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(evaluator, "_copy_array", out_of_memory)
+    # Spiders are made when a derivation's program is compiled, so none
+    # may be cached from an earlier test.
+    evaluator.compile_network.cache_clear()
     code = cli.main(["eval", lex_path, "john", "sleeps", "and", "snores",
                      "--mode", "explicit"])
     err = capsys.readouterr().err

@@ -636,22 +636,37 @@ def _bits(tensor):
 
 
 def test_plan_cache_is_keyed_by_structure_not_words(lexicon):
-    plans = evaluator.plan_contraction
+    # One compile per derivation, not per choice of words; another mode,
+    # dimension or carrier is another program.
+    programs, plans = evaluator.compile_network, evaluator.plan_contraction
+    programs.cache_clear()
     plans.cache_clear()
     evaluate_sentence(["john", "sleeps", "and", "snores"], lexicon, "s",
                       mode="closed-form")
-    assert plans.cache_info().misses == 1
+    assert programs.cache_info().misses == plans.cache_info().misses == 1
     got = evaluate_sentence(["mary", "knit", "and", "sleeps"], lexicon, "s",
                             mode="closed-form")
-    info = plans.cache_info()
+    info = programs.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert plans.cache_info().hits == 0  # the program carries its plan
     grab = lambda w: lexicon[w].tensor.array
     assert np.allclose(got.array,
                        grab("mary") @ (grab("knit") * grab("sleeps")))
-    # The other mode is another structure, so another plan.
+    # The other mode is another structure, so another program and plan.
     evaluate_sentence(["mary", "knit", "and", "sleeps"], lexicon, "s",
                       mode="explicit")
-    assert plans.cache_info().misses == 2
+    assert programs.cache_info().misses == plans.cache_info().misses == 2
+    # Another dimension is another program and plan; another carrier is
+    # another program of the same plan.
+    for text, new_plan in ((LEX.replace("#type s 3", "#type s 4"), True),
+                           (LEX.replace("#semiring real", "#semiring bool")
+                            .replace("[1.0, 0.5]", "[1, 0]")
+                            .replace("[0.25, 1.0]", "[0, 1]"), False)):
+        before = plans.cache_info().misses
+        evaluate_sentence(["mary", "knit", "and", "sleeps"],
+                          parse_lexicon(text), "s", mode="explicit")
+        assert plans.cache_info().misses == before + new_plan
+    assert programs.cache_info().misses == programs.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("sr", ["real", "bool"])
@@ -662,11 +677,117 @@ def test_cached_plan_replays_bit_for_bit(sr, mode):
     sentences = ["a v b", "a and_n b v c", "a v b and_s c w a",
                  "a sleeps and_vp snores and_vp sleeps", "b w a and_n c"]
     for words in sentences:
+        evaluator.compile_network.cache_clear()
         evaluator.plan_contraction.cache_clear()
         cold = evaluate_sentence(words.split(), lex, "s", mode=mode)
         warm = evaluate_sentence(words.split(), lex, "s", mode=mode)
-        assert evaluator.plan_contraction.cache_info().hits == 1
+        assert evaluator.compile_network.cache_info().hits == 1
         assert _bits(warm) == _bits(cold), words
+
+
+def _refusal(call):
+    with pytest.raises(errors.FrobcoordError) as exc:
+        call()
+    return type(exc.value), str(exc.value), vars(exc.value)
+
+
+def test_a_warm_program_checks_every_tensor():
+    # The program is compiled from types alone, so each tensor is checked
+    # on every bind, with the error a cold build raises.
+    rng = np.random.default_rng(18)
+    types = [parse_type("n"), parse_type("n.r s")]
+    derivation = reduce(types, parse_type("s"))
+    john = rt(rng, "n")
+    wrong = {"wire": random_tensor([Wire("n", 1, 2), Wire("s", 0, 2)], rng),
+             "count": random_tensor([Wire("n", 1, 2)], rng),
+             "carrier": rt(rng, "n.r s", BOOLEAN)}
+    for tensor in wrong.values():
+        build = lambda: build_network(derivation, [john, tensor], SP)
+        evaluator.compile_network.cache_clear()
+        cold = _refusal(build)
+        build_network(derivation, [john, rt(rng, "n.r s")], SP)
+        assert evaluator.compile_network.cache_info().currsize == 1
+        assert _refusal(build) == cold
+        assert evaluator.compile_network.cache_info().hits >= 1
+    evaluator.compile_network.cache_clear()
+    assert _refusal(lambda: build_network(derivation, [john, wrong["wire"]],
+                                          SP))[1:] == (
+        "token 1, wire 1: expected s:3, got s:2",
+        {"token": 1, "wire": 1, "expected": "s:3", "actual": "s:2"})
+    assert _refusal(lambda: build_network(
+        derivation, [john, wrong["carrier"]], SP))[:2] == (
+        errors.SemiringMismatch, "token 1 carries bool, expected real")
+
+
+def test_equal_space_assignments_share_one_program():
+    rng = np.random.default_rng(19)
+    derivation = reduce([parse_type("n"), parse_type("n.r s")],
+                        parse_type("s"))
+    tensors = [rt(rng, "n"), rt(rng, "n.r s")]
+    twin = SpaceAssignment({"s": 3, "n": 2})
+    assert twin == SP and hash(twin) == hash(SP) and twin is not SP
+    programs = evaluator.compile_network
+    programs.cache_clear()
+    one = build_network(derivation, tensors, SP)
+    two = build_network(derivation, tensors, twin)
+    info = programs.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert two.plan is one.plan
+    build_network(derivation, tensors, SpaceAssignment({"n": 2, "s": 3,
+                                                        "p": 1}))
+    assert programs.cache_info().currsize == 2
+
+
+def test_refused_networks_are_not_cached():
+    programs = evaluator.compile_network
+    programs.cache_clear()
+    # A coordinator linked to itself: "red and blue car sleeps" reduced
+    # without the coordinator position.
+    lex = parse_lexicon("#type n 2\n#type s 2\nred : n n.l = [1, 2, 3, 4]\n"
+                        "blue : n n.l = [5, 6, 7, 8]\n"
+                        "and : n n.r n n.l n.l.l n.l = @conj\n"
+                        "car : n = [1, 1]\nsleeps : n.r s = [1, 0, 0, 1]\n")
+    words = "red and blue car sleeps".split()
+    derivation = reduce([lex[w].type for w in words], parse_type("s"))
+    tensors = [None if w == "and" else lex[w].tensor for w in words]
+    # A lone coordinator of 22 factors: 66 wires, past numpy's axis limit.
+    x = parse_type(" ".join(["n"] * 22))
+    ctype = coordinator_type(x)
+    one = SpaceAssignment({"n": 1})
+    for _ in range(2):
+        for mode in evaluator.MODES:
+            with pytest.raises(errors.InvalidDerivation, match="token 1"):
+                build_network(derivation, tensors, lex.spaces, mode=mode)
+        with pytest.raises(errors.OutOfMemory, match="66 axes"):
+            build_network(Derivation((ctype,), ()), [None], one, REAL)
+    assert programs.cache_info().currsize == 0
+
+
+def test_lexicon_reloads_leave_one_program_per_derivation():
+    programs = evaluator.compile_network
+    programs.cache_clear()
+    sentences = (["john", "sleeps", "and", "snores"],
+                 ["mary", "knit", "and", "sleeps"], ["men", "watch", "women"])
+    for _ in range(1000):
+        lex = parse_lexicon(LEX)
+        for words in sentences:
+            evaluate_sentence(words, lex, "s", mode="closed-form")
+    info = programs.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits == 3 * 1000 - 2
+
+
+def test_a_product_with_nothing_summed_keeps_each_entry_bit_for_bit():
+    # An outer product and the closed form's merge multiply each pair of
+    # entries once, as frobenius_mu does, so a negative entry times zero
+    # keeps its sign.
+    u = Tensor([Wire("n", 0, 2)], [-1.0, 2.0])
+    v = Tensor([Wire("n", 0, 2)], [0.0, -3.0])
+    assert _bits(tensor_product(u, v)) == _bits(Tensor(
+        u.wires + v.wires, np.multiply.outer(u.array, v.array)))
+    merged = evaluate(TensorNetwork([u, v], [[0], [0]], [(0, 0)]))
+    assert _bits(merged) == _bits(coordination.frobenius_mu(u, v))
+    assert np.signbit(merged.array[0])
 
 
 def test_malformed_networks_are_never_cached():
@@ -754,21 +875,27 @@ def _every_run(sr):
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
     # Every array that evaluate makes comes from a prep einsum (possibly a
-    # diagonal view), a step (a matmul or a batch einsum) or the copy's
-    # np.zeros.  Besides those, reshaping a transposed operand may copy
+    # diagonal view), a step (a matmul, a batch einsum or, when a batch step
+    # sums nothing, np.multiply) or the copy's np.zeros.  Besides those, reshaping a transposed operand may copy
     # it: such copies are recorded apart, and each is no larger than an
     # input node or an array counted in max_cells.
     nets, plans, made, reshaped = [], [], [], []
     plain = (evaluator.evaluate, evaluator.plan_contraction,
-             type(sr).matmul, np.einsum, np.zeros)
+             type(sr).matmul, np.einsum, np.zeros, np.multiply)
 
     def evaluate_(net):
+        # A network that build_network bound carries the plan it replays.
         nets.append(net)
+        if net.plan is not None:
+            plans.append(net.plan)
         return plain[0](net)
 
     def plan_(*key):
-        plans.append(plain[1](*key))
-        return plans[-1]
+        # Only evaluate's lookup: compiling a program plans before it.
+        plan = plain[1](*key)
+        if nets:
+            plans.append(plan)
+        return plan
 
     def note(*operands):
         known = [t.array for t in nets[0].nodes] + made
@@ -787,6 +914,14 @@ def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
         made.append(np.asarray(plain[3](*args)))
         return made[-1]
 
+    def multiply(*args, **kwargs):
+        # Only evaluate's own: realising a lexicon entry multiplies too.
+        out = plain[5](*args, **kwargs)
+        if nets:
+            note(*args)
+            made.append(out)
+        return out
+
     def zeros(*args, **kwargs):
         # Only evaluate's own: build_network makes copy spiders before.
         out = plain[4](*args, **kwargs)
@@ -797,7 +932,7 @@ def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
     for module, name, fn in ((evaluator, "evaluate", evaluate_),
                              (evaluator, "plan_contraction", plan_),
                              (sr, "matmul", matmul), (np, "einsum", einsum),
-                             (np, "zeros", zeros)):
+                             (np, "zeros", zeros), (np, "multiply", multiply)):
         monkeypatch.setattr(module, name, fn)
     copies = 0
     for run in _every_run(sr):
@@ -841,10 +976,13 @@ def test_prep_past_einsum_subscript_limit_is_refused():
 
 @pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
 def test_components_that_share_nothing_meet_in_a_batch_step(monkeypatch, sr):
-    # An outer product is one einsum over a single batch entry.  Run as a
-    # semiring matrix product of inner size 1, it made a dense coordinator
-    # of n.r s at d = 16 about three times slower on booleans.
+    # An outer product is a batch step of a single entry, which sums
+    # nothing.  Run as a semiring matrix product of inner size 1, it made
+    # a dense coordinator of n.r s at d = 16 about three times slower on
+    # booleans.  The coordinator's program is compiled afresh, so that its
+    # plan is looked up here.
     plans, plain = [], evaluator.plan_contraction
+    evaluator.compile_network.cache_clear()
 
     def planned(*key):
         plans.append(plain(*key))

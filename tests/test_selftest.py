@@ -87,7 +87,8 @@ def test_the_paper_route_checks_every_case_first():
         "route=paper", "mode=explicit", "mode=closed-form"]
 
 
-def test_a_swapped_leg_layout_fails_only_the_shared_routes(monkeypatch):
+def test_a_swapped_leg_layout_fails_only_the_shared_routes(monkeypatch,
+                                                           request):
     # Explicit and closed form read the spiders' legs from coordinator_legs;
     # the paper route wires its caps by hand and must not notice.  With n
     # and s both of dimension 2 the swap gives a wrong result, not a
@@ -100,6 +101,10 @@ def test_a_swapped_leg_layout_fails_only_the_shared_routes(monkeypatch):
             legs[0][0], legs[1][0] = legs[1][0], legs[0][0]
         return tuple(map(tuple, legs))
 
+    # Programs are compiled once per structure: none compiled before the
+    # swap may be replayed during it, nor one compiled with it afterwards.
+    evaluator.compile_network.cache_clear()
+    request.addfinalizer(evaluator.compile_network.cache_clear)
     monkeypatch.setattr(evaluator, "coordinator_legs", swapped)
     checks = _equivalence_checks()
     paper = [ok for ok, text in checks if text.startswith("route=paper")]

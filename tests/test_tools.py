@@ -220,25 +220,33 @@ def test_ab_interleaved_alternates_rounds_in_one_process(tmp_path, capsys):
                     "--pairs", "4", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "tracemalloc peak" in printed and "change won" in printed
+    assert "cold ratio" in printed
     entry = json.loads(out.read_text())["workloads"][
         "corpus-bool-seed1-interleaved"]
     assert set(entry) == {"base", "change", "seed", "pairs", "spell_s",
-                          "ops_per_round", "summary", "round_ms"}
+                          "ops_per_round", "summary", "round_ms",
+                          "cold_round_ms"}
     assert entry["base"] == entry["change"] and entry["pairs"] == 4
     assert entry["ops_per_round"] > 0
-    assert {s: len(ms) for s, ms in entry["round_ms"].items()} == {
-        "base": 4, "change": 4}
+    for rounds in ("round_ms", "cold_round_ms"):
+        assert {s: len(ms) for s, ms in entry[rounds].items()} == {
+            "base": 4, "change": 4}
     summary = entry["summary"]
-    assert set(summary) == {"round_ms", "ratio", "change_wins",
+    assert set(summary) == {"round_ms", "ratio", "change_wins", "cold",
                             "tracemalloc_peak_bytes", "correct"}
+    # Cold rounds, with the caches emptied before each operation, are
+    # summarised as the warm ones are.
+    assert set(summary["cold"]) == {"round_ms", "ratio", "change_wins"}
+    for rounds in (summary, summary["cold"]):
+        for side in ("base", "change"):
+            r = rounds["round_ms"][side]
+            assert 0 < r["best"] <= r["q1"] <= r["median"] <= r["q3"]
+            assert r["iqr"] == r["q3"] - r["q1"]
+        q = rounds["ratio"]
+        assert 0 < q["q1"] <= q["median"] <= q["q3"]
+        assert 0 <= rounds["change_wins"] <= 4
     for side in ("base", "change"):
-        r = summary["round_ms"][side]
-        assert 0 < r["best"] <= r["q1"] <= r["median"] <= r["q3"]
-        assert r["iqr"] == r["q3"] - r["q1"]
         assert summary["tracemalloc_peak_bytes"][side] > 0
-    q = summary["ratio"]
-    assert 0 < q["q1"] <= q["median"] <= q["q3"]
-    assert 0 <= summary["change_wins"] <= 4
     assert summary["correct"] == {"base": True, "change": True}
     # Both trees were imported under their own names; the names that
     # bench/run.py imports are as they were.

@@ -36,8 +36,11 @@ side's best and median round time and their interquartile range, the
 per-round ratio (change over base), the rounds the change won, and the
 ``tracemalloc`` peak of one further round per side: what the library
 allocates at a fixed operation count, which ``peak_rss_mb`` cannot tell
-apart from the records the benchmark keeps per operation.  The entry's
-key ends in ``-interleaved``; ``--seconds`` is not used.
+apart from the records the benchmark keeps per operation.  The same
+figures follow (under ``cold``) for as many cold round pairs, in which
+the plan cache and, where the tree has one, the program cache are
+emptied before each operation, and only the operations are timed.  The
+entry's key ends in ``-interleaved``; ``--seconds`` is not used.
 
 Only the standard library, numpy, the two trees and the change's
 ``bench`` modules are imported.
@@ -217,15 +220,35 @@ def round_stats(ms) -> dict:
     return {"best": float(min(ms)), **q, "iqr": q["q3"] - q["q1"]}
 
 
+def compare(ms: dict) -> dict:
+    """Each side's round statistics, the per-round ratios (change over
+    base) and the rounds the change won."""
+    ratios = [c / b for b, c in zip(ms["base"], ms["change"])]
+    return {"round_ms": {s: round_stats(v) for s, v in ms.items()},
+            "ratio": quartiles(ratios),
+            "change_wins": sum(r < 1 for r in ratios)}
+
+
+def cache_clears(frobcoord) -> list:
+    """The ``cache_clear`` of each contraction cache the tree has: the plan
+    cache, and the program cache where there is one."""
+    evaluator = frobcoord.evaluator
+    return [cached.cache_clear for cached in (
+        getattr(evaluator, name, None)
+        for name in ("plan_contraction", "compile_network"))
+        if cached is not None]
+
+
 def interleaved(copies: dict, workload_name: str, seed: int,
                 pairs: int) -> dict:
     """Alternating rounds of one workload's operations on both copies in
-    this process: round times, per-round ratios, wins and round peaks."""
+    this process: warm and cold round times, per-round ratios, wins and
+    round peaks."""
     bench = import_bench(copies["change"] / "bench")
     workload = bench.WORKLOADS[workload_name](seed)
     lexicon_path = copies["change"] / "lexicon.lex"
     lexicon_path.write_text(workload.lexicon_text, encoding="utf-8")
-    run_op, correct = {}, {}
+    run_op, correct, clears = {}, {}, {}
     for side, copy in copies.items():
         runner = bench.Runner(import_package(copy / "src",
                                              f"frobcoord_{side}"),
@@ -234,6 +257,7 @@ def interleaved(copies: dict, workload_name: str, seed: int,
         run_op[side] = runner.main if workload.via_cli else runner.sentence
         correct[side] = all(bench.check(op, run_op[side](op)[1]) is None
                             for op in workload.ops)
+        clears[side] = cache_clears(runner.fc)
 
     def one_round(side) -> float:
         gc.collect()
@@ -241,6 +265,18 @@ def interleaved(copies: dict, workload_name: str, seed: int,
         for op in workload.ops:
             run_op[side](op)
         return (time.perf_counter() - t0) * 1000
+
+    def cold_round(side) -> float:
+        # Only the operations are timed, not the clearing before each.
+        gc.collect()
+        total = 0.0
+        for op in workload.ops:
+            for clear in clears[side]:
+                clear()
+            t0 = time.perf_counter()
+            run_op[side](op)
+            total += time.perf_counter() - t0
+        return total * 1000
 
     ms = {"base": [], "change": []}
     for pair in range(pairs):
@@ -254,13 +290,15 @@ def interleaved(copies: dict, workload_name: str, seed: int,
             peak[side] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    ratios = [c / b for b, c in zip(ms["base"], ms["change"])]
-    summary = {"round_ms": {s: round_stats(v) for s, v in ms.items()},
-               "ratio": quartiles(ratios),
-               "change_wins": sum(r < 1 for r in ratios),
+    # Cold rounds come last: each leaves the caches nearly empty.
+    cold_ms = {"base": [], "change": []}
+    for pair in range(pairs):
+        for side in sides(pair):
+            cold_ms[side].append(cold_round(side))
+    summary = {**compare(ms), "cold": compare(cold_ms),
                "tracemalloc_peak_bytes": peak, "correct": correct}
     return {"ops_per_round": len(workload.ops), "summary": summary,
-            "round_ms": ms}
+            "round_ms": ms, "cold_round_ms": cold_ms}
 
 
 def report_interleaved(workload, entry) -> str:
@@ -268,16 +306,20 @@ def report_interleaved(workload, entry) -> str:
     lines = [f"{workload} interleaved: {entry['pairs']} round pairs of "
              f"{entry['ops_per_round']} operations, round ms best, median "
              f"[q1, q3] per side"]
-    for side in ("base", "change"):
-        r = s["round_ms"][side]
-        lines.append(f"  {side:6s} best {r['best']:.4g}  median "
-                     f"{r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]  "
-                     f"tracemalloc peak of a round "
-                     f"{s['tracemalloc_peak_bytes'][side] / 1024:.1f} KiB")
-    q = s["ratio"]
-    lines.append(f"  ratio change/base {q['median']:.4g} [{q['q1']:.4g}, "
-                 f"{q['q3']:.4g}]  change won {s['change_wins']} of "
-                 f"{entry['pairs']}")
+    for label, rounds in (("warm", s), ("cold", s["cold"])):
+        for side in ("base", "change"):
+            r = rounds["round_ms"][side]
+            line = (f"  {label} {side:6s} best {r['best']:.4g}  median "
+                    f"{r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]")
+            if label == "warm":
+                line += (f"  tracemalloc peak of a round "
+                         f"{s['tracemalloc_peak_bytes'][side] / 1024:.1f} "
+                         f"KiB")
+            lines.append(line)
+        q = rounds["ratio"]
+        lines.append(f"  {label} ratio change/base {q['median']:.4g} "
+                     f"[{q['q1']:.4g}, {q['q3']:.4g}]  change won "
+                     f"{rounds['change_wins']} of {entry['pairs']}")
     lines.append(f"  correct base {s['correct']['base']}, change "
                  f"{s['correct']['change']}")
     return "\n".join(lines)

@@ -15,18 +15,23 @@ Run from the repository root::
     python tools/fingerprint.py              # this checkout's src
     python tools/fingerprint.py other/src    # frobcoord from another tree
 
-The output is one JSON line: ``networks`` covers every network that
-``build_network`` makes (labels, open wires, node wires and node bytes),
-``plans`` every ``ContractionPlan`` that ``evaluate`` looks up,
-``results`` every sentence's result wires and bytes, or its error class
-and message, and ``selftest`` the suite totals, with and without the
-injected fault.  ``primitives`` covers the result wires and bytes, or the
-error class and message, of every operation of ``tensor`` and of
-``coordinator_tensor`` for the selftest's conjunct types, on both
-carriers, at small dimensions, including inputs each one refuses.
-``random_plans`` covers the uncached ``plan_contraction`` (every field of
-the plan, or the refusal's class and message) of the networks
-:func:`random_networks` draws.
+The output is one JSON line.  ``networks`` and ``plans`` cover the
+program each sentence replays, as the network ``build_network`` binds
+from it: its labels and open wires, each node's source by its wires and
+bytes (a word's tensor, a copy spider or an all-ones vector), and the
+``ContractionPlan`` it carries.  ``results`` covers every sentence's
+result wires and bytes, or its error class and message, and
+``selftest`` the suite totals, with and without the injected fault.
+``primitives`` covers the result wires and bytes, or the error class and
+message, of every operation of ``tensor`` and of ``coordinator_tensor``
+for the selftest's conjunct types, on both carriers, at small
+dimensions, including inputs each one refuses.  ``random_plans`` covers
+the uncached ``plan_contraction`` (every field of the plan, or the
+refusal's class and message) of the networks :func:`random_networks`
+draws.  Each pass (the sentences, the selftest, the primitives) starts
+with the program and plan caches empty.  A tree whose networks carry no
+plan is fingerprinted with that tree's own copy of this tool, which
+prints digests of the same form.
 ``bench/workloads.py`` is imported and only read.
 """
 
@@ -200,14 +205,20 @@ def _primitives(frobcoord, h) -> None:
                                   x, spaces, sr))
 
 
+def _cold(frobcoord) -> None:
+    """Empty the program and plan caches, so that a pass compiles what it
+    replays whatever ran before it in this process."""
+    frobcoord.evaluator.compile_network.cache_clear()
+    frobcoord.evaluator.plan_contraction.cache_clear()
+
+
 def fingerprint(frobcoord) -> dict:
     """The digests of one ``frobcoord`` package, imported by the caller."""
     evaluator = frobcoord.evaluator
     digests = {part: hashlib.sha256()
                for part in ("networks", "plans", "results", "selftest",
                             "primitives", "random_plans")}
-    build_network, plan_contraction = (evaluator.build_network,
-                                       evaluator.plan_contraction)
+    build_network = evaluator.build_network
 
     def built(*args, **kwargs):
         net = build_network(*args, **kwargs)
@@ -215,15 +226,12 @@ def fingerprint(frobcoord) -> dict:
         h.update(repr((net.indices, net.open_wires)).encode())
         for node in net.nodes:
             h.update(repr(node.wires).encode() + _array(node.array))
+        digests["plans"].update(repr(net.plan).encode())
         return net
 
-    def planned(*key):
-        plan = plan_contraction(*key)
-        digests["plans"].update(repr(plan).encode())
-        return plan
-
-    evaluator.build_network, evaluator.plan_contraction = built, planned
+    evaluator.build_network = built
     try:
+        _cold(frobcoord)
         lexicons = {}
         for text, words in _sentences():
             if text not in lexicons:
@@ -234,12 +242,13 @@ def fingerprint(frobcoord) -> dict:
                     lexicons[text], "s", mode))
     finally:
         evaluator.build_network = build_network
-        evaluator.plan_contraction = plan_contraction
+    _cold(frobcoord)
     _selftest(frobcoord, digests["selftest"])
+    _cold(frobcoord)
     _primitives(frobcoord, digests["primitives"])
     for key in random_networks(RANDOM_PLANS):
         digests["random_plans"].update(_outcome(
-            frobcoord, plan_contraction.__wrapped__, *key))
+            frobcoord, evaluator.plan_contraction.__wrapped__, *key))
     return {part: h.hexdigest() for part, h in digests.items()}
 
 
