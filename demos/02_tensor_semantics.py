@@ -5,8 +5,8 @@ Run with:  python3 demos/02_tensor_semantics.py
 
 import numpy as np
 
-from frobcoord import (SpaceAssignment, Tensor, Wire, build_network,
-                       contract, evaluate, parse_type, reduce,
+from frobcoord import (SpaceAssignment, Tensor, TensorNetwork, Wire,
+                       build_network, contract, evaluate, parse_type, reduce,
                        tensor_product)
 
 # Pick dimensions for the noun and sentence spaces.
@@ -39,7 +39,8 @@ print("evaluated:    ", evaluate(network).array)
 
 # The result never depends on how the labels are numbered, which also
 # decides the contraction order; with a transitive verb there are two cups
-# and either may go first.
+# and either may go first.  A network is an immutable value that carries
+# its plan, so the relabelled one is a new network, planned anew.
 likes = Tensor(spaces.wires(parse_type("n.r s n.l")),
                np.arange(12, dtype=float).reshape(2, 3, 2) / 10)
 musicals = Tensor(spaces.wires(parse_type("n")), [0.0, 1.0])
@@ -48,7 +49,13 @@ derivation = reduce(tokens, parse_type("s"))
 net = build_network(derivation, [john, likes, musicals], spaces)
 forward = evaluate(net)
 top = max(max(labs) for labs in net.indices)
-net.indices = [[top - l for l in labs] for labs in net.indices]
-backward = evaluate(net)
+reversed_net = TensorNetwork(
+    net.nodes, [[top - l for l in labs] for labs in net.indices],
+    net.open_wires)
+order = [(step.a, step.b) for step in net.plan.steps]
+reversed_order = [(step.a, step.b) for step in reversed_net.plan.steps]
+print("step order:", order, "relabelled:", reversed_order)
+assert reversed_order != order
+backward = evaluate(reversed_net)
 assert forward.isclose(backward)
 print("\njohn likes musicals =", forward.array, "(label-order independent)")

@@ -22,7 +22,10 @@ or an all-ones vector), the labels, the open wires and the contraction
 plan.  Programs are cached (a bounded LRU) by value, so every sentence of
 one derivation replays one program.  :meth:`NetworkProgram.bind` checks
 each word tensor against its token and puts the words in; the network it
-returns carries its plan.
+returns shares the program's labels, open wires and plan.  A network is
+an immutable value that carries the plan of its structure from the moment
+it is made, so a network with other labels or open wires is a new one,
+planned anew.
 
 Contraction is planned, then replayed.  :func:`plan_contraction` checks a
 network's structure and chooses every array operation: one einsum per node
@@ -40,17 +43,16 @@ cached (a bounded LRU; ``plan_contraction.cache_info()`` and
 ``cache_clear()``) on the structure alone: labels, node shapes and open
 wires.  Words and carrier are not part of the key, and the mode already
 shows in the labels, so every program of one structure holds one plan.
-:func:`evaluate` runs the plan a network carries, or else looks it up:
-transposes, reshapes, semiring matrix products, numpy products and einsum
-calls, nothing else.  Its result owns its entries, or is a read-only view
-of an input of the same size.
+:func:`evaluate` runs the plan a network carries: transposes, reshapes,
+semiring matrix products, numpy products and einsum calls, nothing else.
+Its result owns its entries, or is a read-only view of an input of the
+same size.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -67,24 +69,39 @@ from .spaces import MODES, SpaceAssignment
 from .tensor import MAX_AXES, Tensor, frobenius_zeta
 
 
-@dataclass
 class TensorNetwork:
-    """Word tensors, an index label per wire and the surviving open wires.
+    """Word tensors, an index label per wire, the surviving open wires and
+    the contraction plan of that structure: an immutable value.
 
     ``indices[n]`` gives one integer label per wire of ``nodes[n]``; wires
     with one label share one index, summed out unless an open wire holds
     it.  ``open_wires`` are ``(node, wire)`` pairs and fix the wire order
     of the evaluation result; open wires with one label carry copies of
-    the same index.  ``plan`` is the network's :class:`ContractionPlan`
-    when :func:`build_network` made it, else None: :func:`evaluate`
-    replays a plan it is given without looking it up, so a network whose
-    labels, node shapes or open wires are changed in place must drop it.
+    the same index.  The constructor keeps each field as a tuple (labels
+    and open wires as tuples of tuples) and looks up ``plan``, the
+    :class:`ContractionPlan` of the labels, node shapes and open wires,
+    with :func:`plan_contraction`, so a structure the planner refuses
+    raises and is never made.  No field can be reassigned or deleted: a
+    network with other labels or open wires is a new network, with its own
+    plan.
     """
 
-    nodes: list[Tensor]
-    indices: list[list[int]]
-    open_wires: list[tuple[int, int]]
-    plan: ContractionPlan | None = None
+    def __init__(self, nodes, indices, open_wires):
+        nodes, indices = tuple(nodes), tuple([tuple(labs) for labs in indices])
+        open_wires = tuple([tuple(w) for w in open_wires])
+        self._fill(nodes, indices, open_wires, plan_contraction(
+            indices, tuple([t.array.shape for t in nodes]), open_wires))
+
+    def _fill(self, nodes, indices, open_wires, plan) -> TensorNetwork:
+        # Written to the instance dict: __setattr__ refuses every name.
+        vars(self).update(nodes=nodes, indices=indices,
+                          open_wires=open_wires, plan=plan)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change TensorNetwork.{name}")
+
+    __delattr__ = __setattr__
 
     @property
     def semiring(self) -> Semiring:
@@ -129,11 +146,13 @@ class NetworkProgram(NamedTuple):
     plan: ContractionPlan
 
     def bind(self, tensors, semiring: Semiring) -> TensorNetwork:
-        """The network of one row's ``tensors`` (None at each coordinator),
-        carrying the plan.  Each tensor is checked against its token: a
-        carrier other than ``semiring`` raises :class:`SemiringMismatch`,
-        and the first wire that differs from the token's type, or else the
-        wire count, raises :class:`WireTypeMismatch`."""
+        """The network of one row's ``tensors`` (None at each coordinator).
+        Each tensor is checked against its token: a carrier other than
+        ``semiring`` raises :class:`SemiringMismatch`, and the first wire
+        that differs from the token's type, or else the wire count, raises
+        :class:`WireTypeMismatch`.  The checked tensors have the node
+        shapes the plan was made for, so the network shares the program's
+        label, open-wire and plan tuples and builds only its node tuple."""
         for tok, (expected, tensor) in enumerate(zip(self.wires, tensors)):
             if expected is None:
                 continue
@@ -149,10 +168,9 @@ class NetworkProgram(NamedTuple):
                 raise WireTypeMismatch(tok, min(len(expected), tensor.order),
                                        f"{len(expected)} wires",
                                        f"{tensor.order} wires")
-        return TensorNetwork(
-            [tensors[s] if type(s) is int else s for s in self.sources],
-            [list(labs) for labs in self.indices], list(self.open_wires),
-            self.plan)
+        return object.__new__(TensorNetwork)._fill(
+            tuple([tensors[s] if type(s) is int else s for s in self.sources]),
+            self.indices, self.open_wires, self.plan)
 
 
 def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
@@ -179,8 +197,8 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     the order of their first node wire along the row; then each class that
     holds none gets the next label and an all-ones vector.  Each open wire
     is the first node wire of its class.  In closed form an open wire may
-    differ from its residual type in adjoint order.  The network carries
-    its plan, so :func:`evaluate` does not look it up.
+    differ from its residual type in adjoint order.  The network shares
+    its program's labels, open wires and plan.
     """
     if mode not in MODES:
         raise BadArgument(f"mode must be explicit or closed-form, got "
@@ -355,12 +373,11 @@ class ContractionPlan(NamedTuple):
 def evaluate(network: TensorNetwork) -> Tensor:
     """Contract the network and return the tensor on the open wires.
 
-    The contraction order is the plan the network carries (one that
-    :func:`build_network` made does), or else the one
-    :func:`plan_contraction` looks up.  A plan depends on the network's
-    structure alone (labels, node shapes, open wires), never on its words
-    or carrier (the mode shows in the labels), so sentences of one
-    derivation replay one plan; the plan refuses a network with no nodes.
+    The contraction order is the plan the network carries, made with the
+    network.  A plan depends on the network's structure alone (labels,
+    node shapes, open wires), never on its words or carrier (the mode
+    shows in the labels), so sentences of one derivation replay one plan;
+    the plan refuses a network with no nodes, so no such network exists.
     The nodes must share one semiring, checked here on every call.
     Execution only transposes, reshapes and calls the semiring's
     ``matmul`` on two matrices, ``np.einsum`` once per prep call or batch
@@ -376,16 +393,7 @@ def evaluate(network: TensorNetwork) -> Tensor:
     not finite reaches) raises :class:`Overflow`, with no
     ``RuntimeWarning``.
     """
-    nodes, plan = network.nodes, network.plan
-    if plan is None:
-        # The key is built from lists: tuple() of a generator or map object
-        # resizes as it fills, and that churn alone raised peak RSS by
-        # about 1 MB over 1 500 in-process rounds of the vp-chains workload.
-        plan = plan_contraction(
-            tuple([tuple(labs) for labs in network.indices]),
-            tuple([t.array.shape for t in nodes]),
-            tuple([tuple(w) for w in network.open_wires]))
-    sr = network.semiring
+    nodes, plan, sr = network.nodes, network.plan, network.semiring
     if any(t.semiring is not sr for t in nodes):
         raise SemiringMismatch("network nodes carry different semirings")
     arrays = [t.array for t in nodes]
@@ -449,9 +457,9 @@ def plan_contraction(indices: tuple, shapes: tuple,
     step, for the pairs from the heap and for these.  An array past
     numpy's axis limit, or an einsum call past its subscript limit, raises
     :class:`OutOfMemory` before anything runs, and a network with no nodes
-    raises :class:`EmptyType`, for :func:`evaluate` too.  Plans are cached
-    by their arguments; a network that fails a check raises and is not
-    cached.
+    raises :class:`EmptyType`; :class:`TensorNetwork` makes no network
+    whose structure this refuses.  Plans are cached by their arguments; a
+    structure that fails a check raises and is not cached.
     """
     if not shapes:
         raise EmptyType("a network with no nodes has nothing to contract")
@@ -613,9 +621,9 @@ def _row_meaning(types, tensors, target: PregroupType,
     None tensors as the coordinators, contract the network in ``mode`` and
     type the result by the residual.  Every call reduces and checks every
     tensor; the network's wiring and plan come from the derivation's
-    cached program, so :func:`evaluate` runs once, on a network that
-    carries its plan.  A result that is not finite (a real one past
-    float64) raises :class:`Overflow`, from :func:`evaluate`."""
+    cached program, and :func:`evaluate` runs once.  A result that is not
+    finite (a real one past float64) raises :class:`Overflow`, from
+    :func:`evaluate`."""
     derivation = reduce(types, target, coordinators=[
         k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:

@@ -36,9 +36,10 @@ from .evaluator import (MODES, SpaceAssignment, TensorNetwork, build_network,
                         evaluate)
 from .pregroup import PregroupType, coordinator_type, parse_type, reduce
 from .semiring import BOOLEAN, BY_NAME, Semiring
-from .tensor import (Tensor, Wire, _checked_dim, contract, eta_cap,
-                     frobenius_delta, frobenius_mu, frobenius_mu_matrix,
-                     frobenius_zeta, random_tensor, tensor_product)
+from .spaces import _checked_dim
+from .tensor import (Tensor, Wire, contract, eta_cap, frobenius_delta,
+                     frobenius_mu, frobenius_mu_matrix, frobenius_zeta,
+                     random_tensor, tensor_product)
 
 
 @dataclass

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ArityError, BadArgument, BadPermutation, Overflow,
                      ShapeMismatch, SemiringMismatch, TypeMismatch)
 from .semiring import REAL, Semiring
-from .spaces import Wire, _checked_dim  # _checked_dim: re-exported
+from .spaces import Wire
 
 # numpy's limit on the axes of one array: 32 before numpy 2.0, 64 since.
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32

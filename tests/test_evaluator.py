@@ -57,10 +57,36 @@ def test_build_network_john_sleeps():
     derivation = reduce(types, parse_type("s"))
     john, sleep = rt(rng, "n"), rt(rng, "n.r s")
     net = build_network(derivation, [john, sleep], SP)
-    assert net.indices == [[0], [0, 1]]
-    assert net.open_wires == [(1, 1)]
+    assert net.indices == ((0,), (0, 1))
+    assert net.open_wires == ((1, 1),)
     got = evaluate(net)
     assert np.allclose(got.array, john.array @ sleep.array)
+
+
+def test_a_network_is_immutable_and_carries_its_own_plan():
+    # n = s = 2, so the transposed wires fit the array's shape either way.
+    sp = SpaceAssignment({"n": 2, "s": 2})
+    verb = Tensor(sp.wires(parse_type("n.r s")), [[1, 2], [3, 4]])
+    derivation = reduce([parse_type("n.r s")], parse_type("n.r s"))
+    net = build_network(derivation, [verb], sp)
+    for name, value in (("nodes", [verb]), ("indices", [[0, 1]]),
+                        ("open_wires", [(0, 1), (0, 0)]), ("plan", None)):
+        with pytest.raises(AttributeError):
+            setattr(net, name, value)
+        with pytest.raises(AttributeError):
+            delattr(net, name)
+    for field in (net.nodes, net.indices, net.open_wires, *net.indices):
+        assert type(field) is tuple
+        with pytest.raises(TypeError):
+            field[0] = field[-1]
+    assert evaluate(net).array.tolist() == [[1, 2], [3, 4]]
+    turned = TensorNetwork(net.nodes, net.indices, [(0, 1), (0, 0)])
+    assert turned.open_wires == ((0, 1), (0, 0))
+    assert turned.plan == evaluator.plan_contraction(
+        ((0, 1),), ((2, 2),), ((0, 1), (0, 0)))
+    got = evaluate(turned)
+    assert got.array.tolist() == [[1, 3], [2, 4]]
+    assert got.wires == (verb.wires[1], verb.wires[0])
 
 
 def test_build_network_reports_wire_mismatch():
@@ -120,7 +146,7 @@ def test_single_token_network():
     rng = np.random.default_rng(3)
     v = rt(rng, "n")
     net = build_network(derivation, [v], SP)
-    assert net.indices == [[0]]
+    assert net.indices == ((0,),)
     assert evaluate(net).isclose(v)
 
 
@@ -130,8 +156,8 @@ def test_transitive_sentence_against_loop_oracle():
     derivation = reduce(types, parse_type("s"))
     tensors = [rt(rng, "n"), rt(rng, "n.r s n.l"), rt(rng, "n")]
     net = build_network(derivation, tensors, SP)
-    assert net.indices == [[0], [0, 1, 2], [2]]
-    assert [w for w in net.open_wires] == [(1, 1)]
+    assert net.indices == ((0,), (0, 1, 2), (2,))
+    assert net.open_wires == ((1, 1),)
     got = evaluate(net)
     want = network_loops([t.array for t in tensors], [[0], [0, 1, 2], [2]],
                          [(1, 1)])
@@ -880,22 +906,14 @@ def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
     # it: such copies are recorded apart, and each is no larger than an
     # input node or an array counted in max_cells.
     nets, plans, made, reshaped = [], [], [], []
-    plain = (evaluator.evaluate, evaluator.plan_contraction,
-             type(sr).matmul, np.einsum, np.zeros, np.multiply)
+    plain = (evaluator.evaluate, type(sr).matmul, np.einsum, np.zeros,
+             np.multiply)
 
     def evaluate_(net):
-        # A network that build_network bound carries the plan it replays.
+        # Every network carries the plan it replays.
         nets.append(net)
-        if net.plan is not None:
-            plans.append(net.plan)
+        plans.append(net.plan)
         return plain[0](net)
-
-    def plan_(*key):
-        # Only evaluate's lookup: compiling a program plans before it.
-        plan = plain[1](*key)
-        if nets:
-            plans.append(plan)
-        return plan
 
     def note(*operands):
         known = [t.array for t in nets[0].nodes] + made
@@ -904,19 +922,19 @@ def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
 
     def matmul(a, b):
         note(a, b)
-        made.append(plain[2](sr, a, b))
+        made.append(plain[1](sr, a, b))
         return made[-1]
 
     def einsum(*args):
         operands = [a for a in args if isinstance(a, np.ndarray)]
         if len(operands) == 2:
             note(*operands)
-        made.append(np.asarray(plain[3](*args)))
+        made.append(np.asarray(plain[2](*args)))
         return made[-1]
 
     def multiply(*args, **kwargs):
         # Only evaluate's own: realising a lexicon entry multiplies too.
-        out = plain[5](*args, **kwargs)
+        out = plain[4](*args, **kwargs)
         if nets:
             note(*args)
             made.append(out)
@@ -924,13 +942,12 @@ def test_max_cells_is_the_largest_array_evaluate_makes(monkeypatch, sr):
 
     def zeros(*args, **kwargs):
         # Only evaluate's own: build_network makes copy spiders before.
-        out = plain[4](*args, **kwargs)
+        out = plain[3](*args, **kwargs)
         if nets:
             made.append(out)
         return out
 
     for module, name, fn in ((evaluator, "evaluate", evaluate_),
-                             (evaluator, "plan_contraction", plan_),
                              (sr, "matmul", matmul), (np, "einsum", einsum),
                              (np, "zeros", zeros), (np, "multiply", multiply)):
         monkeypatch.setattr(module, name, fn)

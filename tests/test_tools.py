@@ -253,3 +253,15 @@ def test_ab_interleaved_alternates_rounds_in_one_process(tmp_path, capsys):
     loaded = set(sys.modules) - before
     assert {"frobcoord_base", "frobcoord_change"} <= loaded
     assert not loaded & {"run", "oracle", "tracing", "workloads"}
+
+
+def test_ab_never_replaces_a_recorded_entry():
+    # A repeated key gets the first free -set<N> suffix.
+    ab = _load("ab")
+    recorded = {"cli-eval-seed1": {}, "cli-eval-seed1-set2": {},
+                "cli-eval-seed1-set4": {}, "vp-chains-seed1-interleaved": {}}
+    assert ab.free_key(recorded, "cli-eval-seed1") == "cli-eval-seed1-set3"
+    assert ab.free_key(recorded, "vp-chains-seed1-interleaved") == \
+        "vp-chains-seed1-interleaved-set2"
+    assert ab.free_key(recorded, "cli-eval-seed2") == "cli-eval-seed2"
+    assert ab.free_key({}, "cli-eval-seed1") == "cli-eval-seed1"

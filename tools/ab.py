@@ -22,8 +22,10 @@ such as ``cli-eval-seed1``): both commit ids,
 every run (``bench/run.py``'s result line, plus the operations and rounds
 from its result file), the summary, and a spell marker: a fixed
 pure-Python loop timed before and after the pairs, to show whether the
-machine's speed drifted while they ran.  An entry already in the file
-under the same key is replaced; the others are kept.
+machine's speed drifted while they ran.  No recorded entry is ever
+replaced: a key the file already holds gets the first free ``-set<N>``
+suffix, N = 2, 3, ... (``cli-eval-seed1-set2``), and the tool prints the
+key it wrote.
 
 ``--interleaved`` compares the two trees in one process instead.  Both
 copies' ``frobcoord`` are imported under distinct package names
@@ -40,7 +42,8 @@ apart from the records the benchmark keeps per operation.  The same
 figures follow (under ``cold``) for as many cold round pairs, in which
 the plan cache and, where the tree has one, the program cache are
 emptied before each operation, and only the operations are timed.  The
-entry's key ends in ``-interleaved``; ``--seconds`` is not used.
+entry's key ends in ``-interleaved`` (before any ``-set<N>``);
+``--seconds`` is not used.
 
 Only the standard library, numpy, the two trees and the change's
 ``bench`` modules are imported.
@@ -155,6 +158,16 @@ def summarise(runs, metrics) -> dict:
                      for s, rs in side.items()}
     out["correct"] = all(r["result"]["correct"] for r in runs)
     return out
+
+
+def free_key(recorded, key: str) -> str:
+    """``key``, or else ``key-set<N>`` for the least N >= 2 that
+    ``recorded`` does not hold."""
+    found, n = key, 1
+    while found in recorded:
+        n += 1
+        found = f"{key}-set{n}"
+    return found
 
 
 def report(workload, summary, names) -> str:
@@ -364,8 +377,11 @@ def main(argv=None) -> int:
           report(args.workload, entry["summary"],
                  [m["name"] for m in spec["end_to_end"]]))
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("workloads", {})[key] = entry
+    recorded = data.setdefault("workloads", {})
+    key = free_key(recorded, key)
+    recorded[key] = entry
     args.out.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"recorded as {key} in {args.out}")
     return 0
 
 

@@ -29,9 +29,9 @@ dimensions, including inputs each one refuses.  ``random_plans`` covers
 the uncached ``plan_contraction`` (every field of the plan, or the
 refusal's class and message) of the networks :func:`random_networks`
 draws.  Each pass (the sentences, the selftest, the primitives) starts
-with the program and plan caches empty.  A tree whose networks carry no
-plan is fingerprinted with that tree's own copy of this tool, which
-prints digests of the same form.
+with the program and plan caches empty.  Labels and open wires are
+digested as lists of lists and of pairs, whether a tree keeps them as
+lists or as tuples.
 ``bench/workloads.py`` is imported and only read.
 """
 
@@ -223,7 +223,8 @@ def fingerprint(frobcoord) -> dict:
     def built(*args, **kwargs):
         net = build_network(*args, **kwargs)
         h = digests["networks"]
-        h.update(repr((net.indices, net.open_wires)).encode())
+        h.update(repr(([list(labs) for labs in net.indices],
+                       [tuple(w) for w in net.open_wires])).encode())
         for node in net.nodes:
             h.update(repr(node.wires).encode() + _array(node.array))
         digests["plans"].update(repr(net.plan).encode())
