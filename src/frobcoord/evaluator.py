@@ -7,7 +7,9 @@ structure, not data: one three-legged copy spider per atomic factor of its
 conjunct type.  ``explicit`` mode makes each spider a node (``k * d**3``
 cells where the dense coordinator has ``d**(3k)``); ``closed-form`` makes
 none and identifies the wires at the spider's legs, which merges the
-conjuncts entry-wise.  The two modes agree on every well-typed sentence.
+conjuncts entry-wise.  The two modes agree on every well-typed sentence,
+on the result's wires as on its entries: both type it by the residual of
+the derivation, as the coordinator is one morphism on ``x.r x x.l``.
 A network gives each wire of each node one integer label, einsum's sublist
 form: wires with one label share one index, a copy spider, which
 :func:`evaluate` sums out unless an open wire holds it.  The result does
@@ -18,14 +20,16 @@ the wiring, the spiders and the contraction order: the words only supply
 arrays.  :func:`compile_network` makes a :class:`NetworkProgram` of a
 derivation, its coordinator positions, the mode, the space dimensions and
 the carrier: each node's source (a token's tensor, a shared copy spider
-or an all-ones vector), the labels, the open wires and the contraction
-plan.  Programs are cached (a bounded LRU) by value, so every sentence of
-one derivation replays one program.  :meth:`NetworkProgram.bind` checks
-each word tensor against its token and puts the words in; the network it
-returns shares the program's labels, open wires and plan.  A network is
-an immutable value that carries the plan of its structure from the moment
-it is made, so a network with other labels or open wires is a new one,
-planned anew.
+or an all-ones vector), the labels, the open wires, the contraction plan
+and the result wires.  Programs are cached (a bounded LRU) by value, so
+every sentence of one derivation replays one program.
+:meth:`NetworkProgram.bind` makes every per-call check of the words
+(their count, and each tensor against its token) and puts them in; the
+network it returns shares the program's labels, open wires, plan, carrier
+and result wires.  A network is an immutable value that fixes its
+carrier, its result wires and the plan of its structure when it is made,
+so a network with other labels or open wires is a new one, planned anew,
+and no network mixes carriers.
 
 Contraction is planned, then replayed.  :func:`plan_contraction` checks a
 network's structure and chooses every array operation: one einsum per node
@@ -43,10 +47,10 @@ cached (a bounded LRU; ``plan_contraction.cache_info()`` and
 ``cache_clear()``) on the structure alone: labels, node shapes and open
 wires.  Words and carrier are not part of the key, and the mode already
 shows in the labels, so every program of one structure holds one plan.
-:func:`evaluate` runs the plan a network carries: transposes, reshapes,
-semiring matrix products, numpy products and einsum calls, nothing else.
-Its result owns its entries, or is a read-only view of an input of the
-same size.
+:func:`evaluate` only replays the plan a network carries: transposes,
+reshapes, semiring matrix products, numpy products and einsum calls,
+nothing else, on the network's carrier and result wires.  Its result owns
+its entries, or is a read-only view of an input of the same size.
 """
 
 from __future__ import annotations
@@ -70,42 +74,48 @@ from .tensor import MAX_AXES, Tensor, frobenius_zeta
 
 
 class TensorNetwork:
-    """Word tensors, an index label per wire, the surviving open wires and
-    the contraction plan of that structure: an immutable value.
+    """Word tensors, an index label per wire, the surviving open wires, and
+    what those fix: the carrier, the result wires and the contraction plan.
+    An immutable value.
 
     ``indices[n]`` gives one integer label per wire of ``nodes[n]``; wires
     with one label share one index, summed out unless an open wire holds
     it.  ``open_wires`` are ``(node, wire)`` pairs and fix the wire order
     of the evaluation result; open wires with one label carry copies of
     the same index.  The constructor keeps each field as a tuple (labels
-    and open wires as tuples of tuples) and looks up ``plan``, the
+    and open wires as tuples of tuples), looks up ``plan``, the
     :class:`ContractionPlan` of the labels, node shapes and open wires,
-    with :func:`plan_contraction`, so a structure the planner refuses
-    raises and is never made.  No field can be reassigned or deleted: a
-    network with other labels or open wires is a new network, with its own
-    plan.
+    with :func:`plan_contraction`, then refuses nodes of mixed carriers
+    with :class:`SemiringMismatch`, so a network the planner or the
+    carrier rule refuses raises and is never made.  ``semiring`` is the
+    nodes' carrier and ``result_wires`` the node wires of the open wires,
+    the wires of :func:`evaluate`'s result; a network that
+    :meth:`NetworkProgram.bind` makes takes its program's residual wires
+    instead.  No field can be reassigned or deleted: a network with other
+    labels or open wires is a new network, with its own plan.
     """
 
     def __init__(self, nodes, indices, open_wires):
         nodes, indices = tuple(nodes), tuple([tuple(labs) for labs in indices])
         open_wires = tuple([tuple(w) for w in open_wires])
-        self._fill(nodes, indices, open_wires, plan_contraction(
-            indices, tuple([t.array.shape for t in nodes]), open_wires))
+        plan = plan_contraction(indices, tuple([t.array.shape for t in nodes]),
+                                open_wires)
+        # The plan refuses a network with no nodes.
+        if any(t.semiring is not nodes[0].semiring for t in nodes):
+            raise SemiringMismatch("network nodes carry different semirings")
+        self._fill(nodes, indices, open_wires, plan, nodes[0].semiring,
+                   tuple([nodes[n].wires[w] for n, w in open_wires]))
 
-    def _fill(self, nodes, indices, open_wires, plan) -> TensorNetwork:
+    def _fill(self, *fields) -> TensorNetwork:
         # Written to the instance dict: __setattr__ refuses every name.
-        vars(self).update(nodes=nodes, indices=indices,
-                          open_wires=open_wires, plan=plan)
+        self.__dict__.update(zip(("nodes", "indices", "open_wires", "plan",
+                                  "semiring", "result_wires"), fields))
         return self
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot change TensorNetwork.{name}")
 
     __delattr__ = __setattr__
-
-    @property
-    def semiring(self) -> Semiring:
-        return self.nodes[0].semiring
 
 
 # Plans kept by plan_contraction, and programs kept by compile_network: a
@@ -136,7 +146,9 @@ class NetworkProgram(NamedTuple):
     spider or an all-ones vector.  ``wires[t]`` is the wire signature that
     token ``t``'s tensor must have, None for a coordinator.  ``indices``,
     ``open_wires`` and ``plan`` are the network's labels, open wires and
-    :class:`ContractionPlan`.
+    :class:`ContractionPlan`; ``semiring`` is its carrier and
+    ``result_wires`` the wires of the derivation's residual type, in
+    either mode.
     """
 
     sources: tuple
@@ -144,22 +156,32 @@ class NetworkProgram(NamedTuple):
     indices: tuple
     open_wires: tuple
     plan: ContractionPlan
+    semiring: Semiring
+    result_wires: tuple
 
-    def bind(self, tensors, semiring: Semiring) -> TensorNetwork:
+    def bind(self, tensors) -> TensorNetwork:
         """The network of one row's ``tensors`` (None at each coordinator).
-        Each tensor is checked against its token: a carrier other than
-        ``semiring`` raises :class:`SemiringMismatch`, and the first wire
-        that differs from the token's type, or else the wire count, raises
-        :class:`WireTypeMismatch`.  The checked tensors have the node
-        shapes the plan was made for, so the network shares the program's
-        label, open-wire and plan tuples and builds only its node tuple."""
+        A tensor count other than the token count raises
+        :class:`WireTypeMismatch`.  Each tensor is checked against its
+        token: None at a word token raises :class:`WireTypeMismatch`, a
+        carrier other than the program's :class:`SemiringMismatch`, and
+        the first wire that differs from the token's type, or else the
+        wire count, :class:`WireTypeMismatch`.  The checked tensors have
+        the node shapes the plan was made for, so the network shares the
+        program's labels, open wires, plan, carrier and result wires, and
+        builds only its node tuple."""
+        if len(tensors) != len(self.wires):
+            raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
+                                   f"{len(tensors)} tensors")
         for tok, (expected, tensor) in enumerate(zip(self.wires, tensors)):
             if expected is None:
                 continue
-            if tensor.semiring is not semiring:
+            if tensor is None:
+                raise WireTypeMismatch(tok, 0, "a word tensor", "None")
+            if tensor.semiring is not self.semiring:
                 raise SemiringMismatch(
                     f"token {tok} carries {tensor.semiring.name}, "
-                    f"expected {semiring.name}")
+                    f"expected {self.semiring.name}")
             if tensor.wires != expected:
                 for w, (need, got) in enumerate(zip(expected, tensor.wires)):
                     if need != got:
@@ -168,9 +190,10 @@ class NetworkProgram(NamedTuple):
                 raise WireTypeMismatch(tok, min(len(expected), tensor.order),
                                        f"{len(expected)} wires",
                                        f"{tensor.order} wires")
-        return object.__new__(TensorNetwork)._fill(
-            tuple([tensors[s] if type(s) is int else s for s in self.sources]),
-            self.indices, self.open_wires, self.plan)
+        # The program's fields from indices on are the network's.
+        return object.__new__(TensorNetwork)._fill(tuple([
+            tensors[s] if type(s) is int else s for s in self.sources]),
+            *self[2:])
 
 
 def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
@@ -179,11 +202,12 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     """Label the wires of word tensors by the derivation's links.
 
     The network is compiled, then bound: :func:`compile_network` fixes
-    its structure and plan once per derivation, coordinator positions,
-    mode, space dimensions and carrier, and :meth:`NetworkProgram.bind`
-    checks every tensor wire by wire against its token's type under
-    ``spaces`` on every call; mixed semirings are rejected.  ``semiring``
-    is the carrier, by default that of the first tensor.  A None tensor is
+    its structure, plan and result wires once per derivation, coordinator
+    positions, mode, space dimensions and carrier, and
+    :meth:`NetworkProgram.bind` checks the tensor count and every tensor,
+    wire by wire, against its token's type under ``spaces`` on every call;
+    mixed semirings are rejected.  ``semiring`` is the carrier, by default
+    that of the first tensor that is not None.  A None tensor is
     a coordinator of type ``x.r x x.l``, one copy spider per factor of
     ``x`` at :func:`coordinator_legs`: a node in ``explicit`` mode, its
     legs' wires joined into one class in ``closed-form``.  A derivation
@@ -196,9 +220,9 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     of a tensor.  The classes of joined wires are labelled 0, 1, ... in
     the order of their first node wire along the row; then each class that
     holds none gets the next label and an all-ones vector.  Each open wire
-    is the first node wire of its class.  In closed form an open wire may
-    differ from its residual type in adjoint order.  The network shares
-    its program's labels, open wires and plan.
+    is the first node wire of its class.  In both modes the result wires
+    are the wires of the derivation's residual type.  The network shares
+    its program's labels, open wires, plan, carrier and result wires.
     """
     if mode not in MODES:
         raise BadArgument(f"mode must be explicit or closed-form, got "
@@ -206,17 +230,13 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     tensors = list(tensors)
     if not derivation.token_types:
         raise EmptyType("cannot build a network for an empty token sequence")
-    if len(tensors) != len(derivation.token_types):
-        raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
-                               f"{len(tensors)} tensors")
     if semiring is None:
         semiring = next((t.semiring for t in tensors if t is not None), None)
         if semiring is None:
             raise BadArgument("every token is a coordinator: pass semiring")
-    program = compile_network(derivation, frozenset([
+    return compile_network(derivation, frozenset([
         k for k, tensor in enumerate(tensors) if tensor is None]), mode,
-        spaces, semiring)
-    return program.bind(tensors, semiring)
+        spaces, semiring).bind(tensors)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -243,13 +263,12 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
     wire_at, owner, spiders = [None] * len(flat), [None] * len(flat), {}
     for tok, ptype in enumerate(derivation.token_types):
         expected, off = spaces.wires(ptype), derivation.offsets[tok]
+        wires.append(None if tok in coordinators else expected)
         if tok not in coordinators:
             wire_at[off:off + len(expected)] = [
                 (len(sources), w) for w in range(len(expected))]
             sources.append(tok)
-            wires.append(expected)
             continue
-        wires.append(None)
         x = conjunct_type(ptype)
         if isinstance(x, int):
             raise WireTypeMismatch(tok, x, "a coordinator type x.r x x.l",
@@ -300,8 +319,8 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
     indices = tuple([tuple(labs) for labs in indices])
     open_wires = tuple([first[root[r]][1] for r in derivation.residual])
     return NetworkProgram(tuple(sources), tuple(wires), indices, open_wires,
-                          plan_contraction(indices, tuple(shapes),
-                                           open_wires))
+                          plan_contraction(indices, tuple(shapes), open_wires),
+                          semiring, spaces.wires(derivation.residual_type()))
 
 
 def _root(parent: list, x: int) -> int:
@@ -371,14 +390,15 @@ class ContractionPlan(NamedTuple):
 
 
 def evaluate(network: TensorNetwork) -> Tensor:
-    """Contract the network and return the tensor on the open wires.
+    """Contract the network and return the tensor on its result wires.
 
     The contraction order is the plan the network carries, made with the
     network.  A plan depends on the network's structure alone (labels,
     node shapes, open wires), never on its words or carrier (the mode
     shows in the labels), so sentences of one derivation replay one plan;
     the plan refuses a network with no nodes, so no such network exists.
-    The nodes must share one semiring, checked here on every call.
+    The carrier and the result wires are fixed with the network too (a
+    network never mixes carriers), so this only replays the plan.
     Execution only transposes, reshapes and calls the semiring's
     ``matmul`` on two matrices, ``np.einsum`` once per prep call or batch
     step that sums an index (on boolean arrays einsum computes
@@ -393,10 +413,8 @@ def evaluate(network: TensorNetwork) -> Tensor:
     not finite reaches) raises :class:`Overflow`, with no
     ``RuntimeWarning``.
     """
-    nodes, plan, sr = network.nodes, network.plan, network.semiring
-    if any(t.semiring is not sr for t in nodes):
-        raise SemiringMismatch("network nodes carry different semirings")
-    arrays = [t.array for t in nodes]
+    plan, sr = network.plan, network.semiring
+    arrays = [t.array for t in network.nodes]
     with np.errstate(over="ignore", invalid="ignore"):
         for n, sub, out in plan.prep:
             arr = np.einsum(arrays[n], sub, out)
@@ -420,8 +438,7 @@ def evaluate(network: TensorNetwork) -> Tensor:
         copied = np.zeros(shape, dtype=sr.dtype)
         np.einsum(copied, sub, tuple(range(arr.ndim)))[...] = arr
         arr = copied
-    out_wires = tuple([nodes[n].wires[w] for n, w in network.open_wires])
-    return Tensor(out_wires, arr, sr, copy=False)
+    return Tensor(network.result_wires, arr, sr, copy=False)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -618,9 +635,10 @@ def _row_meaning(types, tensors, target: PregroupType,
                  spaces: SpaceAssignment, semiring: Semiring, mode: str,
                  refusal) -> Tensor:
     """Reduce ``types`` to ``target`` (else raise ``refusal()``), with the
-    None tensors as the coordinators, contract the network in ``mode`` and
-    type the result by the residual.  Every call reduces and checks every
-    tensor; the network's wiring and plan come from the derivation's
+    None tensors as the coordinators and contract the network in ``mode``:
+    :func:`evaluate`'s tensor, as it is, on the wires of the derivation's
+    residual type.  Every call reduces and checks every tensor; the
+    network's wiring, plan and result wires come from the derivation's
     cached program, and :func:`evaluate` runs once.  A result that is not
     finite (a real one past float64) raises :class:`Overflow`, from
     :func:`evaluate`."""
@@ -628,9 +646,8 @@ def _row_meaning(types, tensors, target: PregroupType,
         k for k, tensor in enumerate(tensors) if tensor is None])
     if derivation is None:
         raise refusal()
-    network = build_network(derivation, tensors, spaces, semiring, mode)
-    return Tensor(spaces.wires(derivation.residual_type()),
-                  evaluate(network).array, semiring, copy=False)
+    return evaluate(build_network(derivation, tensors, spaces, semiring,
+                                  mode))
 
 
 def evaluate_sentence(tokens, lexicon, target, mode="explicit") -> Tensor:

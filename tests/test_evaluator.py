@@ -89,6 +89,64 @@ def test_a_network_is_immutable_and_carries_its_own_plan():
     assert got.wires == (verb.wires[1], verb.wires[0])
 
 
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+def test_both_modes_type_a_result_by_its_residual(sr):
+    # The coordinator is one morphism on x.r x x.l, so in either mode the
+    # result lives on the wires of the residual type, not on the node
+    # wires its open wires land on (in closed form, wires of another
+    # adjoint order).  The carrier and result wires are fixed fields.
+    x = parse_type("n.r s")
+    ctype, x_xl = coordinator_type(x), parse_type("n.r s s.l n")
+    verb = rt(np.random.default_rng(20), "n.r s", sr)
+    rows = ((Derivation((ctype,), ()), [None], SP.wires(ctype)),
+            (reduce([x, ctype], x_xl, coordinators=[1]), [verb, None],
+             SP.wires(x_xl)))
+    assert str(x_xl) == "n.r s s.l n"
+    for derivation, tensors, wires in rows:
+        nets = {mode: build_network(derivation, tensors, SP, sr, mode)
+                for mode in evaluator.MODES}
+        got = {mode: evaluate(net) for mode, net in nets.items()}
+        assert [t.wires for t in got.values()] == [wires, wires]
+        assert _bits(got["explicit"]) == _bits(got["closed-form"])
+        for net in nets.values():
+            assert (net.semiring, net.result_wires) == (sr, wires)
+            for name in ("semiring", "result_wires"):
+                with pytest.raises(AttributeError):
+                    setattr(net, name, None)
+
+
+def test_bind_makes_every_per_call_word_check():
+    # A short or long tensor list, or None at a word token, is refused
+    # with WireTypeMismatch before anything is indexed.
+    rng = np.random.default_rng(21)
+    x = parse_type("n.r s")
+    derivation = reduce([parse_type("n"), x, coordinator_type(x), x],
+                        parse_type("s"), coordinators=[2])
+    good = [rt(rng, "n"), rt(rng, "n.r s"), None, rt(rng, "n.r s")]
+    for mode in evaluator.MODES:
+        program = evaluator.compile_network(derivation, frozenset([2]), mode,
+                                            SP, REAL)
+        assert evaluate(program.bind(good)).isclose(evaluate(build_network(
+            derivation, good, SP, REAL, mode)))
+        for tensors, message in (
+                ([], "token 0, wire 0: expected one tensor per token, "
+                     "got 0 tensors"),
+                (good[:-1], "token 3, wire 0: expected one tensor per "
+                            "token, got 3 tensors"),
+                (good + [good[0]], "token 5, wire 0: expected one tensor "
+                                   "per token, got 5 tensors"),
+                ([good[0], None, None, good[3]],
+                 "token 1, wire 0: expected a word tensor, got None")):
+            with pytest.raises(errors.WireTypeMismatch) as exc:
+                program.bind(tensors)
+            assert str(exc.value) == message
+    # A row of words alone, bound to no tensor at all.
+    john_sleeps = reduce([parse_type("n"), x], parse_type("s"))
+    with pytest.raises(errors.WireTypeMismatch, match="got 0 tensors"):
+        evaluator.compile_network(john_sleeps, frozenset(), "explicit", SP,
+                                  REAL).bind([])
+
+
 def test_build_network_reports_wire_mismatch():
     types = [parse_type("n"), parse_type("n.r s")]
     derivation = reduce(types, parse_type("s"))
@@ -829,14 +887,13 @@ def test_malformed_networks_are_never_cached():
             with pytest.raises(error):
                 evaluate(TensorNetwork([u, w], indices, open_wires))
     assert plans.cache_info().currsize == 0
-    # The semiring check runs on every call, after the plan lookup.
+    # The carrier check runs on every construction, after the plan lookup.
     good = TensorNetwork([u, w], [[0], [0, 1]], [(1, 1)])
     evaluate(good)
-    mixed = TensorNetwork([u, rt(rng, "n.r s", BOOLEAN)], good.indices,
-                          good.open_wires)
     for _ in range(2):
         with pytest.raises(errors.SemiringMismatch):
-            evaluate(mixed)
+            TensorNetwork([u, rt(rng, "n.r s", BOOLEAN)], good.indices,
+                          good.open_wires)
     assert plans.cache_info().currsize == 1
 
 

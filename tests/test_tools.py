@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import frobcoord
 from frobcoord.tensor import Tensor, frobenius_mu
 
@@ -253,6 +255,39 @@ def test_ab_interleaved_alternates_rounds_in_one_process(tmp_path, capsys):
     loaded = set(sys.modules) - before
     assert {"frobcoord_base", "frobcoord_change"} <= loaded
     assert not loaded & {"run", "oracle", "tracing", "workloads"}
+
+
+def test_ab_interleaved_takes_named_micro_targets(tmp_path, capsys):
+    # An A/A comparison of the dense coordinator target in one process: a
+    # round is one call, checked once per side first, and the key holds no
+    # seed.  The schema is the workloads' one.
+    ab = _load("ab")
+    root = TOOLS.parent
+    out = tmp_path / "bench.json"
+    assert set(ab.MICRO_TARGETS) == {"selftest", "coordinator"}
+    assert ab.main(["--base", str(root), "--change", str(root),
+                    "--workload", "coordinator", "--interleaved",
+                    "--pairs", "2", "--out", str(out)]) == 0
+    assert "recorded as coordinator-interleaved" in capsys.readouterr().out
+    entry = json.loads(out.read_text())["workloads"][
+        "coordinator-interleaved"]
+    assert set(entry) == {"base", "change", "seed", "pairs", "spell_s",
+                          "ops_per_round", "summary", "round_ms",
+                          "cold_round_ms"}
+    assert entry["ops_per_round"] == 1
+    for rounds in ("round_ms", "cold_round_ms"):
+        assert {s: len(ms) for s, ms in entry[rounds].items()} == {
+            "base": 2, "change": 2}
+    summary = entry["summary"]
+    assert summary["correct"] == {"base": True, "change": True}
+    # A round holds the 4**12 float64 cells of the coordinator.
+    for side in ("base", "change"):
+        assert summary["tracemalloc_peak_bytes"][side] >= 8 * 4 ** 12
+    # The pairs mode runs bench/run.py, which knows no micro-target.
+    with pytest.raises(SystemExit):
+        ab.main(["--base", str(root), "--change", str(root), "--workload",
+                 "selftest", "--pairs", "1", "--out", str(out)])
+    assert "runs only with --interleaved" in capsys.readouterr().err
 
 
 def test_ab_never_replaces_a_recorded_entry():

@@ -6,6 +6,8 @@ Run from the repository root::
         --pairs 10 [--seconds 20] [--seed 1] [--out BENCH.json]
     python tools/ab.py --base ../parent --change . --workload corpus-bool \\
         --interleaved --pairs 300 [--seed 1] [--out BENCH.json]
+    python tools/ab.py --base ../parent --change . --workload coordinator \\
+        --interleaved --pairs 50 [--out BENCH.json]
 
 Each tree's ``src`` and ``bench`` directories are copied once into a fresh
 temporary directory, so neither side reads the other's files or a build
@@ -45,6 +47,14 @@ emptied before each operation, and only the operations are timed.  The
 entry's key ends in ``-interleaved`` (before any ``-set<N>``);
 ``--seconds`` is not used.
 
+In place of a workload, ``--interleaved`` also takes a named micro-target
+(``MICRO_TARGETS``), whose round is one call: ``selftest``, a default
+``run_selftest()``, and ``coordinator``, the dense real
+``coordinator_tensor`` of ``n.r s n.l n.l`` at n = s = 4 (4**12 cells).
+The unmeasured first call per side checks the result (every suite
+passes; the coordinator holds its 4**4 ones), and the entry's key is
+``<target>-interleaved``, as ``--seed`` is not used.
+
 Only the standard library, numpy, the two trees and the change's
 ``bench`` modules are imported.
 """
@@ -68,6 +78,18 @@ import numpy as np
 
 IGNORED = shutil.ignore_patterns("__pycache__", "work", "results", "*.pyc")
 SPELL_LOOPS = 3
+# Micro-targets by name: what one round calls on a ``frobcoord`` package,
+# and the check of its result.
+MICRO_TARGETS = {
+    "selftest": (lambda fc: fc.selftest.run_selftest(),
+                 lambda results: all(res.ok for res in results)),
+    "coordinator": (lambda fc: fc.coordination.coordinator_tensor(
+        fc.pregroup.parse_type("n.r s n.l n.l"),
+        fc.spaces.SpaceAssignment({"n": 4, "s": 4}), fc.semiring.REAL),
+        # One copy spider per factor: a one for each of 4**4 index choices.
+        lambda got: (got.array.shape == (4,) * 12
+                     and got.array.sum() == 4 ** 4)),
+}
 
 
 def spell_seconds() -> float:
@@ -254,28 +276,39 @@ def cache_clears(frobcoord) -> list:
 
 def interleaved(copies: dict, workload_name: str, seed: int,
                 pairs: int) -> dict:
-    """Alternating rounds of one workload's operations on both copies in
-    this process: warm and cold round times, per-round ratios, wins and
-    round peaks."""
-    bench = import_bench(copies["change"] / "bench")
-    workload = bench.WORKLOADS[workload_name](seed)
-    lexicon_path = copies["change"] / "lexicon.lex"
-    lexicon_path.write_text(workload.lexicon_text, encoding="utf-8")
+    """Alternating rounds of one workload's operations, or of one call of
+    a micro-target, on both copies in this process: warm and cold round
+    times, per-round ratios, wins and round peaks."""
     run_op, correct, clears = {}, {}, {}
-    for side, copy in copies.items():
-        runner = bench.Runner(import_package(copy / "src",
-                                             f"frobcoord_{side}"),
-                              lexicon_path)
-        runner.lexicon = runner.fc.lexicon.load_lexicon(lexicon_path)
-        run_op[side] = runner.main if workload.via_cli else runner.sentence
-        correct[side] = all(bench.check(op, run_op[side](op)[1]) is None
-                            for op in workload.ops)
-        clears[side] = cache_clears(runner.fc)
+    if workload_name in MICRO_TARGETS:
+        call, ok = MICRO_TARGETS[workload_name]
+        ops = [None]
+        for side, copy in copies.items():
+            fc = import_package(copy / "src", f"frobcoord_{side}")
+            run_op[side] = lambda op, fc=fc: call(fc)
+            correct[side] = bool(ok(call(fc)))
+            clears[side] = cache_clears(fc)
+    else:
+        bench = import_bench(copies["change"] / "bench")
+        workload = bench.WORKLOADS[workload_name](seed)
+        ops = workload.ops
+        lexicon_path = copies["change"] / "lexicon.lex"
+        lexicon_path.write_text(workload.lexicon_text, encoding="utf-8")
+        for side, copy in copies.items():
+            runner = bench.Runner(import_package(copy / "src",
+                                                 f"frobcoord_{side}"),
+                                  lexicon_path)
+            runner.lexicon = runner.fc.lexicon.load_lexicon(lexicon_path)
+            run_op[side] = (runner.main if workload.via_cli
+                            else runner.sentence)
+            correct[side] = all(bench.check(op, run_op[side](op)[1]) is None
+                                for op in ops)
+            clears[side] = cache_clears(runner.fc)
 
     def one_round(side) -> float:
         gc.collect()
         t0 = time.perf_counter()
-        for op in workload.ops:
+        for op in ops:
             run_op[side](op)
         return (time.perf_counter() - t0) * 1000
 
@@ -283,7 +316,7 @@ def interleaved(copies: dict, workload_name: str, seed: int,
         # Only the operations are timed, not the clearing before each.
         gc.collect()
         total = 0.0
-        for op in workload.ops:
+        for op in ops:
             for clear in clears[side]:
                 clear()
             t0 = time.perf_counter()
@@ -310,7 +343,7 @@ def interleaved(copies: dict, workload_name: str, seed: int,
             cold_ms[side].append(cold_round(side))
     summary = {**compare(ms), "cold": compare(cold_ms),
                "tracemalloc_peak_bytes": peak, "correct": correct}
-    return {"ops_per_round": len(workload.ops), "summary": summary,
+    return {"ops_per_round": len(ops), "summary": summary,
             "round_ms": ms, "cold_round_ms": cold_ms}
 
 
@@ -352,6 +385,9 @@ def main(argv=None) -> int:
                         help="alternate rounds of both trees in this "
                              "process; --pairs counts round pairs")
     args = parser.parse_args(argv)
+    if args.workload in MICRO_TARGETS and not args.interleaved:
+        parser.error(f"{args.workload} is a micro-target: it runs only "
+                     f"with --interleaved")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
@@ -360,7 +396,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         copies = {s: fresh_copy(t, Path(tmp) / s) for s, t in trees.items()}
         if args.interleaved:
-            key = f"{args.workload}-seed{args.seed}-interleaved"
+            key = (f"{args.workload}-interleaved"
+                   if args.workload in MICRO_TARGETS
+                   else f"{args.workload}-seed{args.seed}-interleaved")
             entry = interleaved(copies, args.workload, args.seed, args.pairs)
         else:
             key = f"{args.workload}-seed{args.seed}"
