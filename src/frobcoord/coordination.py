@@ -13,12 +13,12 @@ merge of the two conjunct meanings.
 
 from __future__ import annotations
 
-from .errors import OutOfMemory, ShapeMismatch
+from .errors import ShapeMismatch
 from .evaluator import SpaceAssignment, _row_meaning, build_network, evaluate
 from .pregroup import (Derivation, PregroupType, SimpleType, coordinator_type,
                        parse_type)
 from .semiring import REAL, Semiring
-from .tensor import MAX_AXES, Tensor, frobenius_mu
+from .tensor import Tensor, frobenius_mu
 
 
 def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
@@ -32,16 +32,12 @@ def coordinator_tensor(x: PregroupType, spaces: SpaceAssignment,
     by :func:`evaluate` with every wire open: the spiders share no index,
     so their product is an outer product, the lift of the atomic copy
     spider to the compound type ``x``.  A coordinator with more wires than
-    numpy allows an array axes is :class:`OutOfMemory`, raised before
-    anything is allocated.
+    numpy allows an array axes is refused by the planner, as
+    :class:`OutOfMemory` naming the contraction step, before any copy
+    spider is made.
     """
-    ctype = coordinator_type(x)
-    wires = spaces.wires(ctype)
-    if len(wires) > MAX_AXES:
-        raise OutOfMemory(f"the coordinator for {x} would make an array of "
-                          f"{len(wires)} axes; numpy allows {MAX_AXES}")
-    return evaluate(build_network(Derivation((ctype,), ()), [None], spaces,
-                                  semiring))
+    return evaluate(build_network(Derivation((coordinator_type(x),), ()),
+                                  [None], spaces, semiring))
 
 
 def coordinate_closed_form(a: Tensor, b: Tensor) -> Tensor:

@@ -49,7 +49,8 @@ class SemiringMismatch(FrobcoordError):
 
 
 class OutOfMemory(FrobcoordError):
-    """A tensor the computation needs does not fit in memory."""
+    """A tensor the computation needs does not fit in memory, or numpy
+    cannot make it: past its axis limit, its size limit or memory."""
 
 
 class Overflow(FrobcoordError):

@@ -21,15 +21,18 @@ arrays.  :func:`compile_network` makes a :class:`NetworkProgram` of a
 derivation, its coordinator positions, the mode, the space dimensions and
 the carrier: each node's source (a token's tensor, a shared copy spider
 or an all-ones vector), the labels, the open wires, the contraction plan
-and the result wires.  Programs are cached (a bounded LRU) by value, so
-every sentence of one derivation replays one program.
-:meth:`NetworkProgram.bind` makes every per-call check of the words
-(their count, and each tensor against its token) and puts them in; the
-network it returns shares the program's labels, open wires, plan, carrier
-and result wires.  A network is an immutable value that fixes its
-carrier, its result wires and the plan of its structure when it is made,
-so a network with other labels or open wires is a new one, planned anew,
-and no network mixes carriers.
+and the result wires.  A program is planned before it makes any array:
+its copy spiders and all-ones vectors are made only once the plan holds,
+so the planner's refusals come before any allocation.  Programs are
+cached (a bounded LRU) by value, so every sentence of one derivation
+replays one program.  :meth:`NetworkProgram.bind` makes every per-call
+check of the words (their count, each token's slot both ways, and each
+tensor against its token) and puts them in; the network it returns
+shares the program's labels, open wires, plan, carrier and result wires.
+A network is an immutable value that fixes its carrier, its result wires
+and the plan of its structure when it is made, so a network with other
+labels or open wires is a new one, planned anew, and no network mixes
+carriers.
 
 Contraction is planned, then replayed.  :func:`plan_contraction` checks a
 network's structure and chooses every array operation: one einsum per node
@@ -162,22 +165,26 @@ class NetworkProgram(NamedTuple):
     def bind(self, tensors) -> TensorNetwork:
         """The network of one row's ``tensors`` (None at each coordinator).
         A tensor count other than the token count raises
-        :class:`WireTypeMismatch`.  Each tensor is checked against its
-        token: None at a word token raises :class:`WireTypeMismatch`, a
-        carrier other than the program's :class:`SemiringMismatch`, and
-        the first wire that differs from the token's type, or else the
-        wire count, :class:`WireTypeMismatch`.  The checked tensors have
-        the node shapes the plan was made for, so the network shares the
-        program's labels, open wires, plan, carrier and result wires, and
-        builds only its node tuple."""
+        :class:`WireTypeMismatch`.  Each token's slot is checked by one
+        rule both ways: None at a word token, or a tensor at a coordinator
+        token, raises :class:`WireTypeMismatch` naming the token.  Each
+        word tensor is then checked against its token: a carrier other
+        than the program's raises :class:`SemiringMismatch`, and the first
+        wire that differs from the token's type, or else the wire count,
+        :class:`WireTypeMismatch`.  The checked tensors have the node
+        shapes the plan was made for, so the network shares the program's
+        labels, open wires, plan, carrier and result wires, and builds only
+        its node tuple."""
         if len(tensors) != len(self.wires):
             raise WireTypeMismatch(len(tensors), 0, "one tensor per token",
                                    f"{len(tensors)} tensors")
         for tok, (expected, tensor) in enumerate(zip(self.wires, tensors)):
-            if expected is None:
-                continue
+            if (expected is None) is not (tensor is None):
+                raise WireTypeMismatch(tok, 0, *(
+                    ("a word tensor", "None") if tensor is None
+                    else ("None at a coordinator", repr(tensor))))
             if tensor is None:
-                raise WireTypeMismatch(tok, 0, "a word tensor", "None")
+                continue
             if tensor.semiring is not self.semiring:
                 raise SemiringMismatch(
                     f"token {tok} carries {tensor.semiring.name}, "
@@ -207,32 +214,30 @@ def build_network(derivation: Derivation, tensors, spaces: SpaceAssignment,
     :meth:`NetworkProgram.bind` checks the tensor count and every tensor,
     wire by wire, against its token's type under ``spaces`` on every call;
     mixed semirings are rejected.  ``semiring`` is the carrier, by default
-    that of the first tensor that is not None.  A None tensor is
-    a coordinator of type ``x.r x x.l``, one copy spider per factor of
-    ``x`` at :func:`coordinator_legs`: a node in ``explicit`` mode, its
-    legs' wires joined into one class in ``closed-form``.  A derivation
-    link between two wires of one None token raises
-    :class:`InvalidDerivation`: a coordinator's legs merge the conjuncts
-    around it, so reduce such a row with the coordinator positions
-    (``reduce(..., coordinators=...)``).  An empty row raises
-    :class:`EmptyType`, and a network the planner refuses (past numpy's
-    axis limit) raises here.  Refusals of the structure come before those
-    of a tensor.  The classes of joined wires are labelled 0, 1, ... in
-    the order of their first node wire along the row; then each class that
-    holds none gets the next label and an all-ones vector.  Each open wire
-    is the first node wire of its class.  In both modes the result wires
+    that of the first tensor that is not None; a non-empty row of None
+    tensors alone, with no ``semiring``, raises :class:`BadArgument`, the
+    one refusal made here, and an empty list reaches ``bind``'s count
+    check.  A None tensor is a coordinator of type ``x.r x x.l``, one copy
+    spider per factor of ``x`` at :func:`coordinator_legs`: a node in
+    ``explicit`` mode, its legs' wires joined into one class in
+    ``closed-form``.  A derivation link between two wires of one None
+    token raises :class:`InvalidDerivation`: a coordinator's legs merge
+    the conjuncts around it, so reduce such a row with the coordinator
+    positions (``reduce(..., coordinators=...)``).  An unknown mode is
+    refused by :func:`compile_network`, and an empty row or a network past
+    numpy's limits by the planner, before any copy spider is made.
+    Refusals of the structure come before those of a tensor.  The classes
+    of joined wires are labelled 0, 1, ... in the order of their first
+    node wire along the row; then each class that holds none gets the next
+    label and an all-ones vector.  Each open wire is the first node wire
+    of its class.  In both modes the result wires
     are the wires of the derivation's residual type.  The network shares
     its program's labels, open wires, plan, carrier and result wires.
     """
-    if mode not in MODES:
-        raise BadArgument(f"mode must be explicit or closed-form, got "
-                          f"{mode!r}")
     tensors = list(tensors)
-    if not derivation.token_types:
-        raise EmptyType("cannot build a network for an empty token sequence")
     if semiring is None:
         semiring = next((t.semiring for t in tensors if t is not None), None)
-        if semiring is None:
+        if semiring is None and tensors:
             raise BadArgument("every token is a coordinator: pass semiring")
     return compile_network(derivation, frozenset([
         k for k, tensor in enumerate(tensors) if tensor is None]), mode,
@@ -244,8 +249,15 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
                     mode: str, spaces: SpaceAssignment,
                     semiring: Semiring) -> NetworkProgram:
     """The :class:`NetworkProgram` of a derivation whose tokens at
-    ``coordinators`` are coordinators, in a mode :func:`build_network` has
-    checked: its wiring, labels, open wires and contraction plan.
+    ``coordinators`` are coordinators, in ``mode`` (an unknown one raises
+    :class:`BadArgument`): its wiring, labels, open wires and contraction
+    plan.
+
+    The structure is finished and planned before any array is made: each
+    copy spider and all-ones vector is recorded by its wires and made
+    only once :func:`plan_contraction` has returned, so a structure that
+    the planner refuses (past numpy's axis or subscript limit, or with no
+    nodes) allocates nothing.
 
     Programs are cached (a bounded LRU; ``compile_network.cache_info()``
     and ``cache_clear()``) by value: a derivation, a frozenset, a string,
@@ -254,11 +266,14 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
     fresh assignment of the same dimensions finds it too.  A structure
     that fails a check raises and is not cached.
     """
+    if mode not in MODES:
+        raise BadArgument(f"mode must be explicit or closed-form, got "
+                          f"{mode!r}")
     flat = derivation.flattened
     # owner: flat position -> its token, for the wires of coordinators;
     # parent: a union-find forest over flat positions, whose classes are
     # the indices.
-    # spiders: the wires of each copy spider made so far -> its node.
+    # spiders: the wires of each copy spider -> the first token holding it.
     sources, wires, parent = [], [], list(range(len(flat)))
     wire_at, owner, spiders = [None] * len(flat), [None] * len(flat), {}
     for tok, ptype in enumerate(derivation.token_types):
@@ -281,18 +296,10 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
                     parent[off + q] = off + legs[1]
                 continue
             spider = tuple([expected[q] for q in legs])
-            if spider not in spiders:
-                dim = spider[0].dim
-                try:
-                    arr = _copy_array(dim, semiring)
-                except (MemoryError, ValueError):  # past numpy's limit
-                    raise OutOfMemory(f"token {tok}: a copy spider of "
-                                      f"{dim ** 3} cells does not fit in "
-                                      f"memory") from None
-                spiders[spider] = Tensor(spider, arr, semiring, copy=False)
+            spiders.setdefault(spider, tok)
             for leg, q in enumerate(legs):
                 wire_at[off + q] = (len(sources), leg)
-            sources.append(spiders[spider])
+            sources.append(spider)
     for i, j in derivation.links:
         if owner[i] is not None and owner[i] == owner[j]:
             raise InvalidDerivation(
@@ -300,10 +307,10 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
                 f"{owner[i]}: reduce the row with its coordinator positions")
         parent[_root(parent, j)] = _root(parent, i)
     root = [_root(parent, f) for f in range(len(flat))]
-    shapes = [tuple([w.dim for w in wires[s]]) if type(s) is int
-              else s.array.shape for s in sources]
+    # A node's wires: its token's, or those of a constant node not yet made.
+    node_wires = [wires[s] if type(s) is int else s for s in sources]
     # first: class root -> (label, first node wire), classes in row order
-    indices, first = [[None] * len(shape) for shape in shapes], {}
+    indices, first = [[None] * len(ws) for ws in node_wires], {}
     for f, wire in enumerate(wire_at):
         if wire is not None:
             first.setdefault(root[f], (len(first), wire))
@@ -313,14 +320,28 @@ def compile_network(derivation: Derivation, coordinators: frozenset,
             # Spiders joined only to each other fuse into the all-ones vector.
             first[root[f]] = (len(first), (len(sources), 0))
             indices.append([len(first) - 1])
-            dim = spaces.dim(s.base)
-            sources.append(frobenius_zeta(s.base, dim, s.z, semiring))
-            shapes.append((dim,))
+            sources.append(spaces.wires((s,)))
+            node_wires.append(sources[-1])
     indices = tuple([tuple(labs) for labs in indices])
     open_wires = tuple([first[root[r]][1] for r in derivation.residual])
-    return NetworkProgram(tuple(sources), tuple(wires), indices, open_wires,
-                          plan_contraction(indices, tuple(shapes), open_wires),
-                          semiring, spaces.wires(derivation.residual_type()))
+    plan = plan_contraction(indices, tuple([tuple([w.dim for w in ws])
+                                            for ws in node_wires]), open_wires)
+    # The plan holds: now each constant node is made, a copy spider (three
+    # wires) once per signature, an all-ones vector (one wire) per class.
+    made = {}
+    for spider, tok in spiders.items():
+        try:
+            arr = _copy_array(spider[0].dim, semiring)
+        except (MemoryError, ValueError):  # past numpy's limit
+            raise OutOfMemory(f"token {tok}: a copy spider of "
+                              f"{spider[0].dim ** 3} cells does not fit in "
+                              f"memory") from None
+        made[spider] = Tensor(spider, arr, semiring, copy=False)
+    return NetworkProgram(tuple([
+        s if type(s) is int else made[s] if s in made else frobenius_zeta(
+            s[0].base, s[0].dim, s[0].z, semiring) for s in sources]),
+        tuple(wires), indices, open_wires, plan, semiring,
+        spaces.wires(derivation.residual_type()))
 
 
 def _root(parent: list, x: int) -> int:

@@ -136,8 +136,8 @@ class LexiconEntry:
                 self._tensor = self._build()
             except (MemoryError, ValueError, OutOfMemory):
                 # numpy refuses an array past its size or axis limit with a
-                # ValueError; coordinator_tensor refuses one past the axis
-                # limit with OutOfMemory.
+                # ValueError; the planner refuses a coordinator past the
+                # axis limit with OutOfMemory.
                 from .tensor import MAX_AXES
 
                 why = (f"its {len(self.type)} wires are past numpy's limit "

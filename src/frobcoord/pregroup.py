@@ -34,6 +34,7 @@ True
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -362,8 +363,9 @@ def enumerate_reductions(tokens, target: PregroupType, cap: int, *,
     for n simple types.  On small rows the order is lexicographic on the
     sorted link lists; on longer ones it need not be (a five-conjunct
     verb-phrase chain is a case).  ``cap`` must be a Python ``int`` of at
-    least 1 and each coordinator position one in ``range(len(tokens))``, not
-    a ``bool``; anything else raises :class:`BadArgument`.
+    least 1, of any size, and each coordinator position one in
+    ``range(len(tokens))``, not a ``bool``; anything else raises
+    :class:`BadArgument`.
     """
     if type(cap) is not int or cap < 1:
         raise BadArgument(f"cap must be a Python int >= 1, got {cap!r}")
@@ -374,5 +376,6 @@ def enumerate_reductions(tokens, target: PregroupType, cap: int, *,
         if type(c) is not int or not 0 <= c < len(tokens):
             raise BadArgument(f"a coordinator position must be a Python int "
                               f"in range({len(tokens)}), got {c!r}")
-    return [Derivation(tokens, link_list) for link_list in
-            islice(_derivations(tokens, target, coordinators), cap)]
+    # islice takes no stop past sys.maxsize, and no list is that long.
+    return [Derivation(tokens, link_list) for link_list in islice(
+        _derivations(tokens, target, coordinators), min(cap, sys.maxsize))]

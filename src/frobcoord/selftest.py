@@ -31,7 +31,7 @@ import numpy as np
 from .coordination import (_coordinated, coordinate_closed_form,
                            coordinator_tensor, ditransitive_coordination,
                            stripping_sentence)
-from .errors import DimMismatch, FrobcoordError
+from .errors import DimMismatch, FrobcoordError, OutOfMemory
 from .evaluator import (MODES, SpaceAssignment, TensorNetwork, build_network,
                         evaluate)
 from .pregroup import PregroupType, coordinator_type, parse_type, reduce
@@ -340,7 +340,12 @@ _SUITES = (
 
 def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
                  inject_fault=False) -> list[SuiteResult]:
-    """Run every suite; results report per-suite pass counts and times."""
+    """Run every suite; results report per-suite pass counts and times.
+
+    A check that raises a :class:`FrobcoordError` fails its suite, which
+    records it as its counterexample, except :class:`OutOfMemory`: like a
+    ``MemoryError``, it ends the run, as no later check would fit either.
+    """
     if type(seed) is not int or seed < 0:
         raise FrobcoordError(f"seed must be a Python int >= 0, got {seed!r}")
     if type(trials) is not int or trials < 1:
@@ -363,6 +368,8 @@ def run_selftest(dims=(1, 2, 3, 4), trials=100, seed=0,
                     result.passed += 1
                 elif result.counterexample is None:
                     result.counterexample = describe()
+        except OutOfMemory:
+            raise
         except FrobcoordError as exc:
             result.total += 1
             result.counterexample = (result.counterexample

@@ -34,13 +34,29 @@ import math
 
 import numpy as np
 
-from .errors import (ArityError, BadArgument, BadPermutation, Overflow,
-                     ShapeMismatch, SemiringMismatch, TypeMismatch)
+from .errors import (ArityError, BadArgument, BadPermutation, OutOfMemory,
+                     Overflow, ShapeMismatch, SemiringMismatch, TypeMismatch)
 from .semiring import REAL, Semiring
 from .spaces import Wire
 
 # numpy's limit on the axes of one array: 32 before numpy 2.0, 64 since.
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
+
+def _made(wires, make) -> np.ndarray:
+    """``make(shape)``, the array on ``wires``, or :class:`OutOfMemory`
+    where numpy cannot make it: more wires than numpy allows an array axes
+    (checked before ``make`` runs), or cells past numpy's size limit or
+    past memory (a ``ValueError`` or ``MemoryError`` from ``make``)."""
+    shape = tuple([w.dim for w in wires])
+    if len(shape) > MAX_AXES:
+        raise OutOfMemory(f"a tensor on {len(shape)} wires is past numpy's "
+                          f"limit of {MAX_AXES} axes")
+    try:
+        return make(shape)
+    except (MemoryError, ValueError):
+        raise OutOfMemory(f"a tensor of {math.prod(shape)} cells does not "
+                          f"fit in memory") from None
 
 
 class Tensor:
@@ -52,7 +68,8 @@ class Tensor:
     the boolean carrier too, where numpy would read any of them as true.
     Boolean data must also be 0 or 1 (``bool`` values, or numbers equal to
     0 or 1), else :class:`BadArgument`.  ``copy=False`` takes an array the
-    library made, unchecked.
+    library made, unchecked.  Flat data on more wires than numpy allows an
+    array axes raises :class:`OutOfMemory`.
     """
 
     __slots__ = ("wires", "array", "semiring")
@@ -82,7 +99,7 @@ class Tensor:
                 raise ShapeMismatch(
                     f"data of shape {arr.shape} fits neither wires {shape} "
                     f"nor their {math.prod(shape)} cells flat")
-            arr = arr.reshape(shape)
+            arr = _made(wires, arr.reshape)
         arr.setflags(write=False)
         self.wires = wires
         self.array = arr
@@ -167,7 +184,8 @@ def eta_cap(base: str, side: str, dim: int, z: int = 0,
 
     ``side="right"`` types the wires ``(base^{z+1}, base^{z})``;
     ``side="left"`` types them ``(base^{z}, base^{z-1})``.  The data is
-    the same either way.
+    the same either way.  A cap that numpy cannot make raises
+    :class:`OutOfMemory`.
     """
     if side == "right":
         wires = (Wire(base, z + 1, dim), Wire(base, z, dim))
@@ -175,8 +193,8 @@ def eta_cap(base: str, side: str, dim: int, z: int = 0,
         wires = (Wire(base, z, dim), Wire(base, z - 1, dim))
     else:
         raise BadArgument(f"side must be 'left' or 'right', got {side!r}")
-    return Tensor(wires, np.eye(dim, dtype=semiring.dtype), semiring,
-                  copy=False)
+    return Tensor(wires, _made(wires, lambda _: np.eye(
+        dim, dtype=semiring.dtype)), semiring, copy=False)
 
 
 def frobenius_delta(v: Tensor) -> Tensor:
@@ -233,10 +251,11 @@ def frobenius_iota(v: Tensor):
 
 def frobenius_zeta(base: str, dim: int, z: int = 0,
                    semiring: Semiring = REAL) -> Tensor:
-    """The all-ones vector, the unit of the merge operation."""
-    wire = Wire(base, z, dim)
-    ones = np.full(dim, semiring.one, dtype=semiring.dtype)
-    return Tensor((wire,), ones, semiring, copy=False)
+    """The all-ones vector, the unit of the merge operation; one that numpy
+    cannot make raises :class:`OutOfMemory`."""
+    wires = (Wire(base, z, dim),)
+    return Tensor(wires, _made(wires, lambda shape: np.full(
+        shape, semiring.one, dtype=semiring.dtype)), semiring, copy=False)
 
 
 def permute_wires(t: Tensor, perm) -> Tensor:
@@ -249,7 +268,8 @@ def permute_wires(t: Tensor, perm) -> Tensor:
 
 def random_tensor(wires, rng: np.random.Generator,
                   semiring: Semiring = REAL) -> Tensor:
-    """Uniform draws from [0, 1), mapped by ``semiring.from_unit``."""
+    """Uniform draws from [0, 1), mapped by ``semiring.from_unit``; an
+    array that numpy cannot make raises :class:`OutOfMemory`."""
     wires = tuple(wires)
-    data = semiring.from_unit(rng.random(tuple(w.dim for w in wires)))
-    return Tensor(wires, data, semiring)
+    return Tensor(wires, semiring.from_unit(_made(wires, rng.random)),
+                  semiring)

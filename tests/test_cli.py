@@ -52,6 +52,13 @@ def test_check_grammatical(lex_path):
     assert proc.stdout.strip() == "(0.0–1.0) (1.2–2.0)"
 
 
+def test_check_all_takes_a_cap_past_sys_maxsize(lex_path):
+    proc = run("check", lex_path, "mary", "likes", "musicals", "--all",
+               "--cap", "99999999999999999999")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "(0.0–1.0) (1.2–2.0)\n"
+
+
 def test_check_ungrammatical(lex_path):
     proc = run("check", lex_path, "likes", "mary", "--target", "s")
     assert proc.returncode == 1
@@ -556,6 +563,26 @@ def test_entry_past_numpy_axis_limit_is_a_parse_error(tmp_path):
     assert proc.stderr == (f"error: line 2: entry 'w': its {MAX_AXES + 1} "
                            f"wires are past numpy's limit of {MAX_AXES} "
                            f"axes\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--dims", "4611686018427387904", "--trials", "1"],
+    ["eval", "LEXICON", "and", "--target", "n.r n n.l", "--mode",
+     "closed-form"]], ids=["selftest", "eval-closed-form"])
+def test_an_array_past_numpys_size_limit_is_an_error_exit(argv, tmp_path,
+                                                          capsys):
+    # A vector of 2**62 float64 cells: the selftest's first draw, and the
+    # all-ones vector that closed form joins a lone coordinator's legs on.
+    from frobcoord import cli
+
+    path = tmp_path / "huge.lex"
+    path.write_text("#type n 4611686018427387904\nand : n.r n n.l = @conj\n",
+                    encoding="utf-8")
+    argv = [str(path) if arg == "LEXICON" else arg for arg in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: a tensor of 4611686018427387904 cells does not fit in "
+        "memory\n")
 
 
 def test_memory_error_is_an_error_exit():

@@ -97,8 +97,9 @@ def cases(draw):
         target = " ".join(draw(st.lists(st.sampled_from(TYPES),
                                         max_size=3)))
     args = [command, "LEXICON", *words, "--target", target]
-    flags = {"check": ["--all", "--ascii-diagram", "--cap=1", "--cap=0"],
-             "derive": ["--all", "--cap=2"],
+    flags = {"check": ["--all", "--ascii-diagram", "--cap=1", "--cap=0",
+                       "--cap=99999999999999999999"],
+             "derive": ["--all", "--cap=2", "--cap=99999999999999999999"],
              "eval": ["--mode=closed-form", "--mode=explicit", "--compare",
                       "--format=json", "--mode=dense"]}[command]
     args += draw(st.lists(st.sampled_from(flags), max_size=2))

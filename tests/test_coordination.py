@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from frobcoord import errors
+from frobcoord import errors, evaluator
 from frobcoord.coordination import (coordinate_closed_form,
                                     coordinator_tensor,
                                     ditransitive_coordination,
@@ -77,12 +77,18 @@ def test_coordinator_errors():
         coordinator_tensor(parse_type("q"), spaces(2))
 
 
-def test_coordinator_past_numpy_axis_limit_is_out_of_memory():
+def test_coordinator_past_numpy_axis_limit_is_out_of_memory(monkeypatch):
+    # The planner refuses the outer product of 22 spiders (66 open wires)
+    # before compile_network makes any copy spider.
+    def no_spider(*args):
+        raise AssertionError("a copy spider was made")
+
+    monkeypatch.setattr(evaluator, "_copy_array", no_spider)
     x = parse_type("n " * 22)
     with pytest.raises(errors.OutOfMemory) as exc:
         coordinator_tensor(x, SpaceAssignment({"n": 1}))
-    assert str(exc.value) == (f"the coordinator for {x} would make an array "
-                              f"of 66 axes; numpy allows {MAX_AXES}")
+    assert str(exc.value) == (f"contraction step 20 would make an array of "
+                              f"66 axes; numpy allows {MAX_AXES}")
 
 
 def test_spider_symmetry_within_factor_groups():

@@ -147,6 +147,36 @@ def test_bind_makes_every_per_call_word_check():
                                   REAL).bind([])
 
 
+@pytest.mark.parametrize("mode", evaluator.MODES)
+def test_bind_refuses_a_tensor_at_a_coordinator(mode):
+    # "john sleeps and snores": a word tensor given where the program holds
+    # a coordinator is refused, not dropped.
+    rng = np.random.default_rng(22)
+    x = parse_type("n.r s")
+    derivation = reduce([parse_type("n"), x, coordinator_type(x), x],
+                        parse_type("s"), coordinators=[2])
+    john, sleeps, snores = rt(rng, "n"), rt(rng, "n.r s"), rt(rng, "n.r s")
+    program = evaluator.compile_network(derivation, frozenset([2]), mode,
+                                        SP, REAL)
+    with pytest.raises(errors.WireTypeMismatch) as exc:
+        program.bind([john, sleeps, john, snores])
+    assert exc.value.token == 2
+    assert str(exc.value) == ("token 2, wire 0: expected None at a "
+                              "coordinator, got Tensor(n:2, real)")
+    assert evaluate(program.bind([john, sleeps, None, snores])).order == 1
+
+
+@pytest.mark.parametrize("mode", evaluator.MODES)
+def test_build_network_of_no_tensors_is_a_count_mismatch(mode):
+    # No tensor at all is no coordinator row: bind's count check refuses it.
+    john_sleeps = reduce([parse_type("n"), parse_type("n.r s")],
+                         parse_type("s"))
+    with pytest.raises(errors.WireTypeMismatch) as exc:
+        build_network(john_sleeps, [], SP, mode=mode)
+    assert str(exc.value) == ("token 0, wire 0: expected one tensor per "
+                              "token, got 0 tensors")
+
+
 def test_build_network_reports_wire_mismatch():
     types = [parse_type("n"), parse_type("n.r s")]
     derivation = reduce(types, parse_type("s"))

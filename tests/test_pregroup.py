@@ -336,6 +336,17 @@ def test_enumeration_respects_cap_and_determinism():
         enumerate_reductions([row], target, cap=0)
 
 
+@pytest.mark.parametrize("cap", [sys.maxsize, sys.maxsize + 1, 10 ** 20,
+                                 2 ** 200])
+def test_enumeration_takes_any_cap_past_sys_maxsize(cap):
+    # No list of derivations is longer than sys.maxsize, so a larger cap
+    # lists them all.
+    row = parse_type("n n.r n n.r n n.r n")
+    target = parse_type("n")
+    assert enumerate_reductions([row], target, cap=cap) == \
+        enumerate_reductions([row], target, cap=1000)
+
+
 SVO = [parse_type("n"), parse_type("n.r s n.l"), parse_type("n")]
 
 

@@ -182,6 +182,14 @@ def test_memory_error_in_a_check_still_ends_the_run(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory\n"
 
 
+def test_out_of_memory_in_a_check_ends_the_run():
+    # The first check draws a vector of 2**62 float64 cells, past numpy's
+    # size limit: no suite records it, the run ends.
+    with pytest.raises(errors.OutOfMemory,
+                       match=f"a tensor of {2 ** 62} cells does not fit"):
+        selftest.run_selftest(dims=(2 ** 62,), trials=1)
+
+
 @pytest.mark.parametrize("dims", [(2.7,), (True,), (np.int64(2),), (0,)])
 def test_selftest_dimensions_follow_the_dimension_rule(dims):
     with pytest.raises(errors.DimMismatch) as exc:

@@ -12,7 +12,7 @@ from frobcoord.coordination import coordinator_tensor
 from frobcoord.evaluator import SpaceAssignment
 from frobcoord.pregroup import parse_type
 from frobcoord.semiring import BOOLEAN, REAL
-from frobcoord.tensor import (Tensor, Wire, contract, eta_cap,
+from frobcoord.tensor import (MAX_AXES, Tensor, Wire, contract, eta_cap,
                               frobenius_delta, frobenius_iota, frobenius_mu,
                               frobenius_mu_matrix, frobenius_zeta,
                               permute_wires, random_tensor, scalar,
@@ -465,3 +465,51 @@ def test_every_operation_but_the_merge_is_one_evaluate_call(monkeypatch):
     calls.clear()
     frobenius_mu(u, v)
     assert calls == []
+
+
+# Each array numpy refuses before allocating: past its axis limit, or of
+# more than 2**63 bytes on either carrier.
+WIDE = [Wire("n", 0, 1)] * (MAX_AXES + 1)
+TOO_MANY_AXES = (f"a tensor on {MAX_AXES + 1} wires is past numpy's limit "
+                 f"of {MAX_AXES} axes")
+
+
+@pytest.mark.parametrize("sr", [REAL, BOOLEAN], ids=["real", "bool"])
+@pytest.mark.parametrize("make, message", [
+    (lambda sr: Tensor(WIDE, [1], sr), TOO_MANY_AXES),
+    (lambda sr: random_tensor(WIDE, np.random.default_rng(0), sr),
+     TOO_MANY_AXES),
+    (lambda sr: random_tensor([Wire("n", 0, 2), Wire("s", 0, 2 ** 63)],
+                              np.random.default_rng(0), sr),
+     f"a tensor of {2 ** 64} cells does not fit in memory"),
+    (lambda sr: eta_cap("n", "left", 2 ** 32, semiring=sr),
+     f"a tensor of {2 ** 64} cells does not fit in memory"),
+    (lambda sr: frobenius_zeta("n", 10 ** 20, semiring=sr),
+     f"a tensor of {10 ** 20} cells does not fit in memory"),
+], ids=["Tensor", "random_tensor-axes", "random_tensor-cells", "eta_cap",
+        "frobenius_zeta"])
+def test_array_makers_refuse_what_numpy_cannot_make(make, message, sr):
+    with pytest.raises(errors.OutOfMemory) as exc:
+        make(sr)
+    assert str(exc.value) == message
+
+
+def test_array_makers_turn_memory_error_into_out_of_memory(monkeypatch):
+    # Past memory numpy raises MemoryError; it is patched in here rather
+    # than asked for.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    class Exhausted:
+        random = staticmethod(exhausted)
+
+    monkeypatch.setattr(np, "eye", exhausted)
+    monkeypatch.setattr(np, "full", exhausted)
+    for make, cells in ((lambda: eta_cap("n", "right", 3), 9),
+                        (lambda: frobenius_zeta("n", 3), 3),
+                        (lambda: random_tensor([Wire("n", 0, 2)] * 2,
+                                               Exhausted()), 4)):
+        with pytest.raises(errors.OutOfMemory) as exc:
+            make()
+        assert str(exc.value) == f"a tensor of {cells} cells does not fit " \
+                                 f"in memory"

@@ -258,13 +258,14 @@ def test_ab_interleaved_alternates_rounds_in_one_process(tmp_path, capsys):
 
 
 def test_ab_interleaved_takes_named_micro_targets(tmp_path, capsys):
-    # An A/A comparison of the dense coordinator target in one process: a
-    # round is one call, checked once per side first, and the key holds no
-    # seed.  The schema is the workloads' one.
+    # A/A comparisons of the micro-targets in one process: a round is one
+    # call, checked once per side first, and the key holds no seed.  The
+    # schema is the workloads' one.
     ab = _load("ab")
     root = TOOLS.parent
     out = tmp_path / "bench.json"
-    assert set(ab.MICRO_TARGETS) == {"selftest", "coordinator"}
+    assert set(ab.MICRO_TARGETS) == {"selftest", "coordinator", "reduce",
+                                     "plan"}
     assert ab.main(["--base", str(root), "--change", str(root),
                     "--workload", "coordinator", "--interleaved",
                     "--pairs", "2", "--out", str(out)]) == 0
@@ -283,6 +284,16 @@ def test_ab_interleaved_takes_named_micro_targets(tmp_path, capsys):
     # A round holds the 4**12 float64 cells of the coordinator.
     for side in ("base", "change"):
         assert summary["tracemalloc_peak_bytes"][side] >= 8 * 4 ** 12
+    # The chain targets: reduce, and the planner without its cache, each
+    # checked on its first call per side.
+    for target in ("reduce", "plan"):
+        assert ab.main(["--base", str(root), "--change", str(root),
+                        "--workload", target, "--interleaved", "--pairs",
+                        "2", "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["workloads"][
+            f"{target}-interleaved"]
+        assert entry["ops_per_round"] == 1
+        assert entry["summary"]["correct"] == {"base": True, "change": True}
     # The pairs mode runs bench/run.py, which knows no micro-target.
     with pytest.raises(SystemExit):
         ab.main(["--base", str(root), "--change", str(root), "--workload",

@@ -49,10 +49,16 @@ entry's key ends in ``-interleaved`` (before any ``-set<N>``);
 
 In place of a workload, ``--interleaved`` also takes a named micro-target
 (``MICRO_TARGETS``), whose round is one call: ``selftest``, a default
-``run_selftest()``, and ``coordinator``, the dense real
-``coordinator_tensor`` of ``n.r s n.l n.l`` at n = s = 4 (4**12 cells).
-The unmeasured first call per side checks the result (every suite
-passes; the coordinator holds its 4**4 ones), and the entry's key is
+``run_selftest()``; ``coordinator``, the dense real
+``coordinator_tensor`` of ``n.r s n.l n.l`` at n = s = 4 (4**12 cells);
+``reduce``, the canonical ``reduce`` of a 60-conjunct verb-phrase chain
+("john v and v ...") with its coordinator positions; and ``plan``,
+``plan_contraction.__wrapped__`` (the planner without its cache) on that
+chain's explicit network key at n = s = 2.  What a call needs is built
+once per side, before any round.  The unmeasured first call per side
+checks the result (every suite passes; the coordinator holds its 4**4
+ones; the derivation links all but one wire and leaves ``s``; the plan
+equals the one the chain's network carries), and the entry's key is
 ``<target>-interleaved``, as ``--seed`` is not used.
 
 Only the standard library, numpy, the two trees and the change's
@@ -78,18 +84,63 @@ import numpy as np
 
 IGNORED = shutil.ignore_patterns("__pycache__", "work", "results", "*.pyc")
 SPELL_LOOPS = 3
-# Micro-targets by name: what one round calls on a ``frobcoord`` package,
-# and the check of its result.
-MICRO_TARGETS = {
-    "selftest": (lambda fc: fc.selftest.run_selftest(),
-                 lambda results: all(res.ok for res in results)),
-    "coordinator": (lambda fc: fc.coordination.coordinator_tensor(
-        fc.pregroup.parse_type("n.r s n.l n.l"),
-        fc.spaces.SpaceAssignment({"n": 4, "s": 4}), fc.semiring.REAL),
-        # One copy spider per factor: a one for each of 4**4 index choices.
-        lambda got: (got.array.shape == (4,) * 12
-                     and got.array.sum() == 4 ** 4)),
-}
+CHAIN_CONJUNCTS = 60
+
+
+def _selftest(fc):
+    return (fc.selftest.run_selftest,
+            lambda results: all(res.ok for res in results))
+
+
+def _coordinator(fc):
+    x = fc.pregroup.parse_type("n.r s n.l n.l")
+    spaces = fc.spaces.SpaceAssignment({"n": 4, "s": 4})
+    return (lambda: fc.coordination.coordinator_tensor(x, spaces,
+                                                       fc.semiring.REAL),
+            # One copy spider per factor: a one for each of 4**4 index
+            # choices.
+            lambda got: (got.array.shape == (4,) * 12
+                         and got.array.sum() == 4 ** 4))
+
+
+def _chain(fc):
+    """The token types, target and coordinator positions of the
+    verb-phrase chain "john v and v ..." of ``CHAIN_CONJUNCTS``
+    conjuncts."""
+    parse = fc.pregroup.parse_type
+    verb = parse("n.r s")
+    row = [parse("n"), verb] + [fc.pregroup.coordinator_type(verb),
+                                verb] * (CHAIN_CONJUNCTS - 1)
+    return row, parse("s"), list(range(2, len(row), 2))
+
+
+def _reduce(fc):
+    row, target, coordinators = _chain(fc)
+    return (lambda: fc.pregroup.reduce(row, target,
+                                       coordinators=coordinators),
+            lambda got: (got is not None and got.residual_type() == target
+                         and 2 * len(got.links) + 1 == len(got.flattened)))
+
+
+def _plan(fc):
+    row, target, coordinators = _chain(fc)
+    spaces = fc.spaces.SpaceAssignment({"n": 2, "s": 2})
+    rng = np.random.default_rng(0)
+    net = fc.evaluator.build_network(
+        fc.pregroup.reduce(row, target, coordinators=coordinators),
+        [None if k in coordinators else
+         fc.tensor.random_tensor(spaces.wires(t), rng)
+         for k, t in enumerate(row)], spaces)
+    key = (net.indices, tuple([t.array.shape for t in net.nodes]),
+           net.open_wires)
+    return (lambda: fc.evaluator.plan_contraction.__wrapped__(*key),
+            lambda got: got == net.plan)
+
+
+# Micro-targets by name: each takes a ``frobcoord`` package and returns
+# what one round calls, and the check of its result.
+MICRO_TARGETS = {"selftest": _selftest, "coordinator": _coordinator,
+                 "reduce": _reduce, "plan": _plan}
 
 
 def spell_seconds() -> float:
@@ -281,12 +332,12 @@ def interleaved(copies: dict, workload_name: str, seed: int,
     times, per-round ratios, wins and round peaks."""
     run_op, correct, clears = {}, {}, {}
     if workload_name in MICRO_TARGETS:
-        call, ok = MICRO_TARGETS[workload_name]
         ops = [None]
         for side, copy in copies.items():
             fc = import_package(copy / "src", f"frobcoord_{side}")
-            run_op[side] = lambda op, fc=fc: call(fc)
-            correct[side] = bool(ok(call(fc)))
+            call, ok = MICRO_TARGETS[workload_name](fc)
+            run_op[side] = lambda op, call=call: call()
+            correct[side] = bool(ok(call()))
             clears[side] = cache_clears(fc)
     else:
         bench = import_bench(copies["change"] / "bench")
